@@ -20,7 +20,7 @@
 #include <mutex>
 #include <string>
 
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "fleet/fleet.h"
 #include "harness/harness.h"
 #include "harness/report.h"
@@ -203,52 +203,29 @@ makeRunConfig(const harness::ExperimentScale &scale, const Options &options)
 
 /**
  * Live progress ticker (--progress / DRS_PROGRESS=1): one stderr
- * status line, repainted in place (\r), with jobs done/total and an
- * ETA. In-process sweeps feed it per-completion (ETA from the mean
- * completion rate); fleet runs feed it the coordinator's FleetProgress
- * (EWMA-based ETA plus live worker states and the degraded count).
- * Pure observer: it reads progress, never influences it, and paints
- * only to stderr so piped stdout tables stay clean.
+ * status line, repainted in place (\r), with jobs done/total and
+ * in flight, the fleet's worker states and degraded count when it has
+ * them, and the ledger's EWMA-based ETA. Pure observer: it reads
+ * progress, never influences it, and paints only to stderr so piped
+ * stdout tables stay clean.
  */
 class ProgressTicker
 {
   public:
-    /** In-process sweep callback (called from worker threads). */
-    void onSweep(std::size_t done, std::size_t total)
+    /** SweepOptions::progress callback (sweep threads or fleet loop). */
+    void update(const harness::SweepProgress &progress)
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        double eta = -1.0;
-        const double elapsed =
-            std::chrono::duration<double>(Clock::now() - start_).count();
-        if (done > 0 && done < total)
-            eta = elapsed / static_cast<double>(done) *
-                  static_cast<double>(total - done);
-        char text[192];
-        std::snprintf(text, sizeof text, "[progress] %zu/%zu jobs (%.0f%%)%s",
-                      done, total,
-                      total ? 100.0 * static_cast<double>(done) /
-                                  static_cast<double>(total)
-                            : 100.0,
-                      etaText(done >= total ? 0.0 : eta).c_str());
-        paint(text, done >= total);
-    }
-
-    /** Fleet coordinator callback (called from the supervision loop). */
-    void onFleet(const fleet::FleetProgress &progress)
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        char text[256];
-        char degraded[48] = "";
+        using std::to_string;
+        std::string text = "[progress] " + to_string(progress.jobsDone) +
+                           "/" + to_string(progress.jobsTotal) + " jobs (" +
+                           to_string(progress.jobsInflight) + " in flight)";
+        if (progress.workersAlive > 0)
+            text += ", " + to_string(progress.workersRunning) + "/" +
+                    to_string(progress.workersAlive) + " workers running";
         if (progress.degraded > 0)
-            std::snprintf(degraded, sizeof degraded, ", %d degraded",
-                          progress.degraded);
-        std::snprintf(text, sizeof text,
-                      "[progress] %zu/%zu jobs (%zu in flight), "
-                      "%d/%d workers running%s%s",
-                      progress.jobsDone, progress.jobsTotal,
-                      progress.jobsInflight, progress.workersRunning,
-                      progress.workersAlive, degraded,
-                      etaText(progress.etaSeconds).c_str());
+            text += ", " + to_string(progress.degraded) + " degraded";
+        text += etaText(progress.etaSeconds);
         paint(text, progress.jobsDone >= progress.jobsTotal);
     }
 
@@ -269,7 +246,7 @@ class ProgressTicker
     }
 
     /** Repaint the line; pad over the previous one, newline when done. */
-    void paint(const char *text, bool final)
+    void paint(std::string line, bool final)
     {
         if (finished_)
             return;
@@ -279,7 +256,6 @@ class ProgressTicker
             return;
         lastPaint_ = now;
         painted_ = true;
-        std::string line(text);
         const std::size_t width = std::max(line.size(), lastWidth_);
         lastWidth_ = line.size();
         line.resize(width, ' ');
@@ -290,7 +266,6 @@ class ProgressTicker
     }
 
     std::mutex mutex_;
-    Clock::time_point start_ = Clock::now();
     Clock::time_point lastPaint_{};
     std::size_t lastWidth_ = 0;
     bool painted_ = false;
@@ -318,10 +293,10 @@ makeSweepOptions(const Options &options)
     if (options.progress) {
         // The ticker outlives this scope through the callback's copy.
         // Fleet workers clear the callback after fork (workerMain), so
-        // only the in-process sweep ever paints through it.
+        // only the in-process sweep or the coordinator paints through it.
         auto ticker = std::make_shared<ProgressTicker>();
-        sweep.progress = [ticker](std::size_t done, std::size_t total) {
-            ticker->onSweep(done, total);
+        sweep.progress = [ticker](const harness::SweepProgress &progress) {
+            ticker->update(progress);
         };
     }
     return sweep;
@@ -485,13 +460,6 @@ runSweep(harness::SweepRunner &runner, const Options &options,
     }
     fleet::FleetOptions fleetOptions = fleet::FleetOptions::fromEnvironment();
     fleetOptions.workers = options.fleetWorkers;
-    std::shared_ptr<ProgressTicker> ticker;
-    if (options.progress) {
-        ticker = std::make_shared<ProgressTicker>();
-        fleetOptions.onProgress = [ticker](const fleet::FleetProgress &p) {
-            ticker->onFleet(p);
-        };
-    }
     fleet::FleetCoordinator coordinator(runner.scale(), runner.options(),
                                         fleetOptions);
     std::vector<harness::SweepResult> results =

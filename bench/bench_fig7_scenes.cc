@@ -24,13 +24,9 @@ main(int argc, char **argv)
     // No simulations here, but scene building and ray capture still
     // dominate: warm the cache by preparing all scenes concurrently.
     harness::PreparedSceneCache cache;
-    {
-        exec::ThreadPool pool(options.jobs);
-        exec::TaskGroup group(pool);
-        for (scene::SceneId id : scene::allSceneIds())
-            group.run([&cache, &scale, id] { cache.get(id, scale); });
-        group.wait();
-    }
+    const auto &ids = scene::allSceneIds();
+    exec::parallelFor(ids.size(), options.jobs,
+                      [&](std::size_t i) { cache.get(ids[i], scale); });
 
     stats::Table table({"scene", "triangles", "paper tris", "BVH nodes",
                         "depth", "tris/leaf", "B1 coherence",

@@ -8,8 +8,8 @@
 #   --json        additionally write machine-readable BENCH_<name>.json
 #                 reports (default DIR: bench_reports). bench_micro uses
 #                 Google benchmark's own --benchmark_out JSON instead of
-#                 the shared schema. Validate with
-#                 tests/check_bench_schema.py DIR/BENCH_*.json
+#                 the shared schema. The other reports are validated
+#                 with build/tools/drs_profile after the sweep.
 #   --compare     after the sweep, diff the fresh reports against an
 #                 earlier report directory with tools/bench_compare.py
 #                 and exit non-zero on any metric regression. Implies
@@ -76,6 +76,11 @@ for name in "${benches[@]}"; do
     missing=1
   fi
 done
+if [ -n "$json_dir" ] && [ ! -x build/tools/drs_profile ]; then
+  echo "error: report validator build/tools/drs_profile is missing (build" \
+       "it: cmake --build build --target drs_profile)" >&2
+  missing=1
+fi
 [ "$missing" -eq 0 ] || exit 1
 
 for name in "${benches[@]}"; do
@@ -100,9 +105,13 @@ done
 
 if [ -n "$json_dir" ]; then
   echo; echo "JSON reports written to $json_dir/"
-  if command -v python3 >/dev/null 2>&1; then
-    python3 tests/check_bench_schema.py "$json_dir"/BENCH_*.json
-  fi
+  # drs_profile exits 1 on a report that fails the schema; BENCH_micro.json
+  # is Google benchmark's own format.
+  reports=()
+  for report in "$json_dir"/BENCH_*.json; do
+    [ "$(basename "$report")" = BENCH_micro.json ] || reports+=("$report")
+  done
+  build/tools/drs_profile "${reports[@]}" >/dev/null
 fi
 
 if [ -n "$compare_dir" ]; then

@@ -2,18 +2,19 @@
 # Correctness gate for the invariant-checking subsystem (src/check).
 #
 # 1. Builds the tree under -DDRS_SANITIZE=address, =thread and
-#    =undefined and runs the `check`-labelled suites (plus the registry
-#    and fuzz-smoke legs) under each sanitizer with DRS_CHECK=1:
-#    test_check plus fuzz_smoke, the seeded randomized lockstep
-#    cross-check (fixed master seed 0x5eed -> deterministic configs,
-#    every seed printed for --replay).
+#    =undefined and runs the `check`-labelled suites (plus the registry,
+#    fuzz-smoke and `sanitize` legs -- the last holds the concurrency
+#    suites: parallelFor, SMX threads, counters) under each sanitizer
+#    with DRS_CHECK=1: test_check plus fuzz_smoke, the seeded randomized
+#    lockstep cross-check (fixed master seed 0x5eed -> deterministic
+#    configs, every seed printed for --replay).
 # 2. Kill-mid-sweep resume smoke, in every sanitizer build: a bench run
 #    is crash-injected after two journal appends (DRS_CRASH_AFTER -> exit
 #    70), resumed with --resume, and the merged report must be identical
 #    to an uninterrupted run (wall-clock and resume bookkeeping aside).
 # 3. Runs one bench twice in the regular build -- DRS_CHECK=0 vs
 #    DRS_CHECK=1 -- and verifies both JSON reports validate against the
-#    schema (tests/check_bench_schema.py) and are identical except for
+#    schema (tools/drs_profile) and are identical except for
 #    wall-clock fields: invariant checking must be a pure observer.
 # 4. Profiler smoke: the same bench under DRS_SAMPLE + DRS_TRACE must
 #    emit a Chrome trace that passes tests/check_trace.py, a report that
@@ -65,7 +66,7 @@ resume_smoke() {
       --json "$tmp/BENCH_resumed.json" >/dev/null
   DRS_RAYS=2048 DRS_SCALE=0.05 DRS_SMX=2 \
       "$bench" --jobs 2 --json "$tmp/BENCH_clean.json" >/dev/null
-  python3 tests/check_bench_schema.py "$tmp"/BENCH_*.json
+  "$1/tools/drs_profile" "$tmp"/BENCH_*.json >/dev/null
   python3 - "$tmp/BENCH_clean.json" "$tmp/BENCH_resumed.json" <<'PYEOF'
 import json
 import sys
@@ -95,7 +96,7 @@ if [ "$skip_san" -eq 0 ]; then
     cmake -B "$dir" -S . -DDRS_SANITIZE="$san" >/dev/null
     cmake --build "$dir" -j"$JOBS"
     (cd "$dir" &&
-     DRS_CHECK=1 ctest -L 'check|fuzz-smoke|fault|resume|registry|obs' \
+     DRS_CHECK=1 ctest -L 'check|fuzz-smoke|fault|resume|registry|obs|sanitize' \
          --output-on-failure -j"$JOBS")
     resume_smoke "$dir"
     # Fleet suites fork real worker processes: sound under asan, not
@@ -126,7 +127,7 @@ cmake --build build -j"$JOBS"
 echo; echo "######## bench JSON: DRS_CHECK must be a pure observer ########"
 echo
 cmake -B build -S . >/dev/null
-cmake --build build -j"$JOBS" --target bench_fig2_aila_breakdown
+cmake --build build -j"$JOBS" --target bench_fig2_aila_breakdown drs_profile
 resume_smoke build
 json_dir=$(mktemp -d)
 trap 'rm -rf "$json_dir"' EXIT
@@ -136,7 +137,7 @@ DRS_CHECK=0 build/bench/bench_fig2_aila_breakdown --jobs 2 \
     --json "$json_dir/BENCH_unchecked.json"
 DRS_CHECK=1 build/bench/bench_fig2_aila_breakdown --jobs 2 \
     --json "$json_dir/BENCH_checked.json"
-python3 tests/check_bench_schema.py "$json_dir"/BENCH_*.json
+build/tools/drs_profile "$json_dir"/BENCH_*.json >/dev/null
 python3 - "$json_dir/BENCH_unchecked.json" "$json_dir/BENCH_checked.json" \
     <<'EOF'
 import json
@@ -179,7 +180,7 @@ build/tools/drs_tracecat -o "$telemetry_dir/merged.json" \
 python3 tests/check_trace.py "$telemetry_dir/merged.json"
 build/bench/bench_fig2_aila_breakdown --jobs 2 --fleet 2 \
     --json "$telemetry_dir/BENCH_quiet.json" >/dev/null
-python3 tests/check_bench_schema.py "$telemetry_dir"/BENCH_*.json
+build/tools/drs_profile "$telemetry_dir"/BENCH_*.json >/dev/null
 python3 - "$telemetry_dir/BENCH_quiet.json" \
     "$telemetry_dir/BENCH_logged.json" <<'EOF'
 import json
@@ -210,14 +211,11 @@ rm -rf "$telemetry_dir"
 
 echo; echo "######## profiler: trace + attribution + comparator smoke ########"
 echo
-cmake --build build -j"$JOBS" --target drs_profile
 mkdir -p "$json_dir/profiled"
 DRS_SAMPLE=500 DRS_TRACE="$json_dir/trace.json" \
     build/bench/bench_fig2_aila_breakdown --jobs 1 \
     --json "$json_dir/profiled/BENCH_fig2_aila_breakdown.json"
 python3 tests/check_trace.py "$json_dir/trace.json"
-python3 tests/check_bench_schema.py \
-    "$json_dir/profiled/BENCH_fig2_aila_breakdown.json"
 build/tools/drs_profile \
     "$json_dir/profiled/BENCH_fig2_aila_breakdown.json" >/dev/null
 echo "ok   drs_profile renders the sampled report"

@@ -1,7 +1,7 @@
 #include "fleet/fleet.h"
 
 #include "exec/cancel.h"
-#include "fault/fault.h"
+#include "exec/env.h"
 #include "fleet/protocol.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -10,12 +10,11 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -34,63 +33,15 @@ namespace drs::fleet {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using harness::JobState;
 using harness::SweepJob;
 using harness::SweepResult;
-
-/** Salt for the re-dispatch backoff jitter draw (distinct from the
- * retry jitter inside SweepRunner and from the chaos rolls). */
-constexpr std::uint64_t kRedispatchJitterSalt = 0x666c65656a697400ULL;
 
 Clock::duration
 secondsToDuration(double seconds)
 {
     return std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(seconds));
-}
-
-/** Deterministic jitter factor in [0.5, 1.0) for one re-dispatch. */
-double
-redispatchJitter(std::uint64_t seed, std::size_t job, int dispatch)
-{
-    const std::uint64_t mixed =
-        fault::mixSeed(seed ^ kRedispatchJitterSalt, job, dispatch);
-    const double unit = static_cast<double>(mixed >> 11) * 0x1.0p-53;
-    return 0.5 + 0.5 * unit;
-}
-
-bool
-parseEnvInt(const char *name, long long min, long long max, long long *out)
-{
-    const char *text = std::getenv(name);
-    if (!text)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const long long value = std::strtoll(text, &end, 0);
-    if (errno != 0 || end == text || *end != '\0' || value < min ||
-        value > max) {
-        std::fprintf(stderr, "fleet: ignoring malformed %s=%s\n", name, text);
-        return false;
-    }
-    *out = value;
-    return true;
-}
-
-bool
-parseEnvSeconds(const char *name, double *out)
-{
-    const char *text = std::getenv(name);
-    if (!text)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const double value = std::strtod(text, &end);
-    if (errno != 0 || end == text || *end != '\0' || value < 0.0) {
-        std::fprintf(stderr, "fleet: ignoring malformed %s=%s\n", name, text);
-        return false;
-    }
-    *out = value;
-    return true;
 }
 
 // --------------------------------------------------------------------
@@ -369,24 +320,9 @@ workerMain(int readFd, int writeFd, int workerId, int generation,
 // Coordinator
 // --------------------------------------------------------------------
 
-enum class JobState : unsigned char {
-    Pending,     ///< waiting for a worker (readyAt gates re-dispatch)
-    Inflight,    ///< claimed by a live worker
-    Done,        ///< result recorded (run, replayed, or failed in-worker)
-    Quarantined, ///< killed too many workers; recorded failed
-    Degraded,    ///< fleet exhausted before it could run; recorded failed
-    Cancelled,   ///< run stopped by SIGTERM/SIGINT or a cancel token
-};
-
-bool
-terminal(JobState state)
-{
-    return state != JobState::Pending && state != JobState::Inflight;
-}
-
+/** Fleet-side dispatch bookkeeping of one job (its state is in the ledger). */
 struct JobSlot
 {
-    JobState state = JobState::Pending;
     int dispatches = 0; ///< claims sent (1-based dispatch counter)
     int deaths = 0;     ///< workers that died holding this job
     Clock::time_point readyAt{}; ///< earliest next dispatch
@@ -420,11 +356,10 @@ struct FleetRun
     const FleetOptions &options;
     FleetSummary &summary;
     const std::vector<SweepJob> &jobs;
-    std::vector<SweepResult> &results;
+    harness::JobLedger &ledger;
 
     std::vector<JobSlot> slots;
     std::vector<WorkerState> workers;
-    harness::SweepJournal journal;
     int nextWorkerId = 0;
     int generationCounter = 0;
     bool readyHookFired = false;
@@ -450,20 +385,12 @@ struct FleetRun
     std::vector<CoordInstant> traceInstants;
     const std::uint64_t traceEpochMicros = obs::logNowMicros();
 
-    // Live progress: EWMA over inter-completion wall deltas drives the
-    // ETA; emits are throttled except on completions/terminal events.
-    Clock::time_point runStart = Clock::now();
-    Clock::time_point lastProgressEmit{};
-    Clock::time_point lastCompletion{};
-    double ewmaJobInterval = -1.0;
-
     FleetRun(const harness::ExperimentScale &scale_,
              const harness::SweepOptions &sweep_,
              const FleetOptions &options_, FleetSummary &summary_,
-             const std::vector<SweepJob> &jobs_,
-             std::vector<SweepResult> &results_)
+             const std::vector<SweepJob> &jobs_, harness::JobLedger &ledger_)
         : scale(scale_), sweep(sweep_), options(options_), summary(summary_),
-          jobs(jobs_), results(results_), slots(jobs_.size())
+          jobs(jobs_), ledger(ledger_), slots(jobs_.size())
     {
     }
 
@@ -499,69 +426,13 @@ struct FleetRun
         worker.claimTsMicros = 0;
     }
 
-    void noteCompletion()
-    {
-        const auto now = Clock::now();
-        const double delta = std::chrono::duration<double>(
-                                 now - (lastCompletion.time_since_epoch()
-                                                .count() != 0
-                                            ? lastCompletion
-                                            : runStart))
-                                 .count();
-        ewmaJobInterval = ewmaJobInterval < 0
-                              ? delta
-                              : 0.7 * ewmaJobInterval + 0.3 * delta;
-        lastCompletion = now;
-        emitProgress(true);
-    }
-
+    /** Progress snapshot with the live worker counts filled in. */
     void emitProgress(bool force)
     {
-        if (!options.onProgress)
-            return;
-        const auto now = Clock::now();
-        if (!force && lastProgressEmit.time_since_epoch().count() != 0 &&
-            now - lastProgressEmit < std::chrono::milliseconds(200))
-            return;
-        lastProgressEmit = now;
-        FleetProgress progress;
-        progress.jobsTotal = jobs.size();
-        for (std::size_t j = 0; j < slots.size(); ++j) {
-            switch (slots[j].state) {
-            case JobState::Inflight:
-                ++progress.jobsInflight;
-                break;
-            case JobState::Done:
-                ++progress.jobsDone;
-                if (results[j].failed)
-                    ++progress.jobsFailed;
-                break;
-            case JobState::Quarantined:
-            case JobState::Degraded:
-            case JobState::Cancelled:
-                ++progress.jobsDone;
-                ++progress.jobsFailed;
-                break;
-            case JobState::Pending:
-                break;
-            }
-        }
-        progress.workersAlive = aliveCount();
+        int running = 0;
         for (const WorkerState &worker : workers)
-            progress.workersRunning +=
-                (worker.alive && worker.job >= 0) ? 1 : 0;
-        progress.workerDeaths = summary.workerDeaths;
-        progress.degraded = summary.degradedJobs;
-        progress.elapsedSeconds =
-            std::chrono::duration<double>(now - runStart).count();
-        const std::size_t remaining =
-            progress.jobsTotal - progress.jobsDone;
-        if (ewmaJobInterval >= 0 && remaining > 0)
-            progress.etaSeconds =
-                ewmaJobInterval * static_cast<double>(remaining);
-        else if (remaining == 0)
-            progress.etaSeconds = 0.0;
-        options.onProgress(progress);
+            running += (worker.alive && worker.job >= 0) ? 1 : 0;
+        ledger.reportProgress(force, aliveCount(), running);
     }
 
     int aliveCount() const
@@ -572,15 +443,7 @@ struct FleetRun
         return n;
     }
 
-    std::size_t remainingJobs() const
-    {
-        std::size_t n = 0;
-        for (const JobSlot &slot : slots)
-            n += terminal(slot.state) ? 0 : 1;
-        return n;
-    }
-
-    bool allTerminal() const { return remainingJobs() == 0; }
+    bool allTerminal() const { return ledger.remaining() == 0; }
 
     bool stopRequested() const
     {
@@ -625,7 +488,7 @@ struct FleetRun
             // would let a child write where only the coordinator may.
             ::close(toPipe[1]);
             ::close(fromPipe[0]);
-            journal.close();
+            ledger.closeJournal();
             for (WorkerState &other : workers)
                 if (other.alive) {
                     ::close(other.toFd);
@@ -678,31 +541,6 @@ struct FleetRun
                       std::move(data));
     }
 
-    void journalRecord(std::size_t index)
-    {
-        if (!journal.isOpen())
-            return;
-        const obs::Json entry = harness::sweepResultToJson(
-            index, harness::SweepRunner::jobKey(jobs[index]), results[index]);
-        std::string error;
-        if (!journal.append(entry, &error)) {
-            obs::Json data = obs::Json::object();
-            data["error"] = obs::Json(error);
-            obs::logEvent(obs::LogLevel::Error, "fleet",
-                          "journal_append_failed", std::move(data));
-        }
-        if (sweep.crashAfter > 0 && journal.appends() >= sweep.crashAfter) {
-            obs::Json data = obs::Json::object();
-            data["appends"] = obs::Json(journal.appends());
-            data["crash_after"] = obs::Json(sweep.crashAfter);
-            obs::logEvent(obs::LogLevel::Warn, "fleet", "crash_injection",
-                          std::move(data));
-            // Workers die with us via PR_SET_PDEATHSIG — the point is to
-            // simulate a coordinator crash, not a graceful stop.
-            std::_Exit(70);
-        }
-    }
-
     void maybeFireReadyHook()
     {
         if (readyHookFired || !options.onFleetReady)
@@ -744,21 +582,18 @@ struct FleetRun
             closeJobSpan(worker, "");
             worker.job = -1; // idle again
         }
-        JobSlot &slot = slots[index];
-        if (terminal(slot.state))
+        const bool failed = result.failed;
+        if (!ledger.finish(index, std::move(result), JobState::Done))
             return; // late duplicate: journal keeps exactly one record
-        slot.state = JobState::Done;
-        results[index] = std::move(result);
         {
             obs::Json data = obs::Json::object();
             data["job"] = obs::Json(static_cast<unsigned long long>(index));
             data["worker"] = obs::Json(worker.id);
-            data["failed"] = obs::Json(results[index].failed);
+            data["failed"] = obs::Json(failed);
             obs::logEvent(obs::LogLevel::Debug, "fleet", "job_done",
                           std::move(data));
         }
-        journalRecord(index);
-        noteCompletion();
+        emitProgress(true);
     }
 
     /**
@@ -900,21 +735,21 @@ struct FleetRun
                      worker.id);
         if (job < 0)
             return;
-        JobSlot &slot = slots[static_cast<std::size_t>(job)];
-        if (slot.state != JobState::Inflight)
+        const auto index = static_cast<std::size_t>(job);
+        if (ledger.state(index) != JobState::Running)
             return; // its result was drained above — nothing to redo
+        JobSlot &slot = slots[index];
         ++slot.deaths;
         if (slot.deaths >= options.quarantineDeaths) {
-            quarantine(static_cast<std::size_t>(job), slot);
+            quarantine(index, slot);
             return;
         }
         // Seeded exponential backoff with jitter before the next try:
         // deterministic per sweep, but concurrent casualties spread out.
-        slot.state = JobState::Pending;
-        const double jitter = redispatchJitter(
-            sweep.fault.seed, static_cast<std::size_t>(job), slot.dispatches);
-        const double delay =
-            options.backoffSeconds * std::ldexp(1.0, slot.deaths - 1) * jitter;
+        ledger.requeue(index);
+        const double delay = harness::backoffDelay(
+            options.backoffSeconds, slot.deaths, sweep.fault.seed,
+            harness::kRedispatchJitterSalt, index, slot.dispatches);
         slot.readyAt = Clock::now() + secondsToDuration(delay);
         ++summary.redispatched;
         {
@@ -928,11 +763,9 @@ struct FleetRun
         traceInstant("redispatch job" + std::to_string(job), worker.id);
     }
 
-    void quarantine(std::size_t index, JobSlot &slot)
+    void quarantine(std::size_t index, const JobSlot &slot)
     {
-        slot.state = JobState::Quarantined;
-        SweepResult &result = results[index];
-        result.ran = false;
+        SweepResult result;
         result.failed = true;
         result.attempts = slot.dispatches;
         result.error = "quarantined: job killed " +
@@ -949,8 +782,8 @@ struct FleetRun
                           std::move(data));
         }
         traceInstant("quarantine job" + std::to_string(index), 0);
-        journalRecord(index);
-        noteCompletion();
+        ledger.finish(index, std::move(result), JobState::Quarantined);
+        emitProgress(true);
     }
 
     void reapWorkers(bool expected)
@@ -1002,8 +835,8 @@ struct FleetRun
                 continue;
             std::size_t pick = jobs.size();
             for (std::size_t j = 0; j < slots.size(); ++j)
-                if (slots[j].state == JobState::Pending &&
-                    slots[j].readyAt <= now) {
+                if (slots[j].readyAt <= now &&
+                    ledger.state(j) == JobState::Pending) {
                     pick = j;
                     break;
                 }
@@ -1021,7 +854,7 @@ struct FleetRun
                 ::kill(worker.pid, SIGKILL);
                 continue;
             }
-            slot.state = JobState::Inflight;
+            ledger.start(pick);
             worker.job = static_cast<long long>(pick);
             worker.lastBeat = now;
             worker.claimTsMicros = traceNow();
@@ -1039,7 +872,7 @@ struct FleetRun
     {
         while (!spawnBroken && aliveCount() < options.workers &&
                summary.respawned < options.maxRespawns &&
-               remainingJobs() > static_cast<std::size_t>(aliveCount())) {
+               ledger.remaining() > static_cast<std::size_t>(aliveCount())) {
             if (!spawnWorker(true)) {
                 spawnBroken = true;
                 break;
@@ -1139,20 +972,17 @@ struct FleetRun
         {
             obs::Json data = obs::Json::object();
             data["remaining"] = obs::Json(
-                static_cast<unsigned long long>(remainingJobs()));
+                static_cast<unsigned long long>(ledger.remaining()));
             data["workers"] = obs::Json(aliveCount());
             obs::logEvent(obs::LogLevel::Warn, "fleet", "cancelled",
                           std::move(data));
         }
         shutdownAll(/*force=*/true);
         for (std::size_t j = 0; j < slots.size(); ++j) {
-            if (terminal(slots[j].state))
-                continue;
-            slots[j].state = JobState::Cancelled;
-            results[j].ran = false;
-            results[j].failed = true;
-            results[j].error = "fleet cancelled";
-            // Not journaled: a resumed run should execute these jobs.
+            SweepResult result;
+            result.failed = true;
+            result.error = "fleet cancelled";
+            ledger.finish(j, std::move(result), JobState::Cancelled);
         }
         emitProgress(true);
     }
@@ -1160,17 +990,14 @@ struct FleetRun
     void degradeRemaining()
     {
         for (std::size_t j = 0; j < slots.size(); ++j) {
-            if (terminal(slots[j].state))
-                continue;
-            slots[j].state = JobState::Degraded;
-            results[j].ran = false;
-            results[j].failed = true;
-            results[j].attempts = slots[j].dispatches;
-            results[j].error =
+            SweepResult result;
+            result.failed = true;
+            result.attempts = slots[j].dispatches;
+            result.error =
                 "degraded: fleet exhausted (respawn budget spent) before "
                 "this job could run";
-            ++summary.degradedJobs;
-            // Not journaled: the job never ran; --resume retries it.
+            if (ledger.finish(j, std::move(result), JobState::Degraded))
+                ++summary.degradedJobs;
         }
         {
             obs::Json data = obs::Json::object();
@@ -1267,17 +1094,20 @@ FleetOptions
 FleetOptions::fromEnvironment()
 {
     FleetOptions options;
-    long long value = 0;
-    if (parseEnvInt("DRS_FLEET", 1, 1024, &value))
+    constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+    std::uint64_t value = 0;
+    if (exec::envKnob("DRS_FLEET", 1, 1024, value, 0))
         options.workers = static_cast<int>(value);
-    parseEnvSeconds("DRS_FLEET_HEARTBEAT", &options.heartbeatSeconds);
-    parseEnvSeconds("DRS_FLEET_HEARTBEAT_TIMEOUT",
-                    &options.heartbeatTimeoutSeconds);
-    if (parseEnvInt("DRS_FLEET_RESPAWNS", 0, 1'000'000, &value))
+    exec::envKnob("DRS_FLEET_HEARTBEAT", 0.0, kUnbounded,
+                  options.heartbeatSeconds);
+    exec::envKnob("DRS_FLEET_HEARTBEAT_TIMEOUT", 0.0, kUnbounded,
+                  options.heartbeatTimeoutSeconds);
+    if (exec::envKnob("DRS_FLEET_RESPAWNS", 0, 1'000'000, value, 0))
         options.maxRespawns = static_cast<int>(value);
-    if (parseEnvInt("DRS_FLEET_QUARANTINE", 1, 1'000'000, &value))
+    if (exec::envKnob("DRS_FLEET_QUARANTINE", 1, 1'000'000, value, 0))
         options.quarantineDeaths = static_cast<int>(value);
-    parseEnvSeconds("DRS_FLEET_BACKOFF", &options.backoffSeconds);
+    exec::envKnob("DRS_FLEET_BACKOFF", 0.0, kUnbounded,
+                  options.backoffSeconds);
     const obs::TraceConfig trace = obs::TraceConfig::fromEnvironment();
     if (trace.enabled)
         options.tracePath = trace.path;
@@ -1338,35 +1168,14 @@ FleetCoordinator::run(std::vector<harness::SweepJob> jobs)
 {
     summary_ = FleetSummary{};
     summary_.workers = options_.workers;
-    std::vector<SweepResult> results(jobs.size());
     if (jobs.empty())
-        return results;
+        return {};
 
     const auto start = Clock::now();
-    FleetRun run(scale_, sweep_, options_, summary_, jobs, results);
-
-    std::vector<char> done(jobs.size(), 0);
-    if (sweep_.resume && !sweep_.journalPath.empty())
-        done = harness::replaySweepJournal(sweep_.journalPath, jobs, results);
-    std::size_t replayed = 0;
-    for (std::size_t i = 0; i < done.size(); ++i)
-        if (done[i]) {
-            run.slots[i].state = JobState::Done;
-            ++replayed;
-        }
+    harness::JobLedger ledger(jobs, sweep_, "fleet");
+    FleetRun run(scale_, sweep_, options_, summary_, jobs, ledger);
 
     if (!run.allTerminal()) {
-        if (!sweep_.journalPath.empty()) {
-            std::string error;
-            if (!run.journal.open(sweep_.journalPath, !sweep_.resume,
-                                  &error)) {
-                obs::Json data = obs::Json::object();
-                data["error"] = obs::Json(error);
-                obs::logEvent(obs::LogLevel::Warn, "fleet",
-                              "journal_open_failed", std::move(data));
-            }
-        }
-
         // Coordinator signal dispositions for the duration of the run:
         // SIGTERM/SIGINT become a cooperative stop (fanned out to the
         // workers), SIGPIPE must not kill us mid-write to a dead child.
@@ -1405,7 +1214,6 @@ FleetCoordinator::run(std::vector<harness::SweepJob> jobs)
         }
         if (!summary_.cancelled)
             run.shutdownAll(false);
-        run.journal.close();
         run.emitProgress(true);
 
         ::sigaction(SIGTERM, &oldTerm, nullptr);
@@ -1417,6 +1225,10 @@ FleetCoordinator::run(std::vector<harness::SweepJob> jobs)
     if (!options_.tracePath.empty())
         run.writeCoordinatorTrace(options_.tracePath + ".coord");
 
+    std::vector<SweepResult> results = ledger.takeResults();
+    std::size_t replayed = 0;
+    for (const SweepResult &result : results)
+        replayed += result.fromJournal ? 1u : 0u;
     const double wall =
         std::chrono::duration<double>(Clock::now() - start).count();
     std::printf("[fleet] %zu jobs (%zu replayed) across %d workers "

@@ -21,11 +21,11 @@
  * died along the way. The chaos harness (tests/check_fleet_chaos.sh)
  * holds this bar under random SIGKILLs plus a coordinator crash.
  *
- * Durability: the coordinator is the only journal writer. It reuses the
- * sweep's append-only JSONL journal (one fsync'd record per finished
- * job, exactly once), so --resume works across coordinator crashes and
- * a journal written by the fleet is replayable by the single-process
- * runner and vice versa.
+ * Durability: the coordinator is the only journal writer. Every job
+ * outcome goes to the same harness::JobLedger the single-process runner
+ * uses (one fsync'd record per finished job, exactly once), so --resume
+ * works across coordinator crashes and a journal written by the fleet
+ * is replayable by the single-process runner and vice versa.
  *
  * Shutdown: SIGTERM/SIGINT set a stop flag; the coordinator fans the
  * cancellation out (Shutdown frames + SIGTERM, whose worker-side
@@ -47,8 +47,6 @@
 #include "obs/json.h"
 
 namespace drs::fleet {
-
-struct FleetProgress;
 
 struct FleetOptions
 {
@@ -77,9 +75,8 @@ struct FleetOptions
     int quarantineDeaths = 3;
     /**
      * Base re-dispatch backoff (seconds): a job whose worker died waits
-     * backoff * 2^(deaths-1), scaled by a jitter factor in [0.5, 1.0]
-     * seeded from (fault seed, job index, dispatch) — deterministic per
-     * sweep, but re-dispatches of distinct jobs spread out.
+     * harness::backoffDelay(backoffSeconds, deaths, fault seed,
+     * kRedispatchJitterSalt, job index, dispatch).
      */
     double backoffSeconds = 0.05;
     /** Grace period between Shutdown/SIGTERM and SIGKILL (seconds). */
@@ -101,13 +98,6 @@ struct FleetOptions
      * signal "fleet is live, kill it now" without racing the spawn.
      */
     std::function<void()> onFleetReady;
-    /**
-     * Live-progress callback, invoked from the supervision loop (single
-     * thread) after every job completion and terminal supervision event,
-     * throttled to a few Hz in between. Pure observer. The benches use
-     * it to drive the --progress stderr ticker.
-     */
-    std::function<void(const FleetProgress &)> onProgress;
 
     /**
      * Populate from the environment: DRS_FLEET (workers),
@@ -118,22 +108,6 @@ struct FleetOptions
      * keep the default.
      */
     static FleetOptions fromEnvironment();
-};
-
-/** One live-progress snapshot (FleetOptions::onProgress). */
-struct FleetProgress
-{
-    std::size_t jobsTotal = 0;
-    std::size_t jobsDone = 0;     ///< terminal jobs, incl. failures
-    std::size_t jobsInflight = 0;
-    std::size_t jobsFailed = 0;   ///< quarantined / degraded / cancelled
-    int workersAlive = 0;
-    int workersRunning = 0;       ///< alive workers holding a job
-    int workerDeaths = 0;
-    int degraded = 0;
-    double elapsedSeconds = 0.0;
-    /** EWMA-based remaining-time estimate; < 0 = unknown yet. */
-    double etaSeconds = -1.0;
 };
 
 /**
@@ -219,7 +193,9 @@ class FleetCoordinator
      *               a single-process sweep (that is the bit-identity
      *               contract); journalPath / resume / crashAfter are
      *               honoured by the coordinator, which is the only
-     *               journal writer; cancel (if set) stops the fleet.
+     *               journal writer; progress receives the coordinator's
+     *               snapshots (with worker counts); cancel (if set)
+     *               stops the fleet.
      * @param options fleet supervision policy
      */
     FleetCoordinator(const harness::ExperimentScale &scale,

@@ -1,21 +1,25 @@
 #include "harness/sweep.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <thread>
 
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <atomic>
-
 #include "exec/cancel.h"
-#include "exec/thread_pool.h"
+#include "exec/env.h"
+#include "exec/parallel_for.h"
 #include "harness/report.h"
 #include "obs/json.h"
 #include "obs/log.h"
@@ -34,88 +38,18 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Salt separating the backoff-jitter stream from the fault streams. */
-constexpr std::uint64_t kBackoffJitterSalt = 0x6a69747465720000ULL;
-
-/** Deterministic jitter factor in [0.5, 1.0) for one (job, attempt). */
-double
-backoffJitter(std::uint64_t seed, std::size_t index, int attempt)
-{
-    const std::uint64_t mixed =
-        fault::mixSeed(seed ^ kBackoffJitterSalt,
-                       static_cast<std::uint64_t>(index),
-                       static_cast<std::uint64_t>(attempt));
-    // Top 53 bits -> uniform double in [0, 1).
-    const double unit =
-        static_cast<double>(mixed >> 11) * 0x1.0p-53;
-    return 0.5 + 0.5 * unit;
-}
-
 } // namespace
 
-// ------------------------------------------------- Durable journal I/O
-
-SweepJournal::~SweepJournal() { close(); }
-
-bool
-SweepJournal::open(const std::string &path, bool truncate, std::string *error)
+double
+backoffDelay(double base, int step, std::uint64_t seed, std::uint64_t salt,
+             std::size_t job, int draw)
 {
-    close();
-    int flags = O_WRONLY | O_CREAT | O_APPEND;
-    if (truncate)
-        flags |= O_TRUNC;
-    fd_ = ::open(path.c_str(), flags, 0644);
-    if (fd_ < 0) {
-        if (error)
-            *error = "cannot open journal '" + path +
-                     "': " + std::strerror(errno);
-        return false;
-    }
-    return true;
-}
-
-bool
-SweepJournal::append(const obs::Json &entry, std::string *error)
-{
-    if (fd_ < 0) {
-        if (error)
-            *error = "journal is not open";
-        return false;
-    }
-    const std::string line = entry.dump() + "\n";
-    std::size_t written = 0;
-    while (written < line.size()) {
-        const ssize_t n =
-            ::write(fd_, line.data() + written, line.size() - written);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (error)
-                *error = std::string("journal write failed: ") +
-                         std::strerror(errno);
-            return false;
-        }
-        written += static_cast<std::size_t>(n);
-    }
-    // The durability contract: the record is on disk before append()
-    // returns, so a SIGKILL after this point cannot lose it.
-    if (::fsync(fd_) != 0) {
-        if (error)
-            *error = std::string("journal fsync failed: ") +
-                     std::strerror(errno);
-        return false;
-    }
-    ++appends_;
-    return true;
-}
-
-void
-SweepJournal::close()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
+    const std::uint64_t mixed =
+        fault::mixSeed(seed ^ salt, static_cast<std::uint64_t>(job),
+                       static_cast<std::uint64_t>(draw));
+    // Top 53 bits -> uniform double in [0, 1).
+    const double unit = static_cast<double>(mixed >> 11) * 0x1.0p-53;
+    return base * std::ldexp(1.0, step - 1) * (0.5 + 0.5 * unit);
 }
 
 // ------------------------------------------- Result <-> JSON records
@@ -184,19 +118,26 @@ sweepResultFromJson(const obs::Json &entry, std::uint64_t *index,
     return "";
 }
 
-std::vector<char>
+namespace {
+
+/**
+ * Replay a JSONL journal at @p path into @p results (sized like
+ * @p jobs): entries whose index/key match the job at that index are
+ * stored with fromJournal set; a malformed line (torn tail of a crash)
+ * stops the replay and everything after it re-runs.
+ */
+void
 replaySweepJournal(const std::string &path,
                    const std::vector<SweepJob> &jobs,
                    std::vector<SweepResult> &results)
 {
-    std::vector<char> done(jobs.size(), 0);
     std::ifstream in(path, std::ios::binary);
     if (!in) {
         obs::Json data = obs::Json::object();
         data["path"] = obs::Json(path);
         obs::logEvent(obs::LogLevel::Warn, "sweep", "resume_no_journal",
                       std::move(data));
-        return done;
+        return;
     }
 
     std::string line;
@@ -245,9 +186,214 @@ replaySweepJournal(const std::string &path,
         }
         result.fromJournal = true;
         results[index] = std::move(result);
-        done[index] = 1;
     }
-    return done;
+}
+
+bool
+terminal(JobState state)
+{
+    return state != JobState::Pending && state != JobState::Running;
+}
+
+/**
+ * Write @p line to @p fd in full, then fsync: the record is on disk
+ * before this returns, so a SIGKILL one instruction later cannot lose
+ * it to a libc or page-cache buffer.
+ */
+bool
+appendDurably(int fd, const std::string &line, std::string *error)
+{
+    std::size_t written = 0;
+    while (written < line.size()) {
+        const ssize_t n =
+            ::write(fd, line.data() + written, line.size() - written);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            *error = std::string("journal write failed: ") +
+                     std::strerror(errno);
+            return false;
+        }
+        written += static_cast<std::size_t>(n);
+    }
+    if (::fsync(fd) != 0) {
+        *error = std::string("journal fsync failed: ") + std::strerror(errno);
+        return false;
+    }
+    return true;
+}
+
+} // namespace
+
+// ------------------------------------------------------- Job ledger
+
+JobLedger::JobLedger(const std::vector<SweepJob> &jobs,
+                     const SweepOptions &options, const char *component)
+    : jobs_(jobs), options_(options), component_(component),
+      states_(jobs.size(), JobState::Pending), results_(jobs.size())
+{
+    if (options_.journalPath.empty())
+        return;
+    if (options_.resume) {
+        replaySweepJournal(options_.journalPath, jobs_, results_);
+        for (std::size_t i = 0; i < results_.size(); ++i)
+            if (results_[i].fromJournal)
+                states_[i] = JobState::Done;
+    }
+    // Fresh run: truncate any stale journal so a later --resume cannot
+    // merge entries from a different invocation. Resumed runs append
+    // after the replayed records.
+    journalFd_ = ::open(options_.journalPath.c_str(),
+                        O_WRONLY | O_CREAT | O_APPEND |
+                            (options_.resume ? 0 : O_TRUNC),
+                        0644);
+    if (journalFd_ < 0) {
+        obs::Json data = obs::Json::object();
+        data["error"] = obs::Json("cannot open journal '" +
+                                  options_.journalPath +
+                                  "': " + std::strerror(errno));
+        obs::logEvent(obs::LogLevel::Warn, component_, "journal_open_failed",
+                      std::move(data));
+    }
+}
+
+JobState
+JobLedger::state(std::size_t index) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return states_.at(index);
+}
+
+bool
+JobLedger::start(std::size_t index)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (states_.at(index) != JobState::Pending)
+        return false;
+    states_[index] = JobState::Running;
+    return true;
+}
+
+void
+JobLedger::requeue(std::size_t index)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (states_.at(index) == JobState::Running)
+        states_[index] = JobState::Pending;
+}
+
+bool
+JobLedger::finish(std::size_t index, SweepResult result, JobState state)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (terminal(states_.at(index)))
+        return false; // a late duplicate: the journal keeps one record
+    states_[index] = state;
+    results_[index] = std::move(result);
+
+    const auto now = Clock::now();
+    const double interval =
+        std::chrono::duration<double>(now - lastFinish_).count();
+    ewmaFinishInterval_ = ewmaFinishInterval_ < 0
+                              ? interval
+                              : 0.7 * ewmaFinishInterval_ + 0.3 * interval;
+    lastFinish_ = now;
+
+    if (journalFd_ < 0 ||
+        (state != JobState::Done && state != JobState::Quarantined))
+        return true;
+    const obs::Json entry = sweepResultToJson(
+        index, SweepRunner::jobKey(jobs_[index]), results_[index]);
+    std::string error;
+    if (!appendDurably(journalFd_, entry.dump() + "\n", &error)) {
+        obs::Json data = obs::Json::object();
+        data["path"] = obs::Json(options_.journalPath);
+        data["error"] = obs::Json(error);
+        obs::logEvent(obs::LogLevel::Error, component_,
+                      "journal_append_failed", std::move(data));
+        return true;
+    }
+    ++journalAppends_;
+    if (options_.crashAfter > 0 && journalAppends_ >= options_.crashAfter) {
+        // Crash injection for the resume tests: die without unwinding,
+        // exactly like a kill -9 after the append hit the disk (fleet
+        // workers die with the coordinator via PR_SET_PDEATHSIG).
+        obs::Json data = obs::Json::object();
+        data["appends"] = obs::Json(journalAppends_);
+        data["crash_after"] = obs::Json(options_.crashAfter);
+        obs::logEvent(obs::LogLevel::Warn, component_, "crash_injection",
+                      std::move(data));
+        std::fprintf(stderr,
+                     "[%s] DRS_CRASH_AFTER: exiting after %d journal "
+                     "append%s\n",
+                     component_, journalAppends_,
+                     journalAppends_ == 1 ? "" : "s");
+        std::fflush(stderr);
+        std::_Exit(70);
+    }
+    return true;
+}
+
+std::size_t
+JobLedger::remaining() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<std::size_t>(
+        std::count_if(states_.begin(), states_.end(),
+                      [](JobState s) { return !terminal(s); }));
+}
+
+void
+JobLedger::reportProgress(bool force, int workersAlive, int workersRunning)
+{
+    if (!options_.progress || jobs_.empty())
+        return;
+    // The callback runs under the lock so snapshots reach it in order:
+    // concurrent completions must never deliver a stale count last.
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto now = Clock::now();
+    if (!force && lastReport_ != Clock::time_point{} &&
+        now - lastReport_ < std::chrono::milliseconds(200))
+        return;
+    lastReport_ = now;
+
+    SweepProgress progress;
+    progress.jobsTotal = jobs_.size();
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+        if (states_[i] == JobState::Running)
+            ++progress.jobsInflight;
+        if (!terminal(states_[i]))
+            continue;
+        ++progress.jobsDone;
+        progress.jobsFailed += results_[i].failed ? 1 : 0;
+        progress.degraded += states_[i] == JobState::Degraded ? 1 : 0;
+    }
+    progress.workersAlive = workersAlive;
+    progress.workersRunning = workersRunning;
+    progress.elapsedSeconds =
+        std::chrono::duration<double>(now - start_).count();
+    const std::size_t left = progress.jobsTotal - progress.jobsDone;
+    if (left == 0)
+        progress.etaSeconds = 0.0;
+    else if (ewmaFinishInterval_ >= 0)
+        progress.etaSeconds = ewmaFinishInterval_ * static_cast<double>(left);
+    options_.progress(progress);
+}
+
+void
+JobLedger::closeJournal()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (journalFd_ >= 0)
+        ::close(journalFd_);
+    journalFd_ = -1;
+}
+
+std::vector<SweepResult>
+JobLedger::takeResults()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::move(results_);
 }
 
 SweepOptions
@@ -256,39 +402,16 @@ SweepOptions::fromEnvironment()
     SweepOptions options;
     options.fault = fault::FaultConfig::fromEnvironment();
     options.watchdogCycles = fault::watchdogCyclesFromEnvironment();
-    if (const char *s = std::getenv("DRS_JOB_TIMEOUT")) {
-        char *end = nullptr;
-        const double v = std::strtod(s, &end);
-        if (end != s && *end == '\0' && v > 0)
-            options.jobTimeoutSeconds = v;
-        else
-            std::fprintf(
-                stderr,
-                "[sweep] warning: ignoring malformed DRS_JOB_TIMEOUT='%s'\n",
-                s);
-    }
-    if (const char *s = std::getenv("DRS_RETRY_DEADLINE")) {
-        char *end = nullptr;
-        const double v = std::strtod(s, &end);
-        if (end != s && *end == '\0' && v > 0)
-            options.retryDeadlineSeconds = v;
-        else
-            std::fprintf(
-                stderr,
-                "[sweep] warning: ignoring malformed DRS_RETRY_DEADLINE='%s'\n",
-                s);
-    }
-    if (const char *s = std::getenv("DRS_CRASH_AFTER")) {
-        char *end = nullptr;
-        const long v = std::strtol(s, &end, 10);
-        if (end != s && *end == '\0' && v > 0)
-            options.crashAfter = static_cast<int>(v);
-        else
-            std::fprintf(
-                stderr,
-                "[sweep] warning: ignoring malformed DRS_CRASH_AFTER='%s'\n",
-                s);
-    }
+    // Strictly positive: the smallest double above zero is the bound.
+    constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+    constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+    exec::envKnob("DRS_JOB_TIMEOUT", kPositive, kUnbounded,
+                  options.jobTimeoutSeconds);
+    exec::envKnob("DRS_RETRY_DEADLINE", kPositive, kUnbounded,
+                  options.retryDeadlineSeconds);
+    std::uint64_t crashAfter = 0;
+    if (exec::envKnob("DRS_CRASH_AFTER", 1, INT_MAX, crashAfter))
+        options.crashAfter = static_cast<int>(crashAfter);
     return options;
 }
 
@@ -435,10 +558,10 @@ SweepRunner::runOne(const SweepJob &job)
     return result;
 }
 
-SweepResult
-SweepRunner::runWithRetry(const SweepJob &job, std::size_t index)
+JobState
+SweepRunner::runWithRetry(const SweepJob &job, std::size_t index,
+                          SweepResult &result)
 {
-    SweepResult result;
     // The retry deadline spans the whole loop: every attempt and every
     // backoff sleep draws from the same wall-clock budget.
     const bool has_retry_deadline = options_.retryDeadlineSeconds > 0;
@@ -489,17 +612,17 @@ SweepRunner::runWithRetry(const SweepJob &job, std::size_t index)
             result = runOne(tried);
             result.attempts = attempt;
             result.faultSeed = attempt_seed;
-            return result;
+            return JobState::Done;
         } catch (const exec::Cancelled &e) {
-            // A sweep-wide cancel (signal fan-out): report the job
-            // failed and stop immediately — retrying a cancelled job
-            // would fight the shutdown.
+            // A cancel (signal fan-out, or the job's own token): report
+            // the job failed and stop immediately — retrying a cancelled
+            // job would fight the shutdown.
             result = SweepResult{};
             result.failed = true;
             result.error = e.what();
             result.attempts = attempt;
             result.faultSeed = attempt_seed;
-            return result;
+            return JobState::Cancelled;
         } catch (const std::exception &e) {
             result = SweepResult{};
             result.failed = true;
@@ -536,16 +659,12 @@ SweepRunner::runWithRetry(const SweepJob &job, std::size_t index)
                               "attempt_failed", std::move(data));
             }
             if (options_.cancel != nullptr && options_.cancel->cancelled())
-                return result;
+                return JobState::Cancelled;
             if (attempt < options_.maxAttempts &&
                 options_.backoffSeconds > 0) {
-                const double scale =
-                    static_cast<double>(std::uint64_t{1} << (attempt - 1));
-                // Deterministic jitter desynchronizes concurrent
-                // retries; same sweep, same waits (see SweepOptions).
-                const double delay = options_.backoffSeconds * scale *
-                                     backoffJitter(options_.fault.seed,
-                                                   index, attempt);
+                const double delay = backoffDelay(
+                    options_.backoffSeconds, attempt, options_.fault.seed,
+                    kRetryJitterSalt, index, attempt);
                 const auto wake =
                     Clock::now() +
                     std::chrono::duration_cast<Clock::duration>(
@@ -557,7 +676,7 @@ SweepRunner::runWithRetry(const SweepJob &job, std::size_t index)
                                     std::to_string(
                                         options_.retryDeadlineSeconds) +
                                     " s exhausted)";
-                    return result;
+                    return JobState::Done;
                 }
                 std::this_thread::sleep_for(
                     std::chrono::duration<double>(delay));
@@ -566,41 +685,7 @@ SweepRunner::runWithRetry(const SweepJob &job, std::size_t index)
     }
     // Retry budget exhausted: quarantine. The result stays in the
     // vector (failed = true) so reports list it instead of dropping it.
-    return result;
-}
-
-void
-SweepRunner::journalAppend(std::size_t index, const SweepJob &job,
-                           const SweepResult &result)
-{
-    if (options_.journalPath.empty())
-        return;
-
-    const obs::Json entry = sweepResultToJson(index, jobKey(job), result);
-
-    std::lock_guard<std::mutex> lock(journalMutex_);
-    std::string error;
-    if (!journal_.isOpen() || !journal_.append(entry, &error)) {
-        obs::Json data = obs::Json::object();
-        data["path"] = obs::Json(options_.journalPath);
-        data["error"] = obs::Json(error);
-        obs::logEvent(obs::LogLevel::Error, "sweep",
-                      "journal_append_failed", std::move(data));
-        return;
-    }
-    if (options_.crashAfter > 0 && journal_.appends() >= options_.crashAfter) {
-        // Crash injection for the resume tests: die without unwinding,
-        // exactly like a kill -9 after the append hit the disk.
-        obs::Json data = obs::Json::object();
-        data["appends"] = obs::Json(journal_.appends());
-        obs::logEvent(obs::LogLevel::Warn, "sweep", "crash_injection",
-                      std::move(data));
-        std::fprintf(stderr, "[sweep] DRS_CRASH_AFTER: exiting after %d "
-                             "journal append%s\n",
-                     journal_.appends(), journal_.appends() == 1 ? "" : "s");
-        std::fflush(stderr);
-        std::_Exit(70);
-    }
+    return JobState::Done;
 }
 
 std::vector<SweepResult>
@@ -608,79 +693,50 @@ SweepRunner::run()
 {
     std::vector<SweepJob> jobs;
     jobs.swap(pending_);
-    std::vector<SweepResult> results(jobs.size());
-
-    std::vector<char> done(jobs.size(), 0);
-    if (!options_.journalPath.empty()) {
-        if (options_.resume)
-            done = replaySweepJournal(options_.journalPath, jobs, results);
-        // Fresh run: truncate any stale journal so a later --resume
-        // cannot merge entries from a different invocation. Resumed
-        // runs append after the replayed records.
-        std::string error;
-        if (!journal_.open(options_.journalPath, !options_.resume, &error)) {
-            obs::Json data = obs::Json::object();
-            data["error"] = obs::Json(error);
-            obs::logEvent(obs::LogLevel::Warn, "sweep",
-                          "journal_open_failed", std::move(data));
-        }
-    }
-
-    std::vector<std::size_t> todo;
-    todo.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        if (!done[i])
-            todo.push_back(i);
+    JobLedger ledger(jobs, options_, "sweep");
 
     const auto start = std::chrono::steady_clock::now();
-    // Progress accounting: replayed jobs count as done up front, and
-    // each completion bumps the shared counter before the callback.
-    std::atomic<std::size_t> completed{jobs.size() - todo.size()};
-    if (options_.progress && !jobs.empty())
-        options_.progress(completed.load(), jobs.size());
-    auto execute = [this, &jobs, &results, &completed](std::size_t i) {
+    std::atomic<std::size_t> cancelled{0};
+    ledger.reportProgress(true);
+    exec::parallelFor(jobs.size(), jobs_count_, [&](std::size_t i) {
+        if (!ledger.start(i))
+            return; // replayed from the journal
+        SweepResult result;
+        JobState state = JobState::Cancelled;
         if (options_.cancel != nullptr && options_.cancel->cancelled()) {
             // Cancelled sweep: fail the job instead of starting it so
             // the result vector stays complete (reported, not dropped).
-            results[i].failed = true;
-            results[i].error = "sweep cancelled";
-            return;
+            result.failed = true;
+            result.error = "sweep cancelled";
+        } else {
+            state = runWithRetry(jobs[i], i, result);
         }
-        results[i] = runWithRetry(jobs[i], i);
-        journalAppend(i, jobs[i], results[i]);
-        if (options_.progress)
-            options_.progress(completed.fetch_add(1) + 1, jobs.size());
-    };
-    if (jobs_count_ <= 1 || todo.size() <= 1) {
-        for (const std::size_t i : todo)
-            execute(i);
-    } else {
-        exec::ThreadPool pool(jobs_count_);
-        exec::TaskGroup group(pool);
-        for (const std::size_t i : todo)
-            group.run([&execute, i] { execute(i); });
-        group.wait();
-    }
+        cancelled += state == JobState::Cancelled ? 1 : 0;
+        ledger.finish(i, std::move(result), state);
+        ledger.reportProgress(true);
+    });
 
-    journal_.close();
-
+    std::vector<SweepResult> results = ledger.takeResults();
+    std::size_t failed = 0;
     std::size_t replayed = 0;
-    std::size_t quarantined = 0;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        replayed += results[i].fromJournal ? 1u : 0u;
-        quarantined += results[i].failed ? 1u : 0u;
+    for (const SweepResult &result : results) {
+        failed += result.failed ? 1u : 0u;
+        replayed += result.fromJournal ? 1u : 0u;
     }
 
     std::printf("[sweep] %zu sims on %d worker%s in %.2f s "
                 "(scene cache: %zu hit%s, %zu miss%s)",
-                todo.size(), jobs_count_, jobs_count_ == 1 ? "" : "s",
+                jobs.size() - replayed, jobs_count_,
+                jobs_count_ == 1 ? "" : "s",
                 secondsSince(start), cache_.hits(),
                 cache_.hits() == 1 ? "" : "s", cache_.misses(),
                 cache_.misses() == 1 ? "" : "es");
     if (replayed > 0)
         std::printf(", %zu replayed from journal", replayed);
-    if (quarantined > 0)
-        std::printf(", %zu QUARANTINED", quarantined);
+    if (failed > cancelled)
+        std::printf(", %zu QUARANTINED", failed - cancelled.load());
+    if (cancelled > 0)
+        std::printf(", %zu cancelled", cancelled.load());
     std::printf("\n");
     std::fflush(stdout);
     return results;

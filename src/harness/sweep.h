@@ -4,9 +4,12 @@
  * @file
  * Concurrent sweep runner: the bench binaries describe their experiment
  * as a declarative grid of {scene, architecture, config, bounce} jobs and
- * this runner executes them on a work-stealing thread pool, preparing
- * each scene (geometry, BVH, ray capture) exactly once per
+ * this runner executes them on parallel threads (exec::parallelFor),
+ * preparing each scene (geometry, BVH, ray capture) exactly once per
  * (SceneId, ExperimentScale) and sharing it read-only across all jobs.
+ * The job ledger (JobLedger) holds the bookkeeping this runner shares
+ * with the multi-process fleet (src/fleet): job states, the journal and
+ * progress.
  *
  * Simulations are independent, so sweep-level parallelism never changes
  * any SimStats — results are written by job index and each simulation is
@@ -14,7 +17,9 @@
  * model").
  */
 
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
@@ -105,6 +110,21 @@ struct SweepResult
     std::shared_ptr<const RunObservations> observations;
 };
 
+/** One live-progress snapshot of a sweep (SweepOptions::progress). */
+struct SweepProgress
+{
+    std::size_t jobsTotal = 0;
+    std::size_t jobsDone = 0;     ///< finished jobs, incl. failures
+    std::size_t jobsInflight = 0;
+    std::size_t jobsFailed = 0;   ///< failed, quarantined, degraded, cancelled
+    int degraded = 0;             ///< jobs the fleet ran out of workers for
+    int workersAlive = 0;         ///< fleet only; 0 in-process
+    int workersRunning = 0;       ///< alive workers holding a job
+    double elapsedSeconds = 0.0;
+    /** Jobs left x EWMA of the time between finishes; < 0 = unknown. */
+    double etaSeconds = -1.0;
+};
+
 /**
  * Robust-execution policy of a sweep: fault injection, per-job deadlines,
  * bounded retry with quarantine, and the append-only completed-job
@@ -133,12 +153,9 @@ struct SweepOptions
     /** Attempts per job before quarantine (>= 1). */
     int maxAttempts = 3;
     /**
-     * Base of the exponential retry backoff (seconds). The actual delay
-     * before attempt N+1 is backoffSeconds * 2^(N-1) scaled by a
-     * deterministic jitter factor in [0.5, 1.0] seeded from (fault
-     * seed, job index, attempt) — retries of concurrent jobs spread out
-     * instead of stampeding in lockstep, and the same sweep always
-     * waits the same amount.
+     * Base of the retry backoff (seconds): the delay before attempt N+1
+     * is backoffDelay(backoffSeconds, N, fault seed, kRetryJitterSalt,
+     * job index, N).
      */
     double backoffSeconds = 0.05;
     /**
@@ -178,13 +195,13 @@ struct SweepOptions
      */
     int crashAfter = 0;
     /**
-     * Completion callback: invoked after every finished job with (jobs
-     * done so far, jobs total). Called from worker threads under the
-     * runner's bookkeeping; keep it cheap (the --progress ticker just
-     * repaints one stderr line). Pure observer — never affects results.
-     * Cleared by fleet workers: only the coordinator reports progress.
+     * Live-progress callback (JobLedger::reportProgress): called after
+     * every finished job, from the sweep's worker threads or the fleet's
+     * supervision loop, one call at a time and never going backwards.
+     * Keep it cheap; pure observer. Cleared by fleet workers: only the
+     * coordinator reports progress.
      */
-    std::function<void(std::size_t done, std::size_t total)> progress;
+    std::function<void(const SweepProgress &)> progress;
 
     /**
      * Populate from the environment: DRS_FAULT_SEED (see
@@ -193,45 +210,6 @@ struct SweepOptions
      * DRS_CRASH_AFTER (journal appends).
      */
     static SweepOptions fromEnvironment();
-};
-
-/**
- * Durable append-only JSONL writer backing the sweep journal. Every
- * append writes the full line and fsync()s the file descriptor before
- * returning, so a record the caller saw succeed is on disk — a SIGKILL
- * (or DRS_CRASH_AFTER _Exit) one instruction later cannot lose it to a
- * libc or page-cache buffer. Not thread-safe; callers serialize (the
- * sweep runner holds its journal mutex across append()).
- */
-class SweepJournal
-{
-  public:
-    SweepJournal() = default;
-    ~SweepJournal();
-    SweepJournal(const SweepJournal &) = delete;
-    SweepJournal &operator=(const SweepJournal &) = delete;
-
-    /**
-     * Open @p path for appending; @p truncate discards existing content
-     * (a fresh run), otherwise appends (a --resume continuation).
-     * @return false with a reason in @p error on failure.
-     */
-    bool open(const std::string &path, bool truncate,
-              std::string *error = nullptr);
-
-    bool isOpen() const { return fd_ >= 0; }
-
-    /** Append one record as a single line, flushed + fsync'd. */
-    bool append(const obs::Json &entry, std::string *error = nullptr);
-
-    /** Records appended through this writer (not lines in the file). */
-    int appends() const { return appends_; }
-
-    void close();
-
-  private:
-    int fd_ = -1;
-    int appends_ = 0;
 };
 
 /**
@@ -252,26 +230,113 @@ obs::Json sweepResultToJson(std::size_t index, const std::string &key,
 std::string sweepResultFromJson(const obs::Json &entry, std::uint64_t *index,
                                 std::string *key, SweepResult *result);
 
+/** Salts of the two seeded backoff schedules: retries and re-dispatch. */
+inline constexpr std::uint64_t kRetryJitterSalt = 0x6a69747465720000ULL;
+inline constexpr std::uint64_t kRedispatchJitterSalt = 0x666c65656a697400ULL;
+
 /**
- * Replay a JSONL journal at @p path into @p results (sized like
- * @p jobs): entries whose index/key match the job at that index are
- * marked done; a malformed line (torn tail of a crash) stops the replay
- * and everything after it re-runs. Shared by SweepRunner::run(--resume)
- * and the fleet coordinator, so a journal written by either is
- * resumable by both.
- *
- * @return per-job done flags (1 = replayed from the journal)
+ * Seeded exponential backoff: @p base * 2^(@p step - 1) times a jitter
+ * factor in [0.5, 1.0) drawn from (@p seed ^ @p salt, @p job, @p draw).
+ * The same sweep always waits the same amount, while backoffs of
+ * distinct jobs spread out instead of stampeding in lockstep.
  */
-std::vector<char> replaySweepJournal(const std::string &path,
-                                     const std::vector<SweepJob> &jobs,
-                                     std::vector<SweepResult> &results);
+double backoffDelay(double base, int step, std::uint64_t seed,
+                    std::uint64_t salt, std::size_t job, int draw);
+
+/** Lifecycle of one job in a JobLedger. */
+enum class JobState : unsigned char {
+    Pending,     ///< not started, or waiting for a fleet re-dispatch
+    Running,     ///< held by a worker thread or process
+    Done,        ///< result recorded: ran, replayed, or failed its retries
+    Quarantined, ///< killed too many fleet workers; recorded failed
+    Degraded,    ///< the fleet ran out of workers for it; recorded failed
+    Cancelled,   ///< the sweep was stopped before the job finished
+};
+
+/**
+ * Bookkeeping shared by both sweep executors, SweepRunner::run's threads
+ * and the fleet coordinator's worker processes: job states, the result
+ * vector, the journal and live progress. It owns the journaling policy:
+ * a Done or Quarantined outcome gets exactly one fsync'd record, so
+ * --resume replays it; a Degraded or Cancelled one never does, so
+ * --resume runs it. Either executor resumes the other's journal.
+ * Thread-safe.
+ */
+class JobLedger
+{
+  public:
+    /**
+     * Start the journal, if options.journalPath is set: on resume,
+     * replay it first (matching records become Done with fromJournal
+     * set; a torn tail and everything after it re-run) and append after
+     * it; on a fresh run, truncate it. Records are appended in full and
+     * fsync'd before finish() returns, so a SIGKILL right after cannot
+     * lose one. @p jobs must outlive the ledger; from @p options it also
+     * uses crashAfter and progress; @p component names its events in
+     * the event log ("sweep" or "fleet").
+     */
+    JobLedger(const std::vector<SweepJob> &jobs, const SweepOptions &options,
+              const char *component);
+    ~JobLedger() { closeJournal(); }
+
+    JobLedger(const JobLedger &) = delete;
+    JobLedger &operator=(const JobLedger &) = delete;
+
+    JobState state(std::size_t index) const;
+    /** Pending -> Running. @return false when the job was not Pending */
+    bool start(std::size_t index);
+    /** Running -> Pending: the fleet worker holding the job died. */
+    void requeue(std::size_t index);
+
+    /**
+     * Record a terminal outcome, journaling Done and Quarantined ones
+     * before returning (the crashAfter-th record ends the process with
+     * _Exit(70): crash injection for the resume tests).
+     * @return false, recording nothing, when the job already finished
+     */
+    bool finish(std::size_t index, SweepResult result, JobState state);
+
+    /** Jobs not finished yet. */
+    std::size_t remaining() const;
+
+    /**
+     * Hand a snapshot to SweepOptions::progress, if set and the grid is
+     * not empty. Unforced calls are throttled to 5 Hz; the fleet passes
+     * its worker counts.
+     */
+    void reportProgress(bool force, int workersAlive = 0,
+                        int workersRunning = 0);
+
+    /** Close the journal (also done on destruction). */
+    void closeJournal();
+
+    /** Move the results out, in grid order. */
+    std::vector<SweepResult> takeResults();
+
+  private:
+    using Clock = std::chrono::steady_clock;
+
+    const std::vector<SweepJob> &jobs_;
+    const SweepOptions &options_;
+    const char *component_;
+    const Clock::time_point start_ = Clock::now();
+
+    mutable std::mutex mutex_;
+    std::vector<JobState> states_;
+    std::vector<SweepResult> results_;
+    int journalFd_ = -1;
+    int journalAppends_ = 0;
+    Clock::time_point lastFinish_ = start_;
+    Clock::time_point lastReport_{};
+    double ewmaFinishInterval_ = -1.0; ///< seconds; < 0 = none yet
+};
 
 /**
  * Declarative experiment sweep over a shared scene cache.
  *
  * Usage: add() every cell of the grid, then run() once; results come
  * back indexed exactly like the add() calls. With jobs > 1 the cells
- * execute concurrently on a work-stealing pool; with jobs <= 1 they run
+ * execute concurrently (exec::parallelFor); with jobs <= 1 they run
  * inline, in order.
  */
 class SweepRunner
@@ -334,7 +399,9 @@ class SweepRunner
      */
     SweepResult runJob(const SweepJob &job, std::size_t index)
     {
-        return runWithRetry(job, index);
+        SweepResult result;
+        runWithRetry(job, index, result);
+        return result;
     }
 
     /** Take (and clear) the queued jobs, e.g. to shard them elsewhere. */
@@ -350,17 +417,18 @@ class SweepRunner
 
   private:
     SweepResult runOne(const SweepJob &job);
-    SweepResult runWithRetry(const SweepJob &job, std::size_t index);
-    void journalAppend(std::size_t index, const SweepJob &job,
-                       const SweepResult &result);
+    /**
+     * Fill @p result and return Done, or Cancelled when a cancel token
+     * stopped the job (its result is then failed but not journaled).
+     */
+    JobState runWithRetry(const SweepJob &job, std::size_t index,
+                          SweepResult &result);
 
     ExperimentScale scale_;
     int jobs_count_;
     SweepOptions options_;
     PreparedSceneCache cache_;
     std::vector<SweepJob> pending_;
-    std::mutex journalMutex_;
-    SweepJournal journal_;
 };
 
 /**

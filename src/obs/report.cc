@@ -1,6 +1,7 @@
 #include "obs/report.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -111,6 +112,27 @@ isNonNegativeNumber(const Json &v)
     return v.isNumber() && v.asDouble() >= 0.0;
 }
 
+/** First path under @p where holding a NaN or infinite number, or "". */
+std::string
+findNonFinite(const Json &value, const std::string &where)
+{
+    if (value.isNumber())
+        return std::isfinite(value.asDouble()) ? "" : where;
+    if (value.isObject())
+        for (const auto &[key, item] : value.asObject())
+            if (std::string found = findNonFinite(item, where + "." + key);
+                !found.empty())
+                return found;
+    if (value.isArray())
+        for (std::size_t i = 0; i < value.asArray().size(); ++i)
+            if (std::string found =
+                    findNonFinite(value.asArray()[i],
+                                  where + "[" + std::to_string(i) + "]");
+                !found.empty())
+                return found;
+    return "";
+}
+
 /** Validate an optional per-row "attribution" profiler section. */
 std::string
 validateAttribution(const Json &section, const std::string &where)
@@ -134,6 +156,19 @@ validateAttribution(const Json &section, const std::string &where)
                 return where + ".buckets." + name + "." + phase +
                        " must be a non-negative number";
     }
+    // The conservation invariant survives serialization too.
+    double total = 0.0;
+    for (const auto &[name, bucket] : buckets->asObject())
+        if (const Json *v = bucket.find("total"))
+            total += v->asDouble();
+    const double total_slots = section.find("total_slots")->asDouble();
+    if (total != total_slots)
+        return where + ": bucket totals sum to " + Json(total).dump() +
+               ", not total_slots " + Json(total_slots).dump();
+    if (total_slots != section.find("slots_per_cycle")->asDouble() *
+                           section.find("cycles")->asDouble())
+        return where + ": total_slots != slots_per_cycle x cycles "
+                       "(conservation violated)";
     if (const Json *blocks = section.find("blocks")) {
         if (!blocks->isArray())
             return where + ".blocks must be an array";
@@ -230,8 +265,10 @@ validateFleetSummary(const Json &fleet)
             return std::string("summary.fleet.") + field +
                    " must be a non-negative number";
     }
+    if (fleet.find("respawned")->asDouble() > fleet.find("spawned")->asDouble())
+        return "summary.fleet: respawned exceeds spawned";
     if (const Json *cancelled = fleet.find("cancelled");
-        cancelled && !cancelled->isBool())
+        !cancelled || !cancelled->isBool())
         return "summary.fleet.cancelled must be a boolean";
     const Json *telemetry = fleet.find("telemetry");
     if (!telemetry || !telemetry->isObject())
@@ -246,6 +283,9 @@ validateFleetSummary(const Json &fleet)
             return std::string("summary.fleet.telemetry.") + field +
                    " must be a non-negative number";
     }
+    if (telemetry->find("jobs_reported")->asDouble() >
+        telemetry->find("frames")->asDouble())
+        return "summary.fleet.telemetry: jobs_reported exceeds frames";
     return "";
 }
 
@@ -332,7 +372,7 @@ validateBenchReport(const Json &document)
     if (!degraded || !degraded->isBool())
         return "missing \"degraded\" boolean";
 
-    for (const char *field : {"scale", "options"}) {
+    for (const char *field : {"scale", "options", "summary"}) {
         const Json *v = document.find(field);
         if (!v || !v->isObject())
             return std::string("missing \"") + field + "\" object";
@@ -350,14 +390,14 @@ validateBenchReport(const Json &document)
             !reason.empty())
             return reason;
 
-    if (const Json *summary = document.find("summary")) {
-        if (!summary->isObject())
-            return "\"summary\" must be an object";
-        if (const Json *fleet = summary->find("fleet"))
-            if (std::string reason = validateFleetSummary(*fleet);
-                !reason.empty())
-                return reason;
-    }
+    // The writer would print a NaN or infinity as null: catch it here.
+    const Json &summary = *document.find("summary");
+    if (std::string where = findNonFinite(summary, "summary"); !where.empty())
+        return where + " is not a finite number";
+    if (const Json *fleet = summary.find("fleet"))
+        if (std::string reason = validateFleetSummary(*fleet);
+            !reason.empty())
+            return reason;
 
     return "";
 }

@@ -19,7 +19,8 @@
  *     "options": { ... },         // jobs, smx_threads, ...
  *     "wall_seconds": <number>,   // whole-bench wall clock
  *     "results": [ { ... }, ... ],// one object per table row/cell group
- *     "summary": { ... }          // optional bench-specific aggregates
+ *     "summary": { ... }          // bench-specific aggregates (may be
+ *                                 // empty; every number finite)
  *   }
  * Result rows are open-ended, but when the well-known metric fields are
  * present they must be well-formed (see validateBenchReport). Version 2
@@ -96,12 +97,15 @@ class BenchReport
  * numbers; "scene" and "arch" must be strings; "failed" and
  * "from_journal" must be booleans. The optional profiler sections are
  * checked structurally: "attribution" needs slots_per_cycle/cycles/
- * total_slots plus a "buckets" object of numeric breakdowns, "timeline"
- * needs interval/base_interval plus a "frames" array whose windows are
- * well-ordered with numeric counters and a [0, 1] simd_efficiency, a
- * row "trace" section needs non-negative recorded/ring_dropped
- * counters, and a "summary.fleet" object must carry the supervision
- * counters plus a complete "telemetry" aggregate.
+ * total_slots plus a "buckets" object of numeric breakdowns that
+ * conserves slots (bucket totals sum to total_slots = slots_per_cycle
+ * x cycles), "timeline" needs interval/base_interval plus a "frames"
+ * array whose windows are well-ordered with numeric counters and a
+ * [0, 1] simd_efficiency, a row "trace" section needs non-negative
+ * recorded/ring_dropped counters. Every number under "summary" must be
+ * finite, and a "summary.fleet" object must carry the supervision
+ * counters (respawned <= spawned, a boolean "cancelled") plus a
+ * complete "telemetry" aggregate (jobs_reported <= frames).
  * Older schema versions are rejected with a clear version error.
  *
  * @return empty string when valid, else a human-readable reason.

@@ -16,9 +16,9 @@
 #      log must hold the crash_injection record.
 #   4. Resume: --resume under the same chaos finishes the sweep, with
 #      its own DRS_LOG / DRS_TRACE and the --progress ticker on.
-#   5. The recovered report must pass the schema-v4 check (including
-#      summary.fleet.telemetry) and the final journal must hold every
-#      job exactly once (drs_journal --expect).
+#   5. The recovered report must pass drs_profile's schema-v4 check
+#      (including summary.fleet.telemetry) and the final journal must
+#      hold every job exactly once (drs_journal --expect).
 #   6. Event-log accounting: every summary.fleet supervision counter of
 #      the resume run (spawned, worker_deaths, respawned,
 #      heartbeat_kills, redispatched, quarantined) must equal the count
@@ -38,13 +38,13 @@
 #      clock.
 #
 # Usage: check_fleet_chaos.sh BENCH_BINARY DRS_JOURNAL PYTHON \
-#            SCHEMA_CHECKER DRS_EVENTS DRS_TRACECAT TRACE_CHECKER
+#            DRS_PROFILE DRS_EVENTS DRS_TRACECAT TRACE_CHECKER
 set -euo pipefail
 
 bench=$1
 drs_journal=$2
 python=$3
-schema_checker=$4
+drs_profile=$4
 drs_events=$5
 drs_tracecat=$6
 trace_checker=$7
@@ -103,7 +103,7 @@ grep -q '\[progress\]' "$tmp/resume.err" || {
 }
 
 echo "== fleet chaos: recovered report passes the schema =="
-"$python" "$schema_checker" "$tmp/fleet.json"
+"$drs_profile" "$tmp/fleet.json" > /dev/null
 
 echo "== fleet chaos: final journal holds every job exactly once =="
 jobs=$("$python" -c '

@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests of the host-side execution library: work-stealing thread pool,
- * fork/join task groups and DRS_JOBS-driven default concurrency.
+ * Tests of the host-side execution library: the parallel loop,
+ * DRS_JOBS-driven default concurrency and cancel tokens.
  */
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -15,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/cancel.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 
 namespace drs::exec {
 namespace {
@@ -42,174 +43,109 @@ TEST(DefaultConcurrency, IgnoresMalformedDrsJobs)
     unsetenv("DRS_JOBS");
 }
 
-TEST(ThreadPool, RunsEveryTask)
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4);
-
-    std::atomic<int> counter{0};
-    TaskGroup group(pool);
-    for (int i = 0; i < 1000; ++i)
-        group.run([&counter] { ++counter; });
-    group.wait();
-    EXPECT_EQ(counter.load(), 1000);
-    EXPECT_EQ(pool.tasksExecuted(), 1000u);
-}
-
-TEST(ThreadPool, SingleThreadStillRuns)
-{
-    ThreadPool pool(1);
-    std::atomic<int> counter{0};
-    TaskGroup group(pool);
-    for (int i = 0; i < 50; ++i)
-        group.run([&counter] { ++counter; });
-    group.wait();
-    EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, ClampsNonPositiveThreadCount)
-{
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.threadCount(), 1);
-}
-
-TEST(ThreadPool, WorkStealingBalancesUnevenTasks)
-{
-    // Round-robin submission puts the slow tasks on a few queues; the
-    // other workers must steal to finish them all promptly.
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    TaskGroup group(pool);
-    for (int i = 0; i < 64; ++i)
-        group.run([&counter, i] {
-            if (i % 4 == 0)
-                std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            ++counter;
-        });
-    group.wait();
-    EXPECT_EQ(counter.load(), 64);
-    // Stealing is timing-dependent in principle, but with 3 of 4 queues
-    // drained quickly it is effectively certain here.
-    EXPECT_GT(pool.tasksStolen(), 0u);
-}
-
-TEST(ThreadPool, TasksRunOnMultipleThreads)
-{
-    ThreadPool pool(4);
-    std::mutex mutex;
-    std::set<std::thread::id> ids;
-    TaskGroup group(pool);
-    for (int i = 0; i < 200; ++i)
-        group.run([&] {
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-            std::lock_guard<std::mutex> lock(mutex);
-            ids.insert(std::this_thread::get_id());
-        });
-    group.wait();
-    EXPECT_GT(ids.size(), 1u);
-}
-
-TEST(TaskGroup, PropagatesFirstException)
-{
-    ThreadPool pool(2);
-    TaskGroup group(pool);
-    std::atomic<int> completed{0};
-    for (int i = 0; i < 20; ++i)
-        group.run([&completed, i] {
-            if (i == 7)
-                throw std::runtime_error("task 7 failed");
-            ++completed;
-        });
-    EXPECT_THROW(group.wait(), std::runtime_error);
-    // The first error cancels the group: every sibling either ran before
-    // the failure was recorded or was skipped — none is lost.
-    EXPECT_EQ(completed.load() + static_cast<int>(group.skipped()), 19);
-}
-
-TEST(TaskGroup, ThrowingTaskUnderContentionIsSafe)
-{
-    // Regression: a task throwing while many siblings are in flight must
-    // neither terminate() (raw exception crossing a worker thread) nor
-    // deadlock the join, and exactly the first error must surface.
-    ThreadPool pool(4);
-    for (int round = 0; round < 20; ++round) {
-        TaskGroup group(pool);
-        std::atomic<int> completed{0};
-        for (int i = 0; i < 200; ++i)
-            group.run([&completed, i] {
-                if (i % 17 == 3)
-                    throw std::runtime_error("intentional failure");
-                ++completed;
-            });
-        EXPECT_THROW(group.wait(), std::runtime_error);
-        EXPECT_LE(completed.load() + static_cast<int>(group.skipped()), 200);
-        // A waited group is clean again: no stale error resurfaces.
-        group.run([] {});
-        EXPECT_NO_THROW(group.wait());
+    constexpr std::size_t kCount = 100;
+    for (const int workers : {0, 1, 2, static_cast<int>(kCount) + 3}) {
+        std::vector<std::atomic<int>> hits(kCount);
+        parallelFor(kCount, workers, [&hits](std::size_t i) { ++hits[i]; });
+        for (std::size_t i = 0; i < kCount; ++i)
+            EXPECT_EQ(hits[i].load(), 1)
+                << "index " << i << ", workers " << workers;
     }
 }
 
-TEST(TaskGroup, CancelSkipsQueuedTasks)
+TEST(ParallelFor, SingleWorkerRunsInlineInAscendingOrder)
 {
-    ThreadPool pool(1);
-    TaskGroup group(pool);
-    std::atomic<int> completed{0};
-    std::atomic<bool> started{false};
-    std::atomic<bool> release{false};
-    // Occupy the only worker so the rest of the batch stays queued; wait
-    // until it is actually running, or cancel() could skip it too.
-    group.run([&started, &release] {
-        started.store(true);
-        while (!release.load())
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::vector<std::size_t> order;
+    const std::thread::id caller = std::this_thread::get_id();
+    bool inline_only = true;
+    parallelFor(50, 1, [&](std::size_t i) {
+        order.push_back(i);
+        inline_only = inline_only && std::this_thread::get_id() == caller;
     });
-    while (!started.load())
+    ASSERT_EQ(order.size(), 50u);
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], i);
+    EXPECT_TRUE(inline_only);
+}
+
+TEST(ParallelFor, ClampsNonPositiveWorkerCount)
+{
+    // Zero or negative workers mean one: inline, in index order.
+    const std::thread::id caller = std::this_thread::get_id();
+    for (const int workers : {0, -3}) {
+        std::vector<std::size_t> order;
+        bool inline_only = true;
+        parallelFor(20, workers, [&](std::size_t i) {
+            order.push_back(i);
+            inline_only = inline_only && std::this_thread::get_id() == caller;
+        });
+        ASSERT_EQ(order.size(), 20u) << "workers " << workers;
+        for (std::size_t i = 0; i < order.size(); ++i)
+            EXPECT_EQ(order[i], i) << "workers " << workers;
+        EXPECT_TRUE(inline_only) << "workers " << workers;
+    }
+}
+
+TEST(ParallelFor, UsesSeveralThreads)
+{
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    parallelFor(64, 4, [&](std::size_t) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    for (int i = 0; i < 32; ++i)
-        group.run([&completed] { ++completed; });
-    group.cancel();
-    EXPECT_TRUE(group.cancelled());
-    release.store(true);
-    group.wait(); // cancel() alone records no error
-    EXPECT_FALSE(group.cancelled()); // wait() re-arms the group
-    EXPECT_EQ(completed.load(), 0);
-    EXPECT_EQ(group.skipped(), 32u);
-}
-
-TEST(TaskGroup, DeadlineSkipsLateTasks)
-{
-    ThreadPool pool(1);
-    TaskGroup group(pool);
-    std::atomic<int> completed{0};
-    std::atomic<bool> release{false};
-    group.run([&release] {
-        while (!release.load())
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
     });
-    // Already-expired deadline: tasks are skipped when dequeued and the
-    // group reports DeadlineExceeded at the join.
-    const auto past =
-        std::chrono::steady_clock::now() - std::chrono::milliseconds(10);
-    for (int i = 0; i < 8; ++i)
-        group.runWithDeadline([&completed] { ++completed; }, past);
-    release.store(true);
-    EXPECT_THROW(group.wait(), DeadlineExceeded);
-    EXPECT_EQ(completed.load(), 0);
-    EXPECT_EQ(group.skipped(), 8u);
+    EXPECT_GT(ids.size(), 1u);
 }
 
-TEST(TaskGroup, FutureDeadlineDoesNotSkip)
+TEST(ParallelFor, RethrowsFirstExceptionAfterJoin)
 {
-    ThreadPool pool(2);
-    TaskGroup group(pool);
-    std::atomic<int> completed{0};
-    const auto future =
-        std::chrono::steady_clock::now() + std::chrono::minutes(5);
-    for (int i = 0; i < 16; ++i)
-        group.runWithDeadline([&completed] { ++completed; }, future);
-    group.wait();
-    EXPECT_EQ(completed.load(), 16);
-    EXPECT_EQ(group.skipped(), 0u);
+    // The caller runs index 0 first and throws at once: every body that
+    // started must have returned before the rethrow, and the indices
+    // nobody had claimed yet are skipped.
+    constexpr std::size_t kCount = 1000;
+    std::atomic<int> started{0};
+    std::atomic<int> finished{0};
+    try {
+        parallelFor(kCount, 4, [&](std::size_t i) {
+            ++started;
+            if (i == 0)
+                throw std::runtime_error("index 0 failed");
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            ++finished;
+        });
+        ADD_FAILURE() << "the exception was swallowed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "index 0 failed");
+    }
+    EXPECT_EQ(finished.load(), started.load() - 1);
+    EXPECT_LT(started.load(), static_cast<int>(kCount));
+}
+
+TEST(ParallelFor, ThrowingBodyUnderContentionIsSafe)
+{
+    // Many throwing bodies in flight at once: one error surfaces, never
+    // a terminate() or a hang, and every body that started has returned.
+    for (int round = 0; round < 20; ++round) {
+        std::atomic<int> started{0};
+        std::atomic<int> threw{0};
+        std::atomic<int> finished{0};
+        EXPECT_THROW(parallelFor(200, 4,
+                                 [&](std::size_t i) {
+                                     ++started;
+                                     if (i % 17 == 3) {
+                                         ++threw;
+                                         throw std::runtime_error("boom");
+                                     }
+                                     ++finished;
+                                 }),
+                     std::runtime_error);
+        EXPECT_GE(threw.load(), 1);
+        EXPECT_EQ(finished.load() + threw.load(), started.load());
+        EXPECT_LE(started.load(), 200);
+    }
 }
 
 TEST(CancelToken, PollThrowsAfterCancel)
@@ -232,18 +168,6 @@ TEST(CancelToken, DeadlineExpires)
     EXPECT_TRUE(token.hasDeadline());
     EXPECT_TRUE(token.deadlineExpired());
     EXPECT_THROW(token.poll(), DeadlineExceeded);
-}
-
-TEST(TaskGroup, ReusableAfterWait)
-{
-    ThreadPool pool(2);
-    TaskGroup group(pool);
-    std::atomic<int> counter{0};
-    group.run([&counter] { ++counter; });
-    group.wait();
-    group.run([&counter] { ++counter; });
-    group.wait();
-    EXPECT_EQ(counter.load(), 2);
 }
 
 } // namespace

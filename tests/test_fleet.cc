@@ -7,7 +7,7 @@
  * heartbeat-timeout re-dispatch, quarantine of poison jobs, graceful
  * degradation when the respawn budget runs out, the no-orphans
  * shutdown guarantee, and the telemetry surface (worker digest
- * aggregation into FleetSummary, live FleetProgress snapshots, and the
+ * aggregation into FleetSummary, live SweepProgress snapshots, and the
  * coordinator's stitched job-lifecycle trace shard).
  */
 
@@ -515,8 +515,8 @@ TEST(FleetTelemetry, ProgressSnapshotsReachCompletion)
     SweepOptions sweep;
     FleetOptions options;
     options.workers = 2;
-    std::vector<FleetProgress> snapshots;
-    options.onProgress = [&snapshots](const FleetProgress &progress) {
+    std::vector<harness::SweepProgress> snapshots;
+    sweep.progress = [&snapshots](const harness::SweepProgress &progress) {
         snapshots.push_back(progress);
     };
     FleetCoordinator coordinator(tinyScale(), sweep, options);
@@ -524,7 +524,7 @@ TEST(FleetTelemetry, ProgressSnapshotsReachCompletion)
 
     ASSERT_FALSE(snapshots.empty());
     std::size_t lastDone = 0;
-    for (const FleetProgress &progress : snapshots) {
+    for (const harness::SweepProgress &progress : snapshots) {
         EXPECT_EQ(progress.jobsTotal, results.size());
         EXPECT_GE(progress.jobsDone, lastDone) << "done count went backwards";
         EXPECT_LE(progress.jobsDone + progress.jobsInflight,
@@ -532,7 +532,7 @@ TEST(FleetTelemetry, ProgressSnapshotsReachCompletion)
         EXPECT_LE(progress.workersRunning, progress.workersAlive);
         lastDone = progress.jobsDone;
     }
-    const FleetProgress &last = snapshots.back();
+    const harness::SweepProgress &last = snapshots.back();
     EXPECT_EQ(last.jobsDone, results.size()) << "final snapshot incomplete";
     EXPECT_EQ(last.jobsFailed, 0u);
     EXPECT_EQ(last.degraded, 0);

@@ -9,7 +9,9 @@
  */
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -318,6 +320,99 @@ TEST(BenchReport, ValidatorCatchesSchemaViolations)
         row["counters"]["drs.swaps"] = -3;
         EXPECT_NE(validateBenchReport(doc), "");
     }
+}
+
+/**
+ * validReport() plus the sections the cross-field checks read: one row
+ * with an attribution ledger (conserving with the defaults: 50 + 30 =
+ * 80 = 8 slots x 10 cycles) and a fleet summary.
+ */
+Json
+validSectionedReport(int issued = 50, int cycles = 10)
+{
+    Json doc = validReport();
+    Json &attribution = doc["results"].push(Json::object())["attribution"];
+    attribution["slots_per_cycle"] = 8;
+    attribution["cycles"] = cycles;
+    attribution["total_slots"] = 80;
+    attribution["buckets"]["issued"]["total"] = issued;
+    attribution["buckets"]["stalled_memory"]["total"] = 30;
+    Json &fleet = doc["summary"]["fleet"];
+    for (const char *field : {"workers", "spawned", "respawned",
+                              "worker_deaths", "heartbeat_kills",
+                              "redispatched", "quarantined", "degraded_jobs"})
+        fleet[field] = 1;
+    fleet["cancelled"] = false;
+    for (const char *field :
+         {"frames", "jobs_reported", "cycles", "rays_traced", "job_seconds",
+          "user_cpu_seconds", "sys_cpu_seconds", "peak_rss_kb",
+          "max_heartbeat_lag_us"})
+        fleet["telemetry"][field] = 1;
+    return doc;
+}
+
+/** @p object without its @p key member. */
+Json
+without(const Json &object, std::string_view key)
+{
+    Json out = Json::object();
+    for (const auto &[name, value] : object.asObject())
+        if (name != key)
+            out[name] = value;
+    return out;
+}
+
+TEST(BenchReport, SectionedDocumentPasses)
+{
+    EXPECT_EQ(validateBenchReport(validSectionedReport()), "");
+}
+
+TEST(BenchReport, RejectsUnconservedAttribution)
+{
+    EXPECT_NE(validateBenchReport(validSectionedReport(/*issued=*/49)), "")
+        << "bucket totals != total_slots";
+    EXPECT_NE(validateBenchReport(validSectionedReport(50, /*cycles=*/11)),
+              "")
+        << "total_slots != slots_per_cycle x cycles";
+}
+
+TEST(BenchReport, RejectsMissingSummary)
+{
+    EXPECT_NE(validateBenchReport(without(validReport(), "summary")), "");
+}
+
+TEST(BenchReport, RejectsNonFiniteSummary)
+{
+    Json doc = validReport();
+    doc["summary"]["nested"]["speedup"] =
+        std::numeric_limits<double>::infinity();
+    EXPECT_NE(validateBenchReport(doc), "");
+    doc = validReport();
+    doc["summary"]["drs_geomean_speedup"] =
+        std::numeric_limits<double>::quiet_NaN();
+    EXPECT_NE(validateBenchReport(doc), "");
+}
+
+TEST(BenchReport, RejectsFleetRespawnedAboveSpawned)
+{
+    Json doc = validSectionedReport();
+    doc["summary"]["fleet"]["respawned"] = 2;
+    EXPECT_NE(validateBenchReport(doc), "");
+}
+
+TEST(BenchReport, RejectsFleetWithoutCancelledFlag)
+{
+    Json doc = validSectionedReport();
+    Json &fleet = doc["summary"]["fleet"];
+    fleet = without(fleet, "cancelled");
+    EXPECT_NE(validateBenchReport(doc), "");
+}
+
+TEST(BenchReport, RejectsTelemetryJobsAboveFrames)
+{
+    Json doc = validSectionedReport();
+    doc["summary"]["fleet"]["telemetry"]["jobs_reported"] = 2;
+    EXPECT_NE(validateBenchReport(doc), "");
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "exec/cancel.h"
 #include "harness/report.h"
 #include "harness/sweep.h"
 
@@ -250,6 +251,73 @@ TEST(SweepResume, ParallelSweepWritesAReplayableJournal)
         EXPECT_TRUE(result.fromJournal);
     expectSameOutcome(reference, replayed);
     std::remove(journal.c_str());
+}
+
+TEST(SweepResume, CancelledJobIsNotJournaledAndReRuns)
+{
+    const auto reference = runSweep(SweepOptions{});
+
+    // Job 1 carries an already-cancelled token: it fails as cancelled,
+    // and a cancelled job must not be journaled as an outcome.
+    const std::string journal = tempPath("cancelled_journal.jsonl");
+    SweepOptions options;
+    options.journalPath = journal;
+    exec::CancelToken cancelled;
+    cancelled.requestCancel();
+    {
+        SweepRunner runner(tinyScale(), 1, options);
+        std::vector<SweepJob> jobs = tinyJobs();
+        jobs[1].config.cancel = &cancelled;
+        for (const SweepJob &job : jobs)
+            runner.add(job);
+        const auto first = runner.run();
+        EXPECT_TRUE(first[1].failed);
+    }
+    std::size_t records = 0;
+    {
+        std::ifstream in(journal);
+        for (std::string line; std::getline(in, line);)
+            records += line.empty() ? 0 : 1;
+    }
+    EXPECT_EQ(records, 2u) << "only the two completed jobs are journaled";
+
+    // Resumed without the token, job 1 runs and the merge matches an
+    // uninterrupted sweep.
+    SweepOptions resume = options;
+    resume.resume = true;
+    const auto resumed = runSweep(resume);
+    ASSERT_EQ(resumed.size(), 3u);
+    EXPECT_TRUE(resumed[0].fromJournal);
+    EXPECT_FALSE(resumed[1].fromJournal) << "the cancelled job re-runs";
+    EXPECT_TRUE(resumed[2].fromJournal);
+    expectSameOutcome(reference, resumed);
+    std::remove(journal.c_str());
+}
+
+// ----------------------------------------------------- Live progress
+
+TEST(SweepProgress, SnapshotsReachCompletion)
+{
+    SweepOptions options;
+    std::vector<SweepProgress> snapshots;
+    options.progress = [&snapshots](const SweepProgress &progress) {
+        snapshots.push_back(progress);
+    };
+    const auto results = runSweep(options, /*workers=*/2);
+
+    ASSERT_FALSE(snapshots.empty());
+    std::size_t lastDone = 0;
+    for (const SweepProgress &progress : snapshots) {
+        EXPECT_EQ(progress.jobsTotal, results.size());
+        EXPECT_GE(progress.jobsDone, lastDone) << "done count went backwards";
+        EXPECT_LE(progress.jobsDone + progress.jobsInflight,
+                  progress.jobsTotal);
+        lastDone = progress.jobsDone;
+    }
+    const SweepProgress &last = snapshots.back();
+    EXPECT_EQ(last.jobsDone, results.size()) << "final snapshot incomplete";
+    EXPECT_EQ(last.jobsFailed, 0u);
+    EXPECT_EQ(last.etaSeconds, 0.0);
 }
 
 // --------------------------------------------- Retry and quarantine

@@ -34,6 +34,9 @@
 #    tests/check_trace.py, and logging must be a pure observer (report
 #    identical to a telemetry-off run, wall-clock aside).
 #
+# Every build (regular and sanitizer) is configured with
+# -DDRS_WERROR=ON: a new compiler warning fails the gate.
+#
 # Usage: run_checks.sh [--skip-sanitizers]
 
 set -euo pipefail
@@ -93,7 +96,7 @@ if [ "$skip_san" -eq 0 ]; then
   for san in address thread undefined; do
     dir="build-${san:0:1}san" # build-asan / build-tsan / build-usan
     echo; echo "######## sanitizer: $san ($dir) ########"; echo
-    cmake -B "$dir" -S . -DDRS_SANITIZE="$san" >/dev/null
+    cmake -B "$dir" -S . -DDRS_SANITIZE="$san" -DDRS_WERROR=ON >/dev/null
     cmake --build "$dir" -j"$JOBS"
     (cd "$dir" &&
      DRS_CHECK=1 ctest -L 'check|fuzz-smoke|fault|resume|registry|obs|sanitize' \
@@ -112,7 +115,7 @@ echo; echo "######## regular build: registry fuzz smoke ########"; echo
 # exercises the whole lineup (hardware + software reorderers) even when
 # the sanitizer builds are skipped. More configs than the ctest smoke:
 # the regular build is fast.
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DDRS_WERROR=ON >/dev/null
 cmake --build build -j"$JOBS" --target fuzz_sim
 build/tools/fuzz_sim --configs 75 --seed 0x5eed --jobs "$JOBS"
 
@@ -120,13 +123,13 @@ echo; echo "######## fleet: chaos recovery must be bit-identical ########"; echo
 # ctest -L fleet covers the protocol/supervision suites AND the
 # fleet_chaos harness (kill-mid-sweep -> --resume -> bit-identity with
 # zero jobs lost or double-reported, verified by drs_journal --expect).
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DDRS_WERROR=ON >/dev/null
 cmake --build build -j"$JOBS"
 (cd build && ctest -L fleet --output-on-failure -j"$JOBS")
 
 echo; echo "######## bench JSON: DRS_CHECK must be a pure observer ########"
 echo
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DDRS_WERROR=ON >/dev/null
 cmake --build build -j"$JOBS" --target bench_fig2_aila_breakdown drs_profile
 resume_smoke build
 json_dir=$(mktemp -d)

@@ -7,28 +7,17 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "simt/engine.h"
-
 namespace drs::baselines {
 
 using simt::Program;
 using simt::ThreadStep;
 
-namespace {
-
-constexpr std::uint64_t kRfAccessesPerInstruction = 3;
-
-} // namespace
-
 TbcSmx::TbcSmx(const simt::GpuConfig &config, const TbcConfig &tbc,
                kernels::AilaKernel &kernel, simt::SharedMemorySide &shared)
-    : config_(config),
+    : SmxExecutor(config, kernel, shared),
       tbc_(tbc),
-      kernel_(kernel),
-      memory_(config.memory, shared),
       lastIssuedBlock_(static_cast<std::size_t>(config.schedulersPerSmx),
                        -1),
-      normalRfAccesses_(counters_.get("smx.rf.normal_accesses")),
       syncStallCycles_(counters_.get("tbc.sync_stall_cycles"))
 {
     if (tbc.numWarps % tbc.warpsPerBlock != 0)
@@ -117,29 +106,9 @@ TbcSmx::completeWarp(ThreadBlock &block, CompactedWarp &warp)
             bytes = step.memBytes;
         }
     }
-    if (!addresses.empty()) {
-        if (deferredMemory_) {
-            DeferredAccess deferred;
-            deferred.warp = &warp;
-            deferred.issueCycle = cycle_;
-            deferred.pending =
-                memory_.resolveL1(blk.memSpace, addresses, bytes);
-            deferredAccesses_.push_back(std::move(deferred));
-        } else {
-            const std::uint32_t latency =
-                memory_.warpAccess(blk.memSpace, addresses, bytes);
-            warp.readyCycle = cycle_ + latency;
-        }
-    }
+    if (!addresses.empty())
+        deferAccess(warp.readyCycle, blk.memSpace, addresses, bytes);
     warp.semanticsDone = true;
-}
-
-void
-TbcSmx::commitMemory()
-{
-    for (const DeferredAccess &d : deferredAccesses_)
-        d.warp->readyCycle = d.issueCycle + memory_.commitAccess(d.pending);
-    deferredAccesses_.clear();
 }
 
 void
@@ -340,16 +309,10 @@ TbcSmx::verifyInvariants() const
 }
 
 void
-TbcSmx::step()
+TbcSmx::issue()
 {
     const int per_scheduler = config_.issuesPerScheduler();
     const int schedulers = config_.schedulersPerSmx;
-
-    if (check_ != nullptr && (cycle_ & 1023u) == 0) {
-        verifyInvariants();
-        check_->checkMemory(memory_);
-        check_->checkKernel(kernel_);
-    }
 
     // Barrier maintenance: an entry whose warps have all completed (and
     // waited out their memory latency) partitions and compacts, whether
@@ -387,15 +350,6 @@ TbcSmx::step()
         if (attribution_)
             attributeUnissued(s, per_scheduler - issued);
     }
-
-    // Close the attribution/sampling cycle last (see simt::Smx::step).
-    if (attribution_)
-        attribution_->endCycle();
-    if (sampler_)
-        sampler_->tick(histogram_.instructions(), histogram_.activeThreads(),
-                       kernel_.raysCompleted());
-
-    ++cycle_;
 }
 
 void
@@ -453,65 +407,6 @@ TbcSmx::attributeUnissued(int scheduler, int slots)
     attribution_->record(bucket, phase, static_cast<std::uint64_t>(slots));
 }
 
-void
-TbcSmx::run(std::uint64_t max_cycles)
-{
-    while (!done() && cycle_ < max_cycles)
-        step();
-    if (!done())
-        throw std::runtime_error("TBC simulation exceeded max_cycles");
-}
-
-simt::SimStats
-TbcSmx::collectStats() const
-{
-    simt::SimStats s;
-    s.cycles = cycle_;
-    s.histogram = histogram_;
-    s.raysTraced = kernel_.raysCompleted();
-    s.rfAccessesNormal = normalRfAccesses_.value();
-    s.l1Data = memory_.l1DataStats();
-    s.l1Texture = memory_.l1TextureStats();
-    s.counters = counters_.snapshot();
-    s.counters.add("l1d.access", s.l1Data.accesses);
-    s.counters.add("l1d.miss", s.l1Data.misses);
-    s.counters.add("l1t.access", s.l1Texture.accesses);
-    s.counters.add("l1t.miss", s.l1Texture.misses);
-    if (fault_ != nullptr && fault_->enabled()) {
-        const fault::FaultCounters &f = fault_->counters();
-        s.counters.add("fault.swap_bit_flips", f.swapBitFlips);
-        s.counters.add("fault.cache_tag_flips", f.cacheTagFlips);
-        s.counters.add("fault.dram_delayed", f.dramDelayed);
-        s.counters.add("fault.dram_dropped", f.dramDropped);
-        s.counters.add("fault.alloc_failures", f.allocFailures);
-    }
-    if (check_ != nullptr) {
-        check_->checkStats(s);
-        if (attribution_) {
-            attribution_->verifyConservation();
-            if (attribution_->cycles() != cycle_)
-                throw std::logic_error(
-                    "issue attribution: ledger cycles out of step with "
-                    "the TBC SMX");
-            const std::uint64_t issued =
-                attribution_->bucketTotal(obs::SlotBucket::IssuedFull) +
-                attribution_->bucketTotal(obs::SlotBucket::IssuedPartial);
-            if (issued != histogram_.instructions())
-                throw std::logic_error(
-                    "issue attribution: issued slots disagree with the "
-                    "instruction histogram");
-        }
-    }
-    return s;
-}
-
-void
-TbcSmx::setFault(fault::FaultInjector *fault)
-{
-    fault_ = fault;
-    memory_.setFault(fault);
-}
-
 std::uint64_t
 TbcSmx::progressCount() const
 {
@@ -544,112 +439,6 @@ TbcSmx::describeState(std::ostream &out) const
             out << " barrierUntil=" << block.barrierUntil;
         out << '\n';
     }
-    if (!deferredAccesses_.empty())
-        out << "  pending deferred accesses: " << deferredAccesses_.size()
-            << '\n';
-}
-
-simt::SimStats
-runTbcGpu(const simt::GpuConfig &config, const TbcConfig &tbc,
-          const std::function<std::unique_ptr<kernels::AilaKernel>(int)>
-              &make_kernel,
-          const TbcRunOptions &options)
-{
-    simt::SharedMemorySide shared(config.memory);
-
-    // Same per-unit injector scheme as simt::runGpu — see GpuRunOptions.
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-    std::unique_ptr<fault::FaultInjector> sharedInjector;
-    if (options.fault.enabled()) {
-        injectors.reserve(static_cast<std::size_t>(config.numSmx));
-        for (int i = 0; i < config.numSmx; ++i)
-            injectors.push_back(std::make_unique<fault::FaultInjector>(
-                options.fault, static_cast<std::uint64_t>(i)));
-        sharedInjector = std::make_unique<fault::FaultInjector>(
-            options.fault,
-            static_cast<std::uint64_t>(config.numSmx) + 0x10000u);
-        shared.setFault(sharedInjector.get());
-    }
-
-    struct Unit
-    {
-        std::unique_ptr<kernels::AilaKernel> kernel;
-        std::unique_ptr<TbcSmx> smx;
-    };
-    std::vector<Unit> units;
-    units.reserve(static_cast<std::size_t>(config.numSmx));
-    for (int i = 0; i < config.numSmx; ++i) {
-        Unit unit;
-        unit.kernel = make_kernel(i);
-        unit.smx = std::make_unique<TbcSmx>(config, tbc, *unit.kernel,
-                                            shared);
-        unit.smx->setDeferredMemory(true);
-        unit.smx->setCheck(options.check);
-        if (options.fault.enabled())
-            unit.smx->setFault(injectors[static_cast<std::size_t>(i)].get());
-        if (options.attribution != nullptr) {
-            if (i == 0) {
-                const Program &program = unit.kernel->program();
-                std::vector<std::string> names;
-                names.reserve(
-                    static_cast<std::size_t>(program.blockCount()));
-                for (int b = 0; b < program.blockCount(); ++b)
-                    names.push_back(program.block(b).name);
-                options.attribution->setBlockNames(std::move(names));
-            }
-            unit.smx->setAttribution(&options.attribution->smx(i));
-        }
-        if (options.sampler != nullptr) {
-            obs::TimeSampler &sampler = options.sampler->smx(i);
-            const obs::SampleConfig &sample = options.sampler->config();
-            sampler.enable(sample.interval, sample.capacity,
-                           options.attribution != nullptr
-                               ? &options.attribution->smx(i)
-                               : nullptr);
-            unit.smx->setSampler(&sampler);
-        }
-        units.push_back(std::move(unit));
-    }
-
-    std::vector<TbcSmx *> smxs;
-    smxs.reserve(units.size());
-    for (auto &unit : units)
-        smxs.push_back(unit.smx.get());
-    fault::Watchdog watchdog(options.watchdogCycles);
-    simt::runEngine(smxs, options.maxCycles, options.smxThreads,
-                    watchdog.enabled() ? &watchdog : nullptr,
-                    options.cancel);
-
-    simt::SimStats total;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        simt::SimStats stats = units[i].smx->collectStats();
-        if (options.perSmxStats)
-            options.perSmxStats(static_cast<int>(i), stats);
-        if (options.onSmxRetire)
-            options.onSmxRetire(static_cast<int>(i), *units[i].kernel);
-        total.merge(stats);
-    }
-    total.l2 = shared.l2Stats();
-    total.counters.add("l2.access", total.l2.accesses);
-    total.counters.add("l2.miss", total.l2.misses);
-    if (sharedInjector) {
-        const fault::FaultCounters &f = sharedInjector->counters();
-        total.counters.add("fault.cache_tag_flips", f.cacheTagFlips);
-        total.counters.add("fault.dram_delayed", f.dramDelayed);
-        total.counters.add("fault.dram_dropped", f.dramDropped);
-    }
-    return total;
-}
-
-simt::SimStats
-runTbcGpu(const simt::GpuConfig &config, const TbcConfig &tbc,
-          const std::function<std::unique_ptr<kernels::AilaKernel>(int)>
-              &make_kernel,
-          std::uint64_t max_cycles)
-{
-    TbcRunOptions options;
-    options.maxCycles = max_cycles;
-    return runTbcGpu(config, tbc, make_kernel, options);
 }
 
 } // namespace drs::baselines

@@ -13,20 +13,10 @@
  */
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "exec/cancel.h"
-#include "fault/fault.h"
 #include "kernels/aila_kernel.h"
-#include "obs/attribution.h"
-#include "obs/counters.h"
-#include "obs/sampler.h"
-#include "simt/check.h"
-#include "simt/config.h"
-#include "simt/memory.h"
-#include "simt/sim_stats.h"
+#include "simt/smx.h"
 
 namespace drs::baselines {
 
@@ -43,12 +33,18 @@ struct TbcConfig
 };
 
 /**
- * One SMX executing the while-while kernel under TBC. Self-contained
- * executor (the block-wide stack does not fit the per-warp Smx), sharing
- * the memory system, program and workspace semantics with the rest of
- * the simulator.
+ * One SMX executing the while-while kernel under TBC: a second
+ * simt::SmxExecutor (the block-wide stack does not fit the per-warp
+ * Smx), sharing the memory system, program and workspace semantics with
+ * the rest of the simulator. simt::runGpu drives it through
+ * simt::SmxSetup::executor.
+ *
+ * Attribution charges the block-wide divergence barrier to the
+ * stalled-scoreboard bucket. The TBC has no swap hardware, so of the
+ * SMX's fault sites only L1 tag corruption applies — the same
+ * FaultConfig injects strictly fewer fault kinds here, by design.
  */
-class TbcSmx
+class TbcSmx : public simt::SmxExecutor
 {
   public:
     /**
@@ -60,70 +56,30 @@ class TbcSmx
     TbcSmx(const simt::GpuConfig &config, const TbcConfig &tbc,
            kernels::AilaKernel &kernel, simt::SharedMemorySide &shared);
 
-    /** Observability counter registry ("tbc.*" / "smx.rf.*" names). */
-    obs::Counters &counters() { return counters_; }
-
-    bool done() const;
-    void step();
-    void run(std::uint64_t max_cycles = 2'000'000'000ULL);
-    std::uint64_t cycle() const { return cycle_; }
+    /** True when every thread block has exited. */
+    bool done() const override;
 
     /**
-     * Deferred-memory mode (see simt::Smx::setDeferredMemory): step()
-     * buffers shared-side requests; commitMemory() — called at the
-     * per-cycle barrier in SMX-index order — resolves them.
-     */
-    void setDeferredMemory(bool deferred) { deferredMemory_ = deferred; }
-    void commitMemory();
-
-    /**
-     * Attach an invariant checker (see simt::Smx::setCheck): block-stack
-     * structure is verified periodically and stats at collection. Null
-     * disables checking. Not owned; must outlive the SMX.
-     */
-    void setCheck(const simt::CheckContext *check) { check_ = check; }
-
-    /**
-     * Attach an issue-slot attribution ledger (see simt::Smx): every
-     * scheduler slot of every cycle is classified, with the TBC barrier
-     * charged to the stalled-scoreboard bucket. Pure observation.
-     */
-    void setAttribution(obs::IssueAttribution *attribution)
-    {
-        attribution_ = attribution;
-    }
-
-    /** Attach a windowed time-series sampler (see simt::Smx). */
-    void setSampler(obs::TimeSampler *sampler) { sampler_ = sampler; }
-
-    /**
-     * Block-stack invariants: every stack is non-empty with its bottom
-     * entry reconverging at the exit block; pcs/rpcs are valid blocks;
-     * compaction is lane-preserving (a thread only ever occupies its home
-     * lane); threads stay within their block's rows and appear at most
-     * once per entry; child entries reconverge at their parent's pc and
-     * hold pairwise-disjoint subsets of the parent's threads. Throws
+     * Block-stack invariants, verified periodically under a checker:
+     * every stack is non-empty with its bottom entry reconverging at the
+     * exit block; pcs/rpcs are valid blocks; compaction is
+     * lane-preserving (a thread only ever occupies its home lane);
+     * threads stay within their block's rows and appear at most once per
+     * entry; child entries reconverge at their parent's pc and hold
+     * pairwise-disjoint subsets of the parent's threads. Throws
      * std::logic_error.
      */
-    void verifyInvariants() const;
-
-    /**
-     * Arm this SMX's private fault sites (L1 tag corruption); shared-side
-     * faults are armed on the SharedMemorySide. The TBC has no swap
-     * hardware, so it has no payload-corruption site — the same
-     * FaultConfig injects strictly fewer fault kinds here, by design.
-     */
-    void setFault(fault::FaultInjector *fault);
+    void verifyInvariants() const override;
 
     /** Forward-progress measure: completed rays + exited blocks. */
-    std::uint64_t progressCount() const;
+    std::uint64_t progressCount() const override;
 
-    /** Architectural-state dump for the watchdog diagnostic. */
-    void describeState(std::ostream &out) const;
-
-    simt::SimStats collectStats() const;
+    /** Per-block stack depth, top entry and barrier state. */
+    void describeState(std::ostream &out) const override;
 
   private:
+    void issue() override;
+
     /** A thread's permanent identity: its home (row, lane) slot. */
     struct ThreadRef
     {
@@ -131,7 +87,12 @@ class TbcSmx
         int lane = -1;
     };
 
-    /** A compacted warp: per lane, one thread or none. */
+    /**
+     * A compacted warp: per lane, one thread or none. A warp waiting on
+     * memory stays where it is until commitMemory() sets its readyCycle:
+     * block stacks are only restructured by finishEntry, which runs at
+     * the start of the next step — after the commit.
+     */
     struct CompactedWarp
     {
         std::vector<ThreadRef> lanes; ///< size = warp width; row<0 = hole
@@ -180,86 +141,11 @@ class TbcSmx
 
     int threadSlotIndex(const ThreadRef &t) const;
 
-    const simt::GpuConfig &config_;
     TbcConfig tbc_;
-    kernels::AilaKernel &kernel_;
-    simt::SmxMemory memory_;
     std::vector<ThreadBlock> blocks_;
     std::vector<int> lastIssuedBlock_; ///< per scheduler
-    std::uint64_t cycle_ = 0;
 
-    stats::ActiveThreadHistogram histogram_;
-
-    /** Observability counters; see obs::Counters. */
-    obs::Counters counters_;
-    obs::Counter &normalRfAccesses_;
     obs::Counter &syncStallCycles_;
-
-    /**
-     * One L1-resolved access awaiting its shared-side commit. The pointer
-     * stays valid between completeWarp and commitMemory: block stacks are
-     * only restructured by finishEntry, which runs at the start of the
-     * next step — after the commit.
-     */
-    struct DeferredAccess
-    {
-        CompactedWarp *warp = nullptr;
-        std::uint64_t issueCycle = 0;
-        simt::PendingWarpAccess pending;
-    };
-
-    bool deferredMemory_ = false;
-    std::vector<DeferredAccess> deferredAccesses_;
-    const simt::CheckContext *check_ = nullptr;
-    fault::FaultInjector *fault_ = nullptr;
-    obs::IssueAttribution *attribution_ = nullptr;
-    obs::TimeSampler *sampler_ = nullptr;
 };
-
-/** Execution options (mirrors simt::GpuRunOptions). */
-struct TbcRunOptions
-{
-    std::uint64_t maxCycles = 2'000'000'000ULL;
-    /** Worker threads stepping SMXs concurrently; <= 1 = sequential. */
-    int smxThreads = 1;
-    /** Per-SMX stats hook; see simt::GpuRunOptions::perSmxStats. */
-    std::function<void(int smx_index, const simt::SimStats &stats)>
-        perSmxStats;
-    /** Per-SMX kernel retirement hook (hit harvesting). */
-    std::function<void(int smx_index, kernels::AilaKernel &kernel)>
-        onSmxRetire;
-    /** Invariant checker (see simt::GpuRunOptions::check); null = off. */
-    const simt::CheckContext *check = nullptr;
-    /** Issue-slot attribution (see simt::GpuRunOptions); null = off. */
-    obs::AttributionCollector *attribution = nullptr;
-    /** Time-series sampling (see simt::GpuRunOptions); null = off. */
-    obs::SamplerCollector *sampler = nullptr;
-    /** Fault injection (see simt::GpuRunOptions::fault); seed 0 = off. */
-    fault::FaultConfig fault{};
-    /** Watchdog budget in cycles (see simt::GpuRunOptions); 0 = off. */
-    std::uint64_t watchdogCycles = 0;
-    /** Cooperative stop/deadline token (may be null). */
-    const exec::CancelToken *cancel = nullptr;
-};
-
-/**
- * Run a full ray batch on a TBC GPU (all SMXs, shared L2).
- *
- * @param config GPU parameters
- * @param tbc TBC parameters
- * @param make_kernel per-SMX Aila kernel factory
- */
-simt::SimStats runTbcGpu(
-    const simt::GpuConfig &config, const TbcConfig &tbc,
-    const std::function<std::unique_ptr<kernels::AilaKernel>(int)>
-        &make_kernel,
-    const TbcRunOptions &options);
-
-/** Convenience overload: sequential engine with a cycle bound. */
-simt::SimStats runTbcGpu(
-    const simt::GpuConfig &config, const TbcConfig &tbc,
-    const std::function<std::unique_ptr<kernels::AilaKernel>(int)>
-        &make_kernel,
-    std::uint64_t max_cycles = 2'000'000'000ULL);
 
 } // namespace drs::baselines

@@ -1,10 +1,11 @@
 /**
  * @file
  * The paper's four architectures as registry plugins: the Aila software
- * baseline, DRS, and the two hardware baselines (DMK, TBC). The run()
- * bodies are the former harness.cc run* functions, unchanged; what the
- * registry adds is that the checker, fuzzer, profiler and every bench
- * reach them through the common ArchPlugin surface.
+ * baseline, DRS, and the two hardware baselines (DMK, TBC). Each run()
+ * only says how one SMX is built — kernel, controller or (TBC) executor;
+ * detail::runStriped does the rest of the run for every plugin, and the
+ * checker, fuzzer, profiler and every bench reach them through the
+ * common ArchPlugin surface.
  */
 
 #include "harness/arch_builtin.h"
@@ -31,32 +32,16 @@ class AilaArch : public ArchPlugin
                        const ArchObservers &observers,
                        const check::Checker *checker) const override
     {
-        simt::GpuRunOptions options = detail::gpuRunOptions(config, observers);
-        options.check = checker;
-        if (config.hitsOut != nullptr || checker != nullptr)
-            options.onSmxRetire = [&config, checker](int,
-                                                     simt::Kernel &kernel) {
-                auto &workspace =
-                    static_cast<kernels::AilaKernel &>(kernel).travWorkspace();
-                if (checker != nullptr)
-                    check::verifyWorkspace(workspace, /*strict=*/true);
-                if (config.hitsOut != nullptr)
-                    detail::harvestHits(workspace, *config.hitsOut);
-            };
-        return simt::runGpu(
-            config.gpu,
-            [&](int smx) {
-                auto [first, count] =
-                    simt::rayStripe(rays.size(), config.gpu.numSmx, smx,
-                                    config.gpu.simdLanes);
+        return detail::runStriped(
+            rays, config, observers, checker,
+            [&](std::span<const geom::Ray> stripe, std::size_t first) {
                 simt::SmxSetup setup;
                 setup.kernel = std::make_unique<kernels::AilaKernel>(
-                    tracer.bvh(), tracer.sceneTriangles(),
-                    rays.subspan(first, count), first, config.aila);
+                    tracer.bvh(), tracer.sceneTriangles(), stripe, first,
+                    config.aila);
                 setup.numWarps = config.aila.numWarps;
                 return setup;
-            },
-            options);
+            });
     }
 
     check::BatchCheckInputs
@@ -94,30 +79,15 @@ class DrsArch : public ArchPlugin
                        const ArchObservers &observers,
                        const check::Checker *checker) const override
     {
-        simt::GpuRunOptions options = detail::gpuRunOptions(config, observers);
-        options.check = checker;
-        if (config.hitsOut != nullptr || checker != nullptr)
-            options.onSmxRetire = [&config, checker](int,
-                                                     simt::Kernel &kernel) {
-                auto &workspace =
-                    static_cast<kernels::DrsKernel &>(kernel).travWorkspace();
-                if (checker != nullptr)
-                    check::verifyWorkspace(workspace, /*strict=*/true);
-                if (config.hitsOut != nullptr)
-                    detail::harvestHits(workspace, *config.hitsOut);
-            };
-        return simt::runGpu(
-            config.gpu,
-            [&](int smx) {
-                auto [first, count] =
-                    simt::rayStripe(rays.size(), config.gpu.numSmx, smx,
-                                    config.gpu.simdLanes);
+        return detail::runStriped(
+            rays, config, observers, checker,
+            [&](std::span<const geom::Ray> stripe, std::size_t first) {
                 kernels::DrsKernelConfig kernel_config;
                 kernel_config.numWarps = config.drs.spawnableWarps();
                 kernel_config.backupRows = config.drs.backupRows;
                 auto kernel = std::make_unique<kernels::DrsKernel>(
-                    tracer.bvh(), tracer.sceneTriangles(),
-                    rays.subspan(first, count), first, kernel_config);
+                    tracer.bvh(), tracer.sceneTriangles(), stripe, first,
+                    kernel_config);
                 simt::SmxSetup setup;
                 setup.numWarps = kernel_config.numWarps;
                 setup.controller = std::make_unique<core::DrsControl>(
@@ -125,8 +95,7 @@ class DrsArch : public ArchPlugin
                     kernel_config.numWarps);
                 setup.kernel = std::move(kernel);
                 return setup;
-            },
-            options);
+            });
     }
 
     check::BatchCheckInputs
@@ -170,38 +139,22 @@ class DmkArch : public ArchPlugin
                        const ArchObservers &observers,
                        const check::Checker *checker) const override
     {
-        simt::GpuRunOptions options = detail::gpuRunOptions(config, observers);
-        options.check = checker;
-        if (config.hitsOut != nullptr || checker != nullptr)
-            options.onSmxRetire = [&config, checker](int,
-                                                     simt::Kernel &kernel) {
-                auto &workspace =
-                    static_cast<kernels::DrsKernel &>(kernel).travWorkspace();
-                if (checker != nullptr)
-                    check::verifyWorkspace(workspace, /*strict=*/true);
-                if (config.hitsOut != nullptr)
-                    detail::harvestHits(workspace, *config.hitsOut);
-            };
-        return simt::runGpu(
-            config.gpu,
-            [&](int smx) {
-                auto [first, count] =
-                    simt::rayStripe(rays.size(), config.gpu.numSmx, smx,
-                                    config.gpu.simdLanes);
+        return detail::runStriped(
+            rays, config, observers, checker,
+            [&](std::span<const geom::Ray> stripe, std::size_t first) {
                 kernels::DrsKernelConfig kernel_config;
                 kernel_config.numWarps = config.dmk.numWarps;
                 kernel_config.backupRows = 0; // DMK regroups via spawn memory
                 auto kernel = std::make_unique<kernels::DrsKernel>(
-                    tracer.bvh(), tracer.sceneTriangles(),
-                    rays.subspan(first, count), first, kernel_config);
+                    tracer.bvh(), tracer.sceneTriangles(), stripe, first,
+                    kernel_config);
                 simt::SmxSetup setup;
                 setup.numWarps = kernel_config.numWarps;
                 setup.controller = std::make_unique<baselines::DmkControl>(
                     config.dmk, kernel->travWorkspace());
                 setup.kernel = std::move(kernel);
                 return setup;
-            },
-            options);
+            });
     }
 
     check::BatchCheckInputs
@@ -242,37 +195,22 @@ class TbcArch : public ArchPlugin
     {
         kernels::AilaConfig aila = config.aila;
         aila.numWarps = config.tbc.numWarps;
-        baselines::TbcRunOptions options;
-        options.maxCycles = config.maxCycles;
-        options.smxThreads = config.smxThreads;
-        options.perSmxStats = config.perSmxStats;
-        options.check = checker;
-        options.attribution = observers.attribution;
-        options.sampler = observers.sampler;
-        options.fault = config.fault;
-        options.watchdogCycles = config.watchdogCycles;
-        options.cancel = config.cancel;
-        if (config.hitsOut != nullptr || checker != nullptr)
-            options.onSmxRetire =
-                [&config, checker](int, kernels::AilaKernel &kernel) {
-                    if (checker != nullptr)
-                        check::verifyWorkspace(kernel.travWorkspace(),
-                                               /*strict=*/true);
-                    if (config.hitsOut != nullptr)
-                        detail::harvestHits(kernel.travWorkspace(),
-                                            *config.hitsOut);
+        return detail::runStriped(
+            rays, config, observers, checker,
+            [&](std::span<const geom::Ray> stripe, std::size_t first) {
+                auto kernel = std::make_unique<kernels::AilaKernel>(
+                    tracer.bvh(), tracer.sceneTriangles(), stripe, first,
+                    aila);
+                simt::SmxSetup setup;
+                setup.executor = [&tbc = config.tbc, &aila_kernel = *kernel](
+                                     const simt::GpuConfig &gpu,
+                                     simt::SharedMemorySide &shared) {
+                    return std::make_unique<baselines::TbcSmx>(
+                        gpu, tbc, aila_kernel, shared);
                 };
-        return baselines::runTbcGpu(
-            config.gpu, config.tbc,
-            [&](int smx) {
-                auto [first, count] =
-                    simt::rayStripe(rays.size(), config.gpu.numSmx, smx,
-                                    config.gpu.simdLanes);
-                return std::make_unique<kernels::AilaKernel>(
-                    tracer.bvh(), tracer.sceneTriangles(),
-                    rays.subspan(first, count), first, aila);
-            },
-            options);
+                setup.kernel = std::move(kernel);
+                return setup;
+            });
     }
 
     check::BatchCheckInputs

@@ -3,11 +3,13 @@
 /**
  * @file
  * Shared plumbing of the built-in architecture plugins (arch_builtin.cc,
- * arch_reorder.cc): GpuRunOptions assembly from a RunConfig and per-SMX
- * hit harvesting. Internal to src/harness.
+ * arch_survey.cc, arch_reorder.cc): the one striped GPU run every plugin
+ * goes through, and the hit harvesting and scatter around it. Internal
+ * to src/harness.
  */
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -56,9 +58,27 @@ harvestHits(const kernels::TravWorkspace &workspace,
               out.begin() + static_cast<std::ptrdiff_t>(first));
 }
 
-/** Engine options common to every runGpu-based architecture. */
-inline simt::GpuRunOptions
-gpuRunOptions(const RunConfig &config, const ArchObservers &observers)
+/**
+ * Builds one SMX's setup — its kernel, plus a controller or another
+ * executor — over @p stripe, the batch's rays from index @p first on.
+ */
+using StripeSetup = std::function<simt::SmxSetup(
+    std::span<const geom::Ray> stripe, std::size_t first)>;
+
+/**
+ * The run of every built-in plugin: stripe @p rays across the GPU's SMXs
+ * (simt::rayStripe), build each SMX with @p setup, and drive
+ * simt::runGpu with @p config's engine options, @p observers and
+ * @p checker. One retire hook serves every plugin, since each ray
+ * kernel's workspace() is a kernels::TravWorkspace: under a checker it
+ * verifies the workspace, with hitsOut it harvests the hits, and
+ * @p onKernel (optional) sees every SMX's kernel, in SMX-index order.
+ */
+inline simt::SimStats
+runStriped(std::span<const geom::Ray> rays, const RunConfig &config,
+           const ArchObservers &observers, const check::Checker *checker,
+           const StripeSetup &setup,
+           const std::function<void(simt::Kernel &)> &onKernel = {})
 {
     simt::GpuRunOptions options;
     options.maxCycles = config.maxCycles;
@@ -67,10 +87,29 @@ gpuRunOptions(const RunConfig &config, const ArchObservers &observers)
     options.attribution = observers.attribution;
     options.sampler = observers.sampler;
     options.perSmxStats = config.perSmxStats;
+    options.check = checker;
     options.fault = config.fault;
     options.watchdogCycles = config.watchdogCycles;
     options.cancel = config.cancel;
-    return options;
+    if (config.hitsOut != nullptr || checker != nullptr || onKernel)
+        options.onSmxRetire = [&](int, simt::Kernel &kernel) {
+            const auto &workspace =
+                static_cast<kernels::TravWorkspace &>(kernel.workspace());
+            if (checker != nullptr)
+                check::verifyWorkspace(workspace, /*strict=*/true);
+            if (config.hitsOut != nullptr)
+                harvestHits(workspace, *config.hitsOut);
+            if (onKernel)
+                onKernel(kernel);
+        };
+    return simt::runGpu(
+        config.gpu,
+        [&](int smx) {
+            auto [first, count] = simt::rayStripe(
+                rays.size(), config.gpu.numSmx, smx, config.gpu.simdLanes);
+            return setup(rays.subspan(first, count), first);
+        },
+        options);
 }
 
 } // namespace drs::harness::detail

@@ -19,10 +19,11 @@
  * tools/fuzz_sim, the fault injectors and the cycle-attribution profiler
  * (both plumbed through RunConfig) — resolves architectures through the
  * registry, so a registered plugin is picked up everywhere at once. The
- * built-in lineup (aila, drs, dmk, tbc, sort, cutcode) registers on
- * first registry use; external code can add() more at runtime (or via a
- * static ArchRegistrar in a TU the binary references). See DESIGN.md
- * section 10 for the full contract a plugin must satisfy.
+ * built-in lineup (aila, drs, dmk, tbc, sort, cutcode, ser, pathpred)
+ * registers on first registry use; external code can add() more at
+ * runtime (or via a static ArchRegistrar in a TU the binary
+ * references). See DESIGN.md section 10 for the full contract a plugin
+ * must satisfy.
  */
 
 #include <memory>
@@ -71,8 +72,8 @@ class ArchPlugin
     virtual std::string counterNamespace() const = 0;
 
     /**
-     * False when the executor is self-contained without warp-level
-     * tracing (TBC): runBatch then skips building a trace collector.
+     * False when the SMX executor has no warp-level tracing (TBC's
+     * block executor): runBatch then skips building a trace collector.
      */
     virtual bool supportsWarpTrace() const { return true; }
 

@@ -6,8 +6,8 @@
  *
  * Both model the software alternative to the paper's hardware shuffling:
  * the batch is permuted up front — rays with equal keys become SIMT
- * neighbours — and then runs on the plain Aila while-while GPU with no
- * ray-management hardware at all. Per-ray traversal is a pure function
+ * neighbours — and then runs through the registered aila plugin: the
+ * plain Aila while-while GPU with no ray-management hardware at all. Per-ray traversal is a pure function
  * of the ray, so hits are bitwise identical to the unsorted Aila run
  * (the differential tests pin this); only warp coherence, and with it
  * SIMT efficiency and cycle count, changes. Hits are scattered back
@@ -44,42 +44,17 @@ class ReorderArchBase : public ArchPlugin
         for (std::size_t p = 0; p < order.size(); ++p)
             sorted[p] = rays[order[p]];
 
-        // The inner run stores hits at *sorted* positions; collect them
-        // locally and scatter back through the permutation afterwards so
-        // the caller's hits land at original batch indices.
+        // The permuted batch runs on the registered aila plugin, which
+        // stores hits at *sorted* positions; collect them locally and
+        // scatter back through the permutation afterwards so the
+        // caller's hits land at original batch indices.
         std::vector<geom::Hit> sorted_hits;
         RunConfig inner = config;
         inner.hitsOut = (config.hitsOut != nullptr || checker != nullptr)
                             ? &sorted_hits
                             : nullptr;
-
-        simt::GpuRunOptions options = detail::gpuRunOptions(inner, observers);
-        options.check = checker;
-        if (inner.hitsOut != nullptr || checker != nullptr)
-            options.onSmxRetire = [&inner, checker](int,
-                                                    simt::Kernel &kernel) {
-                auto &workspace =
-                    static_cast<kernels::AilaKernel &>(kernel).travWorkspace();
-                if (checker != nullptr)
-                    check::verifyWorkspace(workspace, /*strict=*/true);
-                if (inner.hitsOut != nullptr)
-                    detail::harvestHits(workspace, *inner.hitsOut);
-            };
-        std::span<const geom::Ray> sorted_span(sorted);
-        simt::SimStats stats = simt::runGpu(
-            config.gpu,
-            [&](int smx) {
-                auto [first, count] =
-                    simt::rayStripe(sorted_span.size(), config.gpu.numSmx,
-                                    smx, config.gpu.simdLanes);
-                simt::SmxSetup setup;
-                setup.kernel = std::make_unique<kernels::AilaKernel>(
-                    tracer.bvh(), tracer.sceneTriangles(),
-                    sorted_span.subspan(first, count), first, config.aila);
-                setup.numWarps = config.aila.numWarps;
-                return setup;
-            },
-            options);
+        simt::SimStats stats = ArchRegistry::instance().get(Arch::Aila).run(
+            tracer, sorted, inner, observers, checker);
 
         if (config.hitsOut != nullptr)
             detail::scatterHits(order, sorted_hits, *config.hitsOut);

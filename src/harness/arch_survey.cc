@@ -36,38 +36,22 @@ class SerArch : public ArchPlugin
                        const ArchObservers &observers,
                        const check::Checker *checker) const override
     {
-        simt::GpuRunOptions options = detail::gpuRunOptions(config, observers);
-        options.check = checker;
-        if (config.hitsOut != nullptr || checker != nullptr)
-            options.onSmxRetire = [&config, checker](int,
-                                                     simt::Kernel &kernel) {
-                auto &workspace =
-                    static_cast<kernels::SerKernel &>(kernel).travWorkspace();
-                if (checker != nullptr)
-                    check::verifyWorkspace(workspace, /*strict=*/true);
-                if (config.hitsOut != nullptr)
-                    detail::harvestHits(workspace, *config.hitsOut);
-            };
-        return simt::runGpu(
-            config.gpu,
-            [&](int smx) {
-                auto [first, count] =
-                    simt::rayStripe(rays.size(), config.gpu.numSmx, smx,
-                                    config.gpu.simdLanes);
+        return detail::runStriped(
+            rays, config, observers, checker,
+            [&](std::span<const geom::Ray> stripe, std::size_t first) {
                 kernels::SerKernelConfig kernel_config;
                 kernel_config.numWarps = config.ser.numWarps;
                 kernel_config.cutSize = config.ser.cutSize;
                 auto kernel = std::make_unique<kernels::SerKernel>(
-                    tracer.bvh(), tracer.sceneTriangles(),
-                    rays.subspan(first, count), first, kernel_config);
+                    tracer.bvh(), tracer.sceneTriangles(), stripe, first,
+                    kernel_config);
                 simt::SmxSetup setup;
                 setup.numWarps = kernel_config.numWarps;
                 setup.controller = std::make_unique<baselines::SerControl>(
                     config.ser, *kernel);
                 setup.kernel = std::move(kernel);
                 return setup;
-            },
-            options);
+            });
     }
 
     check::BatchCheckInputs
@@ -109,43 +93,30 @@ class PathPredArch : public ArchPlugin
                        const ArchObservers &observers,
                        const check::Checker *checker) const override
     {
-        simt::GpuRunOptions options = detail::gpuRunOptions(config, observers);
-        options.check = checker;
-        // Always installed (not only under hitsOut/checker): the hook also
-        // harvests the predictor tallies, and the pure-observer contract
-        // requires identical counters with checking on or off. Hooks run
+        // The predictor tallies are collected on every run (not only
+        // under hitsOut/checker): the pure-observer contract requires
+        // identical counters with checking on or off. Kernels are seen
         // serially in SMX-index order, so the sums are deterministic.
         kernels::PathPredKernel::Counts totals;
-        options.onSmxRetire = [&config, checker, &totals](
-                                  int, simt::Kernel &kernel) {
-            auto &pathpred = static_cast<kernels::PathPredKernel &>(kernel);
-            if (checker != nullptr)
-                check::verifyWorkspace(pathpred.travWorkspace(),
-                                       /*strict=*/true);
-            if (config.hitsOut != nullptr)
-                detail::harvestHits(pathpred.travWorkspace(),
-                                    *config.hitsOut);
-            const auto &counts = pathpred.counts();
-            totals.lookups += counts.lookups;
-            totals.tableHits += counts.tableHits;
-            totals.mispredicts += counts.mispredicts;
-            totals.correct += counts.correct;
-            totals.inserts += counts.inserts;
-        };
-        simt::SimStats stats = simt::runGpu(
-            config.gpu,
-            [&](int smx) {
-                auto [first, count] =
-                    simt::rayStripe(rays.size(), config.gpu.numSmx, smx,
-                                    config.gpu.simdLanes);
+        simt::SimStats stats = detail::runStriped(
+            rays, config, observers, checker,
+            [&](std::span<const geom::Ray> stripe, std::size_t first) {
                 simt::SmxSetup setup;
                 setup.kernel = std::make_unique<kernels::PathPredKernel>(
-                    tracer.bvh(), tracer.sceneTriangles(),
-                    rays.subspan(first, count), first, config.pathpred);
+                    tracer.bvh(), tracer.sceneTriangles(), stripe, first,
+                    config.pathpred);
                 setup.numWarps = config.pathpred.numWarps;
                 return setup;
             },
-            options);
+            [&totals](simt::Kernel &kernel) {
+                const auto &counts =
+                    static_cast<kernels::PathPredKernel &>(kernel).counts();
+                totals.lookups += counts.lookups;
+                totals.tableHits += counts.tableHits;
+                totals.mispredicts += counts.mispredicts;
+                totals.correct += counts.correct;
+                totals.inserts += counts.inserts;
+            });
         stats.counters.add("pathpred.lookups", totals.lookups);
         stats.counters.add("pathpred.table_hits", totals.tableHits);
         stats.counters.add("pathpred.mispredicts", totals.mispredicts);

@@ -23,7 +23,7 @@ runBatchImpl(const ArchPlugin &plugin, const render::PathTracer &tracer,
     // Trace collection is scoped to the batch: the collector is built
     // here, filled during the run, and written afterwards so tracing
     // stays invisible to the simulation itself. Plugins without
-    // warp-level tracing (TBC's self-contained block executor) skip it.
+    // warp-level tracing (TBC's block executor) skip it.
     std::unique_ptr<obs::TraceCollector> collector;
     if (config.trace.enabled && plugin.supportsWarpTrace())
         collector = std::make_unique<obs::TraceCollector>(

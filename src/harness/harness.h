@@ -87,9 +87,9 @@ struct RunConfig
      * Cycle-level event tracing (see obs::TraceConfig, usually from the
      * DRS_TRACE environment variable). When enabled, runBatch writes a
      * Chrome trace_event JSON file after the run; concurrent runs
-     * overwrite whole files, so trace with --jobs 1. The TBC baseline is
-     * a self-contained executor without warp-level tracing and ignores
-     * this. Tracing never alters SimStats.
+     * overwrite whole files, so trace with --jobs 1. The TBC baseline's
+     * block executor has no warp-level tracing and ignores this.
+     * Tracing never alters SimStats.
      */
     obs::TraceConfig trace{};
     /**

@@ -2,12 +2,13 @@
 
 /**
  * @file
- * The cycle-stepping engine shared by the plain GPU (simt::runGpu) and
- * the TBC baseline: sequential and parallel drivers over any SMX-like
- * type exposing done()/step()/commitMemory().
+ * The cycle-stepping engine behind simt::runGpu, which drives every
+ * architecture's SMXs through simt::SmxExecutor, and behind the
+ * standalone SmxExecutor::run: a sequential and a parallel stepping loop
+ * over any SMX-like type exposing done()/step()/commitMemory().
  *
- * Both drivers buffer shared-side (L2/DRAM) requests during a cycle's
- * step phase and commit them afterwards in SMX-index order, so the L2
+ * SMXs buffer shared-side (L2/DRAM) requests during a cycle's step
+ * phase; both loops commit them afterwards in SMX-index order, so the L2
  * observes one canonical access interleaving no matter how many worker
  * threads step the SMXs. This is what makes the parallel engine's
  * SimStats bit-identical to the sequential engine's (see DESIGN.md,

@@ -7,6 +7,20 @@
 
 namespace drs::simt {
 
+namespace {
+
+std::vector<std::string>
+blockNames(const Program &program)
+{
+    std::vector<std::string> names;
+    names.reserve(static_cast<std::size_t>(program.blockCount()));
+    for (int b = 0; b < program.blockCount(); ++b)
+        names.push_back(program.block(b).name);
+    return names;
+}
+
+} // namespace
+
 SimStats
 runGpu(const GpuConfig &config, const SmxFactory &factory,
        const GpuRunOptions &options)
@@ -39,7 +53,7 @@ runGpu(const GpuConfig &config, const SmxFactory &factory,
     struct Unit
     {
         SmxSetup setup;
-        std::unique_ptr<Smx> smx;
+        std::unique_ptr<SmxExecutor> smx;
     };
     std::vector<Unit> units;
     units.reserve(static_cast<std::size_t>(config.numSmx));
@@ -49,35 +63,33 @@ runGpu(const GpuConfig &config, const SmxFactory &factory,
         unit.setup = factory(i);
         if (!unit.setup.kernel)
             throw std::invalid_argument("SMX factory returned no kernel");
-        unit.smx = std::make_unique<Smx>(config, *unit.setup.kernel,
-                                         unit.setup.controller.get(),
-                                         unit.setup.numWarps, shared);
-        unit.smx->setDeferredMemory(true);
+        if (unit.setup.executor) {
+            if (unit.setup.controller)
+                throw std::invalid_argument(
+                    "SMX factory returned a controller for a custom "
+                    "executor");
+            unit.smx = unit.setup.executor(config, shared);
+        } else {
+            auto smx = std::make_unique<Smx>(
+                config, *unit.setup.kernel, unit.setup.controller.get(),
+                unit.setup.numWarps, shared);
+            if (unit.setup.controller)
+                unit.setup.controller->attach(*smx);
+            if (options.trace != nullptr) {
+                obs::Tracer &tracer = options.trace->smx(i);
+                tracer.setBlockNames(
+                    blockNames(unit.setup.kernel->program()));
+                smx->setTracer(&tracer);
+            }
+            unit.smx = std::move(smx);
+        }
         unit.smx->setCheck(options.check);
         if (options.fault.enabled())
             unit.smx->setFault(injectors[static_cast<std::size_t>(i)].get());
-        if (unit.setup.controller)
-            unit.setup.controller->attach(*unit.smx);
-        if (options.trace != nullptr) {
-            obs::Tracer &tracer = options.trace->smx(i);
-            const Program &program = unit.setup.kernel->program();
-            std::vector<std::string> names;
-            names.reserve(static_cast<std::size_t>(program.blockCount()));
-            for (int b = 0; b < program.blockCount(); ++b)
-                names.push_back(program.block(b).name);
-            tracer.setBlockNames(std::move(names));
-            unit.smx->setTracer(&tracer);
-        }
         if (options.attribution != nullptr) {
-            if (i == 0) {
-                const Program &program = unit.setup.kernel->program();
-                std::vector<std::string> names;
-                names.reserve(
-                    static_cast<std::size_t>(program.blockCount()));
-                for (int b = 0; b < program.blockCount(); ++b)
-                    names.push_back(program.block(b).name);
-                options.attribution->setBlockNames(std::move(names));
-            }
+            if (i == 0)
+                options.attribution->setBlockNames(
+                    blockNames(unit.setup.kernel->program()));
             unit.smx->setAttribution(&options.attribution->smx(i));
         }
         if (options.sampler != nullptr) {
@@ -92,7 +104,7 @@ runGpu(const GpuConfig &config, const SmxFactory &factory,
         units.push_back(std::move(unit));
     }
 
-    std::vector<Smx *> smxs;
+    std::vector<SmxExecutor *> smxs;
     smxs.reserve(units.size());
     for (auto &unit : units)
         smxs.push_back(unit.smx.get());

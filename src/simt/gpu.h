@@ -27,12 +27,20 @@
 
 namespace drs::simt {
 
-/** Everything one SMX needs: its kernel and optional controller. */
+/** Everything one SMX needs: its kernel and its executor's parts. */
 struct SmxSetup
 {
     std::unique_ptr<Kernel> kernel;
     std::unique_ptr<WarpController> controller; ///< may be null (baseline)
     int numWarps = 48;
+    /**
+     * Builds another executor over `kernel` (e.g. baselines::TbcSmx);
+     * empty means a plain Smx with `controller` and `numWarps`. A custom
+     * executor takes no controller and records no warp trace.
+     */
+    std::function<std::unique_ptr<SmxExecutor>(const GpuConfig &config,
+                                               SharedMemorySide &shared)>
+        executor;
 };
 
 /**
@@ -118,7 +126,8 @@ struct GpuRunOptions
 };
 
 /**
- * Run one ray batch to completion on a simulated GPU.
+ * Run one ray batch to completion on a simulated GPU. Every
+ * architecture's SMXs run through here.
  *
  * @param config GPU parameters (Table 1 defaults)
  * @param factory per-SMX kernel/controller factory

@@ -56,10 +56,9 @@ class SharedMemorySide
 
 /**
  * One warp access with its private (L1) half resolved and its shared (L2)
- * half still pending. The parallel GPU engine buffers these per SMX while
- * SMXs step concurrently and commits them to the SharedMemorySide at the
- * cycle barrier in SMX-index order, which reproduces the sequential
- * engine's L2 access interleaving exactly.
+ * half still pending. Every SMX buffers these while it steps and commits
+ * them to the SharedMemorySide after the cycle in SMX-index order, so the
+ * L2 sees one access interleaving at any number of stepping threads.
  */
 struct PendingWarpAccess
 {

@@ -1,6 +1,7 @@
 #include "simt/smx.h"
 
 #include "fault/fault.h"
+#include "simt/engine.h"
 
 #include <cassert>
 #include <ostream>
@@ -8,24 +9,135 @@
 
 namespace drs::simt {
 
-namespace {
+SmxExecutor::SmxExecutor(const GpuConfig &config, Kernel &kernel,
+                         SharedMemorySide &shared)
+    : config_(config),
+      kernel_(kernel),
+      memory_(config.memory, shared),
+      normalRfAccesses_(counters_.get("smx.rf.normal_accesses"))
+{
+}
 
-/** Approximate operand-collector traffic of one warp instruction. */
-constexpr std::uint64_t kRfAccessesPerInstruction = 3;
+void
+SmxExecutor::step()
+{
+    // Periodic deep checks: cheap per-event checks (checkWarp) run at
+    // every stack change, the heavier memory/workspace/structure scans
+    // amortize over a window of cycles. The final state is re-checked by
+    // the run-level verification in the harness.
+    if (check_ && (cycle_ & 1023u) == 0) {
+        check_->checkMemory(memory_);
+        check_->checkKernel(kernel_);
+        verifyInvariants();
+    }
 
-} // namespace
+    issue();
+
+    // Close the attribution/sampling cycle last so the ledgers see the
+    // whole cycle; endCycle enforces per-cycle slot conservation.
+    if (attribution_)
+        attribution_->endCycle();
+    if (sampler_)
+        sampler_->tick(histogram_.instructions(), histogram_.activeThreads(),
+                       kernel_.raysCompleted());
+
+    ++cycle_;
+}
+
+void
+SmxExecutor::deferAccess(std::uint64_t &ready_cycle, MemSpace space,
+                         const std::vector<std::uint64_t> &addresses,
+                         std::uint32_t bytes)
+{
+    DeferredAccess deferred;
+    deferred.readyCycle = &ready_cycle;
+    deferred.issueCycle = cycle_;
+    deferred.pending = memory_.resolveL1(space, addresses, bytes);
+    deferredAccesses_.push_back(std::move(deferred));
+}
+
+void
+SmxExecutor::commitMemory()
+{
+    // FIFO order: the L2 sees this SMX's accesses in exactly the order
+    // the schedulers produced them within the cycle.
+    for (const DeferredAccess &d : deferredAccesses_)
+        *d.readyCycle = d.issueCycle + memory_.commitAccess(d.pending);
+    deferredAccesses_.clear();
+}
+
+void
+SmxExecutor::run(std::uint64_t max_cycles)
+{
+    runEngine(std::vector<SmxExecutor *>{this}, max_cycles, 1);
+}
+
+void
+SmxExecutor::setFault(fault::FaultInjector *fault)
+{
+    fault_ = fault;
+    memory_.setFault(fault);
+}
+
+SimStats
+SmxExecutor::collectStats() const
+{
+    SimStats s;
+    s.cycles = cycle_;
+    s.histogram = histogram_;
+    s.raysTraced = kernel_.raysCompleted();
+    s.rfAccessesNormal = normalRfAccesses_.value();
+    s.l1Data = memory_.l1DataStats();
+    s.l1Texture = memory_.l1TextureStats();
+
+    // The exported counter snapshot: the SMX registry, the executor's
+    // own additions, and the cache models bridged under their
+    // hierarchical names.
+    s.counters = counters_.snapshot();
+    addStats(s);
+    s.counters.add("l1d.access", s.l1Data.accesses);
+    s.counters.add("l1d.miss", s.l1Data.misses);
+    s.counters.add("l1t.access", s.l1Texture.accesses);
+    s.counters.add("l1t.miss", s.l1Texture.misses);
+    if (fault_ != nullptr && fault_->enabled()) {
+        const fault::FaultCounters &f = fault_->counters();
+        s.counters.add("fault.swap_bit_flips", f.swapBitFlips);
+        s.counters.add("fault.cache_tag_flips", f.cacheTagFlips);
+        s.counters.add("fault.dram_delayed", f.dramDelayed);
+        s.counters.add("fault.dram_dropped", f.dramDropped);
+        s.counters.add("fault.alloc_failures", f.allocFailures);
+    }
+    if (check_) {
+        check_->checkStats(s);
+        if (attribution_) {
+            // Hard conservation invariant of the attribution ledger:
+            // every slot of every cycle classified exactly once, and the
+            // issued buckets must agree with the instruction histogram.
+            attribution_->verifyConservation();
+            if (attribution_->cycles() != cycle_)
+                throw std::logic_error(
+                    "issue attribution: ledger cycles out of step with "
+                    "the SMX");
+            const std::uint64_t issued =
+                attribution_->bucketTotal(obs::SlotBucket::IssuedFull) +
+                attribution_->bucketTotal(obs::SlotBucket::IssuedPartial);
+            if (issued != histogram_.instructions())
+                throw std::logic_error(
+                    "issue attribution: issued slots disagree with the "
+                    "instruction histogram");
+        }
+    }
+    return s;
+}
 
 Smx::Smx(const GpuConfig &config, Kernel &kernel, WarpController *controller,
          int num_warps, SharedMemorySide &shared)
-    : config_(config),
-      kernel_(kernel),
+    : SmxExecutor(config, kernel, shared),
       controller_(controller),
-      memory_(config.memory, shared),
       lastIssued_(static_cast<std::size_t>(config.schedulersPerSmx), -1),
       rdctrlIssued_(counters_.get("smx.rdctrl.issued")),
       rdctrlStalledIssues_(counters_.get("smx.rdctrl.stalled_issues")),
       rdctrlStallCycles_(counters_.get("smx.rdctrl.stall_cycles")),
-      normalRfAccesses_(counters_.get("smx.rf.normal_accesses")),
       shuffleRfAccesses_(counters_.get("smx.rf.shuffle_accesses")),
       raySwapsCompleted_(counters_.get("smx.swap.completed")),
       raySwapCycles_(counters_.get("smx.swap.cycles")),
@@ -223,19 +335,10 @@ Smx::completeBlock(Warp &warp)
     }
 
     if (!memAddresses_.empty()) {
-        if (deferredMemory_) {
-            DeferredAccess deferred;
-            deferred.warp = warp.id();
-            deferred.issueCycle = cycle_;
-            deferred.pending =
-                memory_.resolveL1(block.memSpace, memAddresses_, bytes);
-            deferredAccesses_.push_back(std::move(deferred));
-        } else {
-            const std::uint32_t latency =
-                memory_.warpAccess(block.memSpace, memAddresses_, bytes);
-            warp.readyCycle = cycle_ + latency;
-            warp.waitReason = WarpWait::Memory;
-        }
+        // The reason is only read once readyCycle lies in the future,
+        // which the commit after this cycle makes true.
+        deferAccess(warp.readyCycle, block.memSpace, memAddresses_, bytes);
+        warp.waitReason = WarpWait::Memory;
     }
 
     warp.applySuccessors(nextBlocks_, prog);
@@ -244,19 +347,15 @@ Smx::completeBlock(Warp &warp)
 }
 
 void
-Smx::step()
+Smx::verifyInvariants() const
 {
-    // Periodic deep checks: cheap per-event checks (checkWarp) run at
-    // every stack change, the heavier memory/workspace/controller scans
-    // amortize over a window of cycles. The final state is re-checked by
-    // the run-level verification in the harness.
-    if (check_ && (cycle_ & 1023u) == 0) {
-        check_->checkMemory(memory_);
-        check_->checkKernel(kernel_);
-        if (controller_ != nullptr)
-            controller_->verifyInvariants();
-    }
+    if (controller_ != nullptr)
+        controller_->verifyInvariants();
+}
 
+void
+Smx::issue()
+{
     int issued_total = 0;
     const int per_scheduler = config_.issuesPerScheduler();
     const int schedulers = config_.schedulersPerSmx;
@@ -322,16 +421,6 @@ Smx::step()
 
     if (controller_ != nullptr)
         controller_->cycle(issued_total);
-
-    // Close the attribution/sampling cycle last so the ledgers see the
-    // whole cycle; endCycle enforces per-cycle slot conservation.
-    if (attribution_)
-        attribution_->endCycle();
-    if (sampler_)
-        sampler_->tick(histogram_.instructions(), histogram_.activeThreads(),
-                       kernel_.raysCompleted());
-
-    ++cycle_;
 }
 
 void
@@ -395,31 +484,9 @@ Smx::attributeUnissued(int scheduler, int slots)
 }
 
 void
-Smx::commitMemory()
-{
-    // FIFO order: the sequential engine's L2 sees this SMX's accesses in
-    // exactly the order the schedulers produced them within the cycle.
-    for (const DeferredAccess &d : deferredAccesses_) {
-        const std::uint32_t latency = memory_.commitAccess(d.pending);
-        Warp &warp = warps_[static_cast<std::size_t>(d.warp)];
-        warp.readyCycle = d.issueCycle + latency;
-        warp.waitReason = WarpWait::Memory;
-    }
-    deferredAccesses_.clear();
-}
-
-void
-Smx::run(std::uint64_t max_cycles)
-{
-    while (!done() && cycle_ < max_cycles)
-        step();
-}
-
-void
 Smx::setFault(fault::FaultInjector *fault)
 {
-    fault_ = fault;
-    memory_.setFault(fault);
+    SmxExecutor::setFault(fault);
     if (controller_ != nullptr)
         controller_->setFault(fault);
 }
@@ -459,75 +526,23 @@ Smx::describeState(std::ostream &out) const
         }
         out << "]\n";
     }
-    if (!deferredAccesses_.empty()) {
-        out << "  pending deferred accesses:";
-        for (const DeferredAccess &d : deferredAccesses_)
-            out << " {warp=" << d.warp << " issued=" << d.issueCycle
-                << " missLines=" << d.pending.missLines.size() << '}';
-        out << '\n';
-    }
     if (controller_ != nullptr)
         controller_->describeState(out);
 }
 
-SimStats
-Smx::collectStats() const
+void
+Smx::addStats(SimStats &s) const
 {
-    SimStats s;
-    s.cycles = cycle_;
-    s.histogram = histogram_;
-    s.raysTraced = kernel_.raysCompleted();
     s.rdctrlIssued = rdctrlIssued_.value();
     s.rdctrlStalledIssues = rdctrlStalledIssues_.value();
     s.rdctrlStallCycles = rdctrlStallCycles_.value();
-    s.rfAccessesNormal = normalRfAccesses_.value();
     s.rfAccessesShuffle = shuffleRfAccesses_.value();
     s.raySwapsCompleted = raySwapsCompleted_.value();
     s.raySwapCycles = raySwapCycles_.value();
     s.spawnBankConflictCycles = spawnConflictCycles_.value();
     s.blockIssue = blockIssue_;
-    s.l1Data = memory_.l1DataStats();
-    s.l1Texture = memory_.l1TextureStats();
-
-    // The exported counter snapshot: the SMX registry, the attached
-    // controller's registry, and the cache models bridged under their
-    // hierarchical names.
-    s.counters = counters_.snapshot();
     if (controller_ != nullptr)
         s.counters.merge(controller_->countersSnapshot());
-    s.counters.add("l1d.access", s.l1Data.accesses);
-    s.counters.add("l1d.miss", s.l1Data.misses);
-    s.counters.add("l1t.access", s.l1Texture.accesses);
-    s.counters.add("l1t.miss", s.l1Texture.misses);
-    if (fault_ != nullptr && fault_->enabled()) {
-        const fault::FaultCounters &f = fault_->counters();
-        s.counters.add("fault.swap_bit_flips", f.swapBitFlips);
-        s.counters.add("fault.cache_tag_flips", f.cacheTagFlips);
-        s.counters.add("fault.dram_delayed", f.dramDelayed);
-        s.counters.add("fault.dram_dropped", f.dramDropped);
-        s.counters.add("fault.alloc_failures", f.allocFailures);
-    }
-    if (check_) {
-        check_->checkStats(s);
-        if (attribution_) {
-            // Hard conservation invariant of the attribution ledger:
-            // every slot of every cycle classified exactly once, and the
-            // issued buckets must agree with the instruction histogram.
-            attribution_->verifyConservation();
-            if (attribution_->cycles() != cycle_)
-                throw std::logic_error(
-                    "issue attribution: ledger cycles out of step with "
-                    "the SMX");
-            const std::uint64_t issued =
-                attribution_->bucketTotal(obs::SlotBucket::IssuedFull) +
-                attribution_->bucketTotal(obs::SlotBucket::IssuedPartial);
-            if (issued != histogram_.instructions())
-                throw std::logic_error(
-                    "issue attribution: issued slots disagree with the "
-                    "instruction histogram");
-        }
-    }
-    return s;
 }
 
 } // namespace drs::simt

@@ -2,9 +2,10 @@
 
 /**
  * @file
- * One streaming multiprocessor (SMX): warps, greedy-then-oldest warp
- * schedulers with dual issue, the per-SMX memory path, and the hook points
- * for ray-management hardware (rdctrl interception). This is the heart of
+ * One streaming multiprocessor (SMX): the executor surface every SMX
+ * model shares, and Smx — warps, greedy-then-oldest warp schedulers with
+ * dual issue, the per-SMX memory path, and the hook points for
+ * ray-management hardware (rdctrl interception). This is the heart of
  * the GPGPU-Sim substitute.
  */
 
@@ -27,11 +28,166 @@
 namespace drs::simt {
 
 /**
+ * The SMX surface simt::runGpu and runEngine drive: one SMX executing
+ * one kernel against the GPU-wide L2/DRAM side. Smx (per-warp stacks,
+ * ray-management controllers) and baselines::TbcSmx (block-wide
+ * compaction) are its two executors; what they share is written here
+ * once: the per-cycle check and observer tail of step(), the
+ * shared-side memory commit, the statistics tail and the observer,
+ * checker and fault hooks.
+ *
+ * step() buffers shared-side (L2/DRAM) requests; commitMemory() must be
+ * called after every step() — serially, in SMX-index order across the
+ * GPU — to play them against the L2 and release the waiting warps. A
+ * warp never observes its own memory latency within the cycle that
+ * issued the access, so the commit order alone fixes the L2's access
+ * interleaving, for any number of stepping threads.
+ */
+class SmxExecutor
+{
+  public:
+    virtual ~SmxExecutor() = default;
+    SmxExecutor(const SmxExecutor &) = delete;
+    SmxExecutor &operator=(const SmxExecutor &) = delete;
+
+    /** True when every warp has exited. */
+    virtual bool done() const = 0;
+
+    /** Advance one core cycle. */
+    void step();
+
+    /** Resolve this cycle's buffered shared-side requests. */
+    void commitMemory();
+
+    /** Current cycle count. */
+    std::uint64_t cycle() const { return cycle_; }
+
+    /**
+     * Run this SMX alone to completion (runEngine with one SMX).
+     * @throws std::runtime_error when it is not done after max_cycles
+     */
+    void run(std::uint64_t max_cycles = 2'000'000'000ULL);
+
+    /** Statistics gathered so far (cache stats included). */
+    SimStats collectStats() const;
+
+    /**
+     * This SMX's observability counter registry ("smx.*" names). The
+     * executor, its controller and tests may register counters; see
+     * obs::Counters for the single-stepping-worker contract.
+     */
+    obs::Counters &counters() { return counters_; }
+
+    /**
+     * Attach an issue-slot attribution ledger (nullptr = off, the
+     * default). Must be enabled for schedulersPerSmx x
+     * issuesPerScheduler slots per cycle. Pure observation: every slot
+     * of every cycle is classified (DESIGN.md §9) but scheduling never
+     * reads the ledger, so SimStats are bit-identical either way.
+     */
+    void setAttribution(obs::IssueAttribution *attribution)
+    {
+        attribution_ = attribution;
+    }
+
+    /**
+     * Attach a windowed time-series sampler (nullptr = off, the
+     * default). Pure observation, like the attribution ledger.
+     */
+    void setSampler(obs::TimeSampler *sampler) { sampler_ = sampler; }
+
+    /**
+     * Attach an invariant checker (nullptr = off, the default). Checking
+     * is pure observation — SimStats are bit-identical either way — but
+     * every violation throws out of step()/collectStats().
+     */
+    void setCheck(const CheckContext *check) { check_ = check; }
+
+    /**
+     * Attach a fault injector (nullptr = off, the default). Arms this
+     * SMX's private fault sites (L1 tag corruption; Smx also forwards it
+     * to its controller for swap-boundary ray bit flips). Shared-side
+     * (L2/DRAM) faults are armed separately on the SharedMemorySide so
+     * their RNG stream is only advanced at the commit barrier.
+     */
+    virtual void setFault(fault::FaultInjector *fault);
+
+    /**
+     * Monotone forward-progress measure for the watchdog: completed rays
+     * plus exited warps (or blocks). While the SMX is not done() this
+     * must eventually grow; a stuck value over a large cycle budget
+     * means livelock.
+     */
+    virtual std::uint64_t progressCount() const = 0;
+
+    /**
+     * Append a human-readable dump of this SMX's architectural state to
+     * @p out — the watchdog's diagnostic.
+     */
+    virtual void describeState(std::ostream &out) const = 0;
+
+  protected:
+    SmxExecutor(const GpuConfig &config, Kernel &kernel,
+                SharedMemorySide &shared);
+
+    /** Issue this cycle's instructions (the executor's scheduling). */
+    virtual void issue() = 0;
+
+    /** Executor-specific structural checks, run with the periodic ones. */
+    virtual void verifyInvariants() const {}
+
+    /** Executor-specific SimStats fields and counters. */
+    virtual void addStats(SimStats &stats) const { (void)stats; }
+
+    /**
+     * Resolve a warp access in the L1 and buffer its shared-side half;
+     * commitMemory() sets @p ready_cycle, which must stay valid until
+     * then.
+     */
+    void deferAccess(std::uint64_t &ready_cycle, MemSpace space,
+                     const std::vector<std::uint64_t> &addresses,
+                     std::uint32_t bytes);
+
+    /** Approximate operand-collector traffic of one warp instruction. */
+    static constexpr std::uint64_t kRfAccessesPerInstruction = 3;
+
+    const GpuConfig &config_;
+    Kernel &kernel_;
+    SmxMemory memory_;
+    std::uint64_t cycle_ = 0;
+    stats::ActiveThreadHistogram histogram_;
+
+    /**
+     * Observability counters (the ad-hoc scalar fields of earlier
+     * revisions live here now). Handles are registered once in the
+     * constructor; the hot path increments through stable references.
+     */
+    obs::Counters counters_;
+    obs::Counter &normalRfAccesses_;
+
+    obs::IssueAttribution *attribution_ = nullptr;
+    obs::TimeSampler *sampler_ = nullptr;
+    const CheckContext *check_ = nullptr;
+    fault::FaultInjector *fault_ = nullptr;
+
+  private:
+    /** One L1-resolved access awaiting its shared-side commit. */
+    struct DeferredAccess
+    {
+        std::uint64_t *readyCycle = nullptr;
+        std::uint64_t issueCycle = 0;
+        PendingWarpAccess pending;
+    };
+
+    std::vector<DeferredAccess> deferredAccesses_;
+};
+
+/**
  * A simulated SMX executing one kernel with a fixed set of resident warps
  * (persistent-threads style, as in the paper's setup: Aila's kernel spawns
  * 48 warps, the DRS Kernel 1 spawns 60).
  */
-class Smx
+class Smx : public SmxExecutor
 {
   public:
     /**
@@ -44,34 +200,7 @@ class Smx
     Smx(const GpuConfig &config, Kernel &kernel, WarpController *controller,
         int num_warps, SharedMemorySide &shared);
 
-    /** True when every warp has exited. */
-    bool done() const;
-
-    /** Advance one core cycle. */
-    void step();
-
-    /**
-     * Deferred-memory mode, used by the parallel GPU engine: step() then
-     * buffers shared-side (L2/DRAM) requests instead of playing them
-     * immediately, and commitMemory() must be called after every step() —
-     * serially, in SMX-index order across the GPU — to resolve them and
-     * release the waiting warps. Per-cycle results are bit-identical to
-     * immediate mode because a warp never observes its own memory latency
-     * within the cycle that issued the access.
-     */
-    void setDeferredMemory(bool deferred) { deferredMemory_ = deferred; }
-
-    /** Commit buffered shared-side requests (deferred mode only). */
-    void commitMemory();
-
-    /** Current cycle count. */
-    std::uint64_t cycle() const { return cycle_; }
-
-    /** Run to completion, bounding runaway simulations. */
-    void run(std::uint64_t max_cycles = ~0ULL);
-
-    /** Statistics gathered so far (cache stats included). */
-    SimStats collectStats() const;
+    bool done() const override;
 
     /** Shuffle-side RF access/swap counters, added by the controller. */
     void addShuffleRfAccesses(std::uint64_t n) { shuffleRfAccesses_.add(n); }
@@ -92,69 +221,28 @@ class Smx
     }
 
     /**
-     * This SMX's observability counter registry ("smx.*" names). The
-     * controller and tests may register additional counters; see
-     * obs::Counters for the single-stepping-worker contract.
-     */
-    obs::Counters &counters() { return counters_; }
-
-    /**
      * Attach a cycle-level event tracer (nullptr = off, the default).
      * Tracing is pure observation: SimStats are identical either way.
      */
     void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
 
-    /**
-     * Attach an issue-slot attribution ledger (nullptr = off, the
-     * default). Must be enabled for schedulersPerSmx x
-     * issuesPerScheduler slots per cycle. Pure observation: every slot
-     * of every cycle is classified (DESIGN.md §9) but scheduling never
-     * reads the ledger, so SimStats are bit-identical either way.
-     */
-    void setAttribution(obs::IssueAttribution *attribution)
-    {
-        attribution_ = attribution;
-    }
+    void setFault(fault::FaultInjector *fault) override;
+
+    std::uint64_t progressCount() const override;
 
     /**
-     * Attach a windowed time-series sampler (nullptr = off, the
-     * default). Pure observation, like the tracer.
+     * Warp PCs/rows/stalls/IPDOM stacks and the controller's row
+     * ownership.
      */
-    void setSampler(obs::TimeSampler *sampler) { sampler_ = sampler; }
-
-    /**
-     * Attach an invariant checker (nullptr = off, the default). Checking
-     * is pure observation — SimStats are bit-identical either way — but
-     * every violation throws out of step()/collectStats().
-     */
-    void setCheck(const CheckContext *check) { check_ = check; }
-
-    /**
-     * Attach a fault injector (nullptr = off, the default). Arms this
-     * SMX's private fault sites: L1 tag corruption and — via the
-     * controller — ray-payload bit flips at swap boundaries. Shared-side
-     * (L2/DRAM) faults are armed separately on the SharedMemorySide so
-     * their RNG stream is only advanced at the commit barrier.
-     */
-    void setFault(fault::FaultInjector *fault);
-
-    /**
-     * Monotone forward-progress measure for the watchdog: completed rays
-     * plus exited warps. While the SMX is not done() this must eventually
-     * grow; a stuck value over a large cycle budget means livelock.
-     */
-    std::uint64_t progressCount() const;
-
-    /**
-     * Append a human-readable dump of this SMX's architectural state
-     * (warp PCs/rows/stalls/IPDOM stacks, pending deferred accesses, the
-     * controller's row ownership) to @p out — the watchdog's diagnostic.
-     */
-    void describeState(std::ostream &out) const;
+    void describeState(std::ostream &out) const override;
 
     const std::vector<Warp> &warps() const { return warps_; }
 
   private:
+    void issue() override;
+    void verifyInvariants() const override;
+    void addStats(SimStats &stats) const override;
+
     /** Try to issue up to the dual-issue width from warp @p w. */
     int issueFromWarp(Warp &warp, int max_issues);
 
@@ -173,27 +261,14 @@ class Smx
      */
     void attributeUnissued(int scheduler, int slots);
 
-    const GpuConfig &config_;
-    Kernel &kernel_;
     WarpController *controller_;
-    SmxMemory memory_;
     std::vector<Warp> warps_;
     /** Last warp each scheduler issued from (greedy policy). */
     std::vector<int> lastIssued_;
-    std::uint64_t cycle_ = 0;
 
-    stats::ActiveThreadHistogram histogram_;
-
-    /**
-     * Observability counters (the ad-hoc scalar fields of earlier
-     * revisions live here now). Handles are registered once in the
-     * constructor; the hot path increments through stable references.
-     */
-    obs::Counters counters_;
     obs::Counter &rdctrlIssued_;
     obs::Counter &rdctrlStalledIssues_;
     obs::Counter &rdctrlStallCycles_;
-    obs::Counter &normalRfAccesses_;
     obs::Counter &shuffleRfAccesses_;
     obs::Counter &raySwapsCompleted_;
     obs::Counter &raySwapCycles_;
@@ -201,10 +276,6 @@ class Smx
     obs::Counter &issueIdleCycles_;
 
     obs::Tracer *tracer_ = nullptr;
-    obs::IssueAttribution *attribution_ = nullptr;
-    obs::TimeSampler *sampler_ = nullptr;
-    const CheckContext *check_ = nullptr;
-    fault::FaultInjector *fault_ = nullptr;
 
     /** Per-block {instructions, active-thread sum} (see SimStats). */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> blockIssue_;
@@ -212,17 +283,6 @@ class Smx
     // Scratch reused across completeBlock calls.
     std::vector<int> nextBlocks_;
     std::vector<std::uint64_t> memAddresses_;
-
-    /** One L1-resolved access awaiting its shared-side commit. */
-    struct DeferredAccess
-    {
-        int warp = -1;
-        std::uint64_t issueCycle = 0;
-        PendingWarpAccess pending;
-    };
-
-    bool deferredMemory_ = false;
-    std::vector<DeferredAccess> deferredAccesses_;
 };
 
 } // namespace drs::simt

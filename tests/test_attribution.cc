@@ -198,7 +198,7 @@ TEST_F(AttributionFixture, ConservationHoldsOnEveryArch)
     // The second bounce diverges hard — the interesting case for slot
     // accounting. check = 1 additionally runs the ledger audit inside
     // every SMX's collectStats.
-    for (const Arch arch : kAllArchs) {
+    for (const Arch &arch : kAllArchs) {
         RunObservations observations;
         RunConfig config = sampledConfig(1, &observations);
         config.check = 1;
@@ -226,7 +226,7 @@ TEST_F(AttributionFixture, ConservationHoldsOnEveryArch)
 
 TEST_F(AttributionFixture, SamplingIsPureObserver)
 {
-    for (const Arch arch : kAllArchs) {
+    for (const Arch &arch : kAllArchs) {
         const auto baseline = runBatch(
             arch, *prepared_->tracer, bounceRays(2), makeConfig(1));
         for (const int smx_threads : {1, 4}) {
@@ -244,7 +244,7 @@ TEST_F(AttributionFixture, SamplingIsPureObserver)
 
 TEST_F(AttributionFixture, TimelineIsThreadCountInvariant)
 {
-    for (const Arch arch :
+    for (const Arch &arch :
          {Arch::Drs, Arch::Tbc}) {
         RunObservations sequential, threaded;
         runBatch(arch, *prepared_->tracer, bounceRays(2),

@@ -216,19 +216,26 @@ TEST(Tbc, GpuDriverAggregatesAcrossSmxs)
     gpu.numSmx = 3;
     TbcConfig config;
     config.numWarps = 12;
-    auto stats = runTbcGpu(
-        gpu, config,
-        [&](int smx) {
-            auto [first, count] =
-                simt::rayStripe(setup.rays.size(), gpu.numSmx, smx);
-            std::vector<Ray> stripe(setup.rays.begin() + first,
-                                    setup.rays.begin() + first + count);
-            kernels::AilaConfig aila;
-            aila.numWarps = config.numWarps;
-            return std::make_unique<kernels::AilaKernel>(
-                setup.bvh, setup.scene.triangles(), std::move(stripe),
-                first, aila);
-        });
+    auto stats = simt::runGpu(gpu, [&](int smx) {
+        auto [first, count] =
+            simt::rayStripe(setup.rays.size(), gpu.numSmx, smx);
+        std::vector<Ray> stripe(setup.rays.begin() + first,
+                                setup.rays.begin() + first + count);
+        kernels::AilaConfig aila;
+        aila.numWarps = config.numWarps;
+        auto kernel = std::make_unique<kernels::AilaKernel>(
+            setup.bvh, setup.scene.triangles(), std::move(stripe), first,
+            aila);
+        simt::SmxSetup unit;
+        unit.executor = [&config, &aila_kernel = *kernel](
+                            const simt::GpuConfig &gpu_config,
+                            simt::SharedMemorySide &shared) {
+            return std::make_unique<TbcSmx>(gpu_config, config, aila_kernel,
+                                            shared);
+        };
+        unit.kernel = std::move(kernel);
+        return unit;
+    });
     EXPECT_EQ(stats.raysTraced, setup.rays.size());
     EXPECT_GT(stats.histogram.simdEfficiency(), 0.0);
 }

@@ -197,8 +197,9 @@ TEST(BvhTraverse, AxisAlignedRays)
                 const Hit expected = bruteForce(tris, ray);
                 const Hit actual = intersect(bvh, tris, ray);
                 ASSERT_EQ(actual.valid(), expected.valid());
-                if (expected.valid())
+                if (expected.valid()) {
                     ASSERT_NEAR(actual.t, expected.t, 1e-5f);
+                }
             }
         }
     }
@@ -287,8 +288,9 @@ TEST_P(BvhLeafSizeSweep, AgreesWithBruteForce)
         const Hit expected = bruteForce(tris, ray);
         const Hit actual = intersect(bvh, tris, ray);
         ASSERT_EQ(actual.valid(), expected.valid());
-        if (expected.valid())
+        if (expected.valid()) {
             ASSERT_NEAR(actual.t, expected.t, 1e-5f);
+        }
     }
 }
 

@@ -368,7 +368,7 @@ TEST(Harness, CheckedRunMatchesUncheckedOnAllArchitectures)
 {
     TestSetup setup(256);
     render::PathTracer tracer(setup.scene);
-    for (const harness::Arch arch :
+    for (const harness::Arch &arch :
          {harness::Arch::Aila, harness::Arch::Drs, harness::Arch::Dmk,
           harness::Arch::Tbc}) {
         harness::RunConfig config;

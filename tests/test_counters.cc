@@ -116,7 +116,7 @@ expectPerSmxSumsMatchAggregate(const simt::SimStats &aggregate,
 
 TEST_F(CountersFixture, PerSmxCountersSumToAggregate)
 {
-    for (const Arch arch : kAllArchs) {
+    for (const Arch &arch : kAllArchs) {
         for (const int smx_threads : {1, 4}) {
             RunConfig config = makeConfig(smx_threads);
             std::vector<simt::SimStats> per_smx;
@@ -147,7 +147,7 @@ TEST_F(CountersFixture, PerSmxSumsHoldUnderConcurrentSweeps)
         // perSmxStats lambdas while jobs run concurrently.
         std::deque<std::vector<simt::SimStats>> accumulators;
         std::vector<std::size_t> indices;
-        for (const Arch arch : kAllArchs) {
+        for (const Arch &arch : kAllArchs) {
             auto &per_smx = accumulators.emplace_back();
             SweepJob job;
             job.scene = scene::SceneId::Conference;
@@ -207,7 +207,7 @@ TEST_F(CountersFixture, SnapshotAgreesWithScalarStatsFields)
 
 TEST_F(CountersFixture, TracerDoesNotAlterStatistics)
 {
-    for (const Arch arch : kAllArchs) {
+    for (const Arch &arch : kAllArchs) {
         const auto baseline =
             runBatch(arch, *prepared_->tracer, rays(), makeConfig());
 
@@ -223,7 +223,7 @@ TEST_F(CountersFixture, TracerDoesNotAlterStatistics)
             << archName(arch) << ": tracing changed the statistics";
 
         if (arch == Arch::Tbc)
-            continue; // self-contained executor; no warp-level tracer
+            continue; // block executor; no warp-level tracer
         std::string text;
         {
             std::FILE *file =
@@ -254,7 +254,7 @@ TEST_F(CountersFixture, ParallelEnginesKeepCountersBitIdentical)
     // SimStats::operator== already covers the snapshot, but spell the
     // counter comparison out so a failure names the counter, not just
     // "stats differ".
-    for (const Arch arch : kAllArchs) {
+    for (const Arch &arch : kAllArchs) {
         const auto sequential =
             runBatch(arch, *prepared_->tracer, rays(), makeConfig(1));
         const auto parallel =

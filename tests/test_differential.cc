@@ -133,7 +133,7 @@ TEST_P(DifferentialTest, CheckedRunsMatchUncheckedAtAllThreadCounts)
     if (rays.size() > 1024)
         rays = rays.first(1024); // keep the all-arch grid affordable
 
-    for (const Arch arch : ArchRegistry::instance().archs()) {
+    for (const Arch &arch : ArchRegistry::instance().archs()) {
         RunConfig config;
         config.gpu.numSmx = testScale().numSmx;
         config.check = 0;

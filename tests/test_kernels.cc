@@ -105,8 +105,9 @@ TEST(TravWorkspace, SingleThreadedTraversalMatchesReference)
         const Hit expected = setup.reference(setup.rays[i]);
         const Hit &actual = ws.results()[i];
         ASSERT_EQ(actual.triangle, expected.triangle) << "ray " << i;
-        if (expected.valid())
+        if (expected.valid()) {
             ASSERT_NEAR(actual.t, expected.t, 1e-5f) << "ray " << i;
+        }
     }
 }
 

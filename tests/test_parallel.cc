@@ -74,7 +74,7 @@ TEST_F(ParallelFixture, SmxParallelismIsBitIdentical)
 {
     // The incoherent second bounce exercises the memory system (and the
     // DRS shuffle machinery) much harder than primaries do.
-    for (const Arch arch : kAllArchs) {
+    for (const Arch &arch : kAllArchs) {
         for (const int bounce : {1, 2}) {
             const auto sequential = runBatch(arch, *prepared_->tracer,
                                              bounceRays(bounce),
@@ -103,7 +103,7 @@ TEST_F(ParallelFixture, SmxThreadsBeyondSmxCountStillIdentical)
 TEST_F(ParallelFixture, SweepParallelismIsBitIdentical)
 {
     auto build_jobs = [](SweepRunner &runner) {
-        for (const Arch arch : kAllArchs)
+        for (const Arch &arch : kAllArchs)
             for (const int bounce : {1, 2}) {
                 SweepJob job;
                 job.scene = scene::SceneId::Conference;

@@ -13,7 +13,10 @@
  *   - after a run, the plugin's counter namespace is non-empty — the
  *     architecture cannot silently lose its observability wiring;
  *   - a DRS_CHECK=1 run (lockstep reference interpreter + cycle-level
- *     invariants) passes and leaves SimStats untouched.
+ *     invariants) passes and leaves SimStats untouched;
+ *   - runGpu's wiring holds: a GPU without SMXs is rejected, a
+ *     cancelled token stops the run, and a 1-cycle watchdog aborts it
+ *     with a per-SMX dump.
  *
  * Plus the registry mechanics themselves: the built-in lineup, loud
  * failure for unknown architectures, duplicate rejection, and runtime
@@ -27,6 +30,8 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/cancel.h"
+#include "fault/fault.h"
 #include "harness/arch_detail.h"
 #include "harness/arch_plugin.h"
 #include "harness/harness.h"
@@ -323,6 +328,42 @@ TEST_P(RegistryConformance, LockstepCheckPassesAndIsAPureObserver)
         << "DRS_CHECK=1 found an invariant violation";
     EXPECT_TRUE(unchecked == checked) << "DRS_CHECK=1 altered SimStats";
     EXPECT_EQ(hits.size(), testRays().size());
+}
+
+TEST_P(RegistryConformance, RejectsNonPositiveSmxCount)
+{
+    for (const int num_smx : {0, -1}) {
+        RunConfig config = baseConfig();
+        config.gpu.numSmx = num_smx;
+        EXPECT_THROW(
+            runBatch(arch(), *prepared().tracer, testRays(), config),
+            std::invalid_argument)
+            << "numSmx = " << num_smx;
+    }
+}
+
+TEST_P(RegistryConformance, CancelledTokenStopsTheRun)
+{
+    RunConfig config = baseConfig();
+    exec::CancelToken token;
+    token.requestCancel();
+    config.cancel = &token;
+    EXPECT_THROW(runBatch(arch(), *prepared().tracer, testRays(), config),
+                 exec::Cancelled);
+}
+
+TEST_P(RegistryConformance, TightWatchdogAbortsWithDiagnostics)
+{
+    RunConfig config = baseConfig();
+    // One cycle without a completed ray is "no progress": no real
+    // workload satisfies that, so this must abort with the dump.
+    config.watchdogCycles = 1;
+    try {
+        runBatch(arch(), *prepared().tracer, testRays(), config);
+        FAIL() << "1-cycle watchdog must fire";
+    } catch (const fault::WatchdogTimeout &timeout) {
+        EXPECT_NE(timeout.dump().find("SMX 0"), std::string::npos);
+    }
 }
 
 // Regression: quantize() used to cast a non-finite float straight to

@@ -333,6 +333,18 @@ TEST(Smx, RunsSyntheticKernelToCompletion)
     EXPECT_EQ(kernel.raysCompleted(), 4u * 32u);
 }
 
+TEST(Smx, RunThrowsPastMaxCycles)
+{
+    GpuConfig config;
+    SharedMemorySide shared(config.memory);
+    CountdownKernel kernel(4, 8);
+    Smx smx(config, kernel, nullptr, 4, shared);
+    // The kernel needs far more than 10 cycles: stopping there with
+    // partial results must be loud.
+    EXPECT_THROW(smx.run(10), std::runtime_error);
+    EXPECT_FALSE(smx.done());
+}
+
 TEST(Smx, DivergentLoopLowersSimdEfficiency)
 {
     GpuConfig config;
@@ -454,8 +466,9 @@ TEST(Gpu, RayStripesPartitionTheBatch)
                 // Warp alignment: stripes start on a 32-ray boundary and
                 // only the batch tail may end off-boundary.
                 EXPECT_EQ(first % 32, 0u);
-                if (first + count != total)
+                if (first + count != total) {
                     EXPECT_EQ(count % 32, 0u);
+                }
                 expected_first = first + count;
             }
             EXPECT_EQ(expected_first, total)

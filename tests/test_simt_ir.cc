@@ -63,10 +63,10 @@ TEST(Program, RejectsNonPositiveSize)
 
 TEST(Program, DiamondPostDominators)
 {
-    //     0
-    //    / \
+    //     0         entry
+    //    / \        left, right
     //   1   2
-    //    \ /
+    //    \ /        join
     //     3 -> 4(exit)
     std::vector<Block> blocks;
     blocks.push_back(makeBlock("entry", {1, 2}));

@@ -6,10 +6,8 @@
 #
 # Usage: run_benches.sh [--json [DIR]] [--compare BASELINE_DIR]
 #   --json        additionally write machine-readable BENCH_<name>.json
-#                 reports (default DIR: bench_reports). bench_micro uses
-#                 Google benchmark's own --benchmark_out JSON instead of
-#                 the shared schema. The other reports are validated
-#                 with build/tools/drs_profile after the sweep.
+#                 reports (default DIR: bench_reports), validated with
+#                 build/tools/drs_profile after the sweep.
 #   --compare     after the sweep, diff the fresh reports against an
 #                 earlier report directory with tools/bench_compare.py
 #                 and exit non-zero on any metric regression. Implies
@@ -86,32 +84,17 @@ fi
 for name in "${benches[@]}"; do
   b="build/bench/$name"
   echo; echo "######## $name ########"; echo
-  if [ "$name" = "bench_micro" ]; then
-    if [ -n "$json_dir" ]; then
-      "$b" --benchmark_min_time=0.2 \
-           --benchmark_out="$json_dir/BENCH_micro.json" \
-           --benchmark_out_format=json
-    else
-      "$b" --benchmark_min_time=0.2
-    fi
+  if [ -n "$json_dir" ]; then
+    "$b" --jobs "$DRS_JOBS" --json "$json_dir/BENCH_${name#bench_}.json"
   else
-    if [ -n "$json_dir" ]; then
-      "$b" --jobs "$DRS_JOBS" --json "$json_dir/BENCH_${name#bench_}.json"
-    else
-      "$b" --jobs "$DRS_JOBS"
-    fi
+    "$b" --jobs "$DRS_JOBS"
   fi
 done
 
 if [ -n "$json_dir" ]; then
   echo; echo "JSON reports written to $json_dir/"
-  # drs_profile exits 1 on a report that fails the schema; BENCH_micro.json
-  # is Google benchmark's own format.
-  reports=()
-  for report in "$json_dir"/BENCH_*.json; do
-    [ "$(basename "$report")" = BENCH_micro.json ] || reports+=("$report")
-  done
-  build/tools/drs_profile "${reports[@]}" >/dev/null
+  # drs_profile exits 1 on a report that fails the schema.
+  build/tools/drs_profile "$json_dir"/BENCH_*.json >/dev/null
 fi
 
 if [ -n "$compare_dir" ]; then

@@ -4,10 +4,11 @@
 # 1. Builds the tree under -DDRS_SANITIZE=address, =thread and
 #    =undefined and runs the `check`-labelled suites (plus the registry,
 #    fuzz-smoke and `sanitize` legs -- the last holds the concurrency
-#    suites: parallelFor, SMX threads, counters) under each sanitizer
-#    with DRS_CHECK=1: test_check plus fuzz_smoke, the seeded randomized
-#    lockstep cross-check (fixed master seed 0x5eed -> deterministic
-#    configs, every seed printed for --replay).
+#    suites: parallelFor, SMX threads, counters -- and the ray-trace
+#    parser and path tracer suite) under each sanitizer with DRS_CHECK=1:
+#    test_check plus fuzz_smoke, the seeded randomized lockstep
+#    cross-check (fixed master seed 0x5eed -> deterministic configs,
+#    every seed printed for --replay).
 # 2. Kill-mid-sweep resume smoke, in every sanitizer build: a bench run
 #    is crash-injected after two journal appends (DRS_CRASH_AFTER -> exit
 #    70), resumed with --resume, and the merged report must be identical

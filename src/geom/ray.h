@@ -3,7 +3,7 @@
 /**
  * @file
  * Ray and hit-record types shared by the CPU reference tracer, the
- * wavefront path tracer and the simulated traversal kernels.
+ * path tracer and the simulated traversal kernels.
  */
 
 #include <cstdint>

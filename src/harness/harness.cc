@@ -146,18 +146,15 @@ CaptureResult::overallMrays(double clock_ghz) const
 CaptureResult
 runCapture(Arch arch, const render::PathTracer &tracer,
            const render::RayTrace &trace, const RunConfig &config,
-           int max_bounces, std::size_t max_rays_per_bounce)
+           int max_bounces)
 {
     CaptureResult result;
     for (const auto &bounce : trace.bounces) {
         if (max_bounces > 0 && bounce.bounce > max_bounces)
             break;
-        std::span<const geom::Ray> rays(bounce.rays);
-        if (max_rays_per_bounce && rays.size() > max_rays_per_bounce)
-            rays = rays.first(max_rays_per_bounce);
-        if (rays.empty())
+        if (bounce.empty())
             continue;
-        simt::SimStats stats = runBatch(arch, tracer, rays, config);
+        simt::SimStats stats = runBatch(arch, tracer, bounce.rays, config);
         result.overall.merge(stats);
         result.perBounce.push_back(std::move(stats));
     }

@@ -178,12 +178,10 @@ struct CaptureResult
  * Trace every bounce of @p trace on @p arch.
  *
  * @param max_bounces 0 = all captured bounces
- * @param max_rays_per_bounce 0 = no cap (paper uses 2M rays per bounce)
  */
 CaptureResult runCapture(Arch arch, const render::PathTracer &tracer,
                          const render::RayTrace &trace,
-                         const RunConfig &config = {}, int max_bounces = 0,
-                         std::size_t max_rays_per_bounce = 0);
+                         const RunConfig &config = {}, int max_bounces = 0);
 
 /**
  * Environment-tunable experiment scale so the full paper-sized runs stay

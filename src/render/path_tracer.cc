@@ -1,6 +1,7 @@
 #include "render/path_tracer.h"
 
 #include <cmath>
+#include <limits>
 
 #include "bvh/builder.h"
 #include "bvh/traverse.h"
@@ -16,12 +17,9 @@ using geom::Vec3;
 /** Per-path bookkeeping carried across bounces. */
 struct PathTracer::PathState
 {
-    int pixelX = 0;
-    int pixelY = 0;
     Vec3 throughput{1.0f, 1.0f, 1.0f};
     Vec3 radiance{0.0f, 0.0f, 0.0f};
     geom::HaltonSampler sampler;
-    bool alive = true;
 };
 
 PathTracer::PathTracer(const scene::Scene &scene, const RenderConfig &config)
@@ -36,7 +34,6 @@ PathTracer::shade(PathState &path, const Ray &ray, const Hit &hit) const
     if (!hit.valid()) {
         // Escaped the scene: collect nothing (no environment light; the
         // scenes carry explicit emissive sky geometry instead).
-        path.alive = false;
         return std::nullopt;
     }
 
@@ -46,7 +43,6 @@ PathTracer::shade(PathState &path, const Ray &ray, const Hit &hit) const
     if (mat.emissive()) {
         // Path hit a light source: terminate and collect.
         path.radiance += path.throughput * mat.emission;
-        path.alive = false;
         return std::nullopt;
     }
 
@@ -75,10 +71,8 @@ PathTracer::shade(PathState &path, const Ray &ray, const Hit &hit) const
         path.throughput = path.throughput * mat.albedo;
     }
 
-    if (geom::lengthSquared(new_dir) == 0.0f) {
-        path.alive = false;
+    if (geom::lengthSquared(new_dir) == 0.0f)
         return std::nullopt;
-    }
 
     Ray next;
     next.origin = hit_point + n * 1e-4f;
@@ -88,103 +82,62 @@ PathTracer::shade(PathState &path, const Ray &ray, const Hit &hit) const
     return next;
 }
 
+Vec3
+PathTracer::walk(int x, int y, int s, std::vector<BounceRays> *bounces,
+                 std::size_t cap) const
+{
+    PathState path;
+    path.sampler = geom::HaltonSampler(
+        config_.seed + (static_cast<std::uint64_t>(y) * config_.width + x));
+    path.sampler.startSample(static_cast<std::uint64_t>(s));
+
+    const Vec2 jitter = path.sampler.next2D();
+    std::optional<Ray> ray = scene_.camera().generateRay(
+        (x + jitter.x) / config_.width, (y + jitter.y) / config_.height);
+    for (int depth = 0; depth < config_.maxDepth && ray; ++depth) {
+        if (bounces && (*bounces)[depth].size() < cap)
+            (*bounces)[depth].rays.push_back(*ray);
+        const Hit hit = bvh::intersect(bvh_, scene_.triangles(), *ray);
+        ray = shade(path, *ray, hit);
+    }
+    return path.radiance;
+}
+
 Image
 PathTracer::render() const
 {
     Image image(config_.width, config_.height);
-
-    for (int y = 0; y < config_.height; ++y) {
-        for (int x = 0; x < config_.width; ++x) {
-            for (int s = 0; s < config_.samplesPerPixel; ++s) {
-                PathState path;
-                path.pixelX = x;
-                path.pixelY = y;
-                path.sampler = geom::HaltonSampler(
-                    config_.seed + (static_cast<std::uint64_t>(y) *
-                                    config_.width + x));
-                path.sampler.startSample(static_cast<std::uint64_t>(s));
-
-                const Vec2 jitter = path.sampler.next2D();
-                Ray ray = scene_.camera().generateRay(
-                    (x + jitter.x) / config_.width,
-                    (y + jitter.y) / config_.height);
-
-                for (int depth = 0; depth < config_.maxDepth && path.alive;
-                     ++depth) {
-                    const Hit hit =
-                        bvh::intersect(bvh_, scene_.triangles(), ray);
-                    auto next = shade(path, ray, hit);
-                    if (!next)
-                        break;
-                    ray = *next;
-                }
-                image.addSample(x, y, path.radiance);
-            }
-        }
-    }
+    for (int y = 0; y < config_.height; ++y)
+        for (int x = 0; x < config_.width; ++x)
+            for (int s = 0; s < config_.samplesPerPixel; ++s)
+                image.addSample(x, y, walk(x, y, s));
     return image;
 }
 
 RayTrace
 PathTracer::capture(std::size_t max_rays_per_bounce) const
 {
+    const std::size_t cap = max_rays_per_bounce
+                                ? max_rays_per_bounce
+                                : std::numeric_limits<std::size_t>::max();
     RayTrace trace;
     trace.sceneName = scene_.name();
+    for (int bounce = 1; bounce <= config_.maxDepth; ++bounce)
+        trace.bounces.push_back(BounceRays{bounce, {}});
 
-    // Wavefront state: all live paths and their current rays.
-    std::vector<PathState> paths;
-    std::vector<Ray> rays;
-    const std::size_t total_paths =
-        static_cast<std::size_t>(config_.width) * config_.height *
-        config_.samplesPerPixel;
-    paths.reserve(total_paths);
-    rays.reserve(total_paths);
+    // A path that reaches bounce k reached every bounce before it, so no
+    // bounce holds more rays than the one before: once the deepest is
+    // full, every bounce is, and the rest of the film adds nothing.
+    const auto film_done = [&] {
+        return trace.bounces.empty() || trace.bounces.back().size() >= cap;
+    };
+    for (int y = 0; y < config_.height && !film_done(); ++y)
+        for (int x = 0; x < config_.width && !film_done(); ++x)
+            for (int s = 0; s < config_.samplesPerPixel && !film_done(); ++s)
+                walk(x, y, s, &trace.bounces, cap);
 
-    for (int y = 0; y < config_.height; ++y) {
-        for (int x = 0; x < config_.width; ++x) {
-            for (int s = 0; s < config_.samplesPerPixel; ++s) {
-                PathState path;
-                path.pixelX = x;
-                path.pixelY = y;
-                path.sampler = geom::HaltonSampler(
-                    config_.seed + (static_cast<std::uint64_t>(y) *
-                                    config_.width + x));
-                path.sampler.startSample(static_cast<std::uint64_t>(s));
-
-                const Vec2 jitter = path.sampler.next2D();
-                rays.push_back(scene_.camera().generateRay(
-                    (x + jitter.x) / config_.width,
-                    (y + jitter.y) / config_.height));
-                paths.push_back(std::move(path));
-            }
-        }
-    }
-
-    for (int bounce = 1; bounce <= config_.maxDepth && !rays.empty();
-         ++bounce) {
-        BounceRays batch;
-        batch.bounce = bounce;
-        batch.rays = rays;
-        if (max_rays_per_bounce && batch.rays.size() > max_rays_per_bounce)
-            batch.rays.resize(max_rays_per_bounce);
-        trace.bounces.push_back(std::move(batch));
-
-        // Trace + shade every live path to produce the next wavefront.
-        std::vector<PathState> next_paths;
-        std::vector<Ray> next_rays;
-        next_paths.reserve(paths.size());
-        next_rays.reserve(paths.size());
-        for (std::size_t i = 0; i < rays.size(); ++i) {
-            const Hit hit = bvh::intersect(bvh_, scene_.triangles(), rays[i]);
-            auto next = shade(paths[i], rays[i], hit);
-            if (next && paths[i].alive) {
-                next_paths.push_back(std::move(paths[i]));
-                next_rays.push_back(*next);
-            }
-        }
-        paths = std::move(next_paths);
-        rays = std::move(next_rays);
-    }
+    while (!trace.bounces.empty() && trace.bounces.back().empty())
+        trace.bounces.pop_back();
     return trace;
 }
 

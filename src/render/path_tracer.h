@@ -2,9 +2,10 @@
 
 /**
  * @file
- * Wavefront path tracer. Traces all paths of an image bounce-by-bounce,
- * which is exactly the structure the paper's experiments need: after each
- * bounce the surviving rays form the next BounceRays batch of the capture.
+ * Path tracer. Walks the paths of an image one at a time, in scan order,
+ * from the camera ray to the last bounce. A capture appends each ray to
+ * the BounceRays batch of its bounce, which yields the per-bounce ray
+ * streams the paper's experiments consume.
  *
  * The light-transport model is intentionally simple (Lambertian BSDF with
  * a small specular mixture, emissive area lights, no next-event
@@ -47,7 +48,7 @@ struct CoherenceStats
 };
 
 /**
- * A wavefront path tracer bound to one scene.
+ * A path tracer bound to one scene.
  *
  * Typical use: construct, then either render() a full image or capture()
  * a per-bounce ray trace for the simulator experiments.
@@ -78,9 +79,10 @@ class PathTracer
     /**
      * Capture the per-bounce ray streams of a full render.
      *
-     * @param max_rays_per_bounce optional cap: bounces are truncated to
-     *        this many rays (the paper evaluates "two million rays for
-     *        each bounce"); 0 means unlimited.
+     * @param max_rays_per_bounce optional cap: each bounce keeps the
+     *        rays of the first this-many paths, in scan order, that reach
+     *        it (the paper evaluates "two million rays for each bounce"),
+     *        and paths stop once every bounce is full; 0 means unlimited.
      */
     RayTrace capture(std::size_t max_rays_per_bounce = 0) const;
 
@@ -89,6 +91,17 @@ class PathTracer
 
   private:
     struct PathState;
+
+    /**
+     * Walk the path of sample @p s of pixel (@p x, @p y): its camera ray,
+     * then intersect and shade up to maxDepth times. With @p bounces, each
+     * ray is appended to its bounce while that bounce holds fewer than
+     * @p cap rays.
+     * @return the radiance the path collected
+     */
+    geom::Vec3 walk(int x, int y, int s,
+                    std::vector<BounceRays> *bounces = nullptr,
+                    std::size_t cap = 0) const;
 
     /** Shade a hit and produce the continuation ray, if the path survives. */
     std::optional<geom::Ray> shade(PathState &path, const geom::Ray &ray,

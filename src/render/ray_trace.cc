@@ -78,20 +78,19 @@ load(std::istream &is)
     if (readPod<std::uint32_t>(is) != kVersion)
         throw std::runtime_error("unsupported ray trace version");
 
+    // The counts below come off the stream unchecked, so nothing is sized
+    // from them: storage grows as records arrive, and a count larger than
+    // the stream ends in the truncation error.
     RayTrace trace;
     const auto name_len = readPod<std::uint32_t>(is);
-    trace.sceneName.resize(name_len);
-    is.read(trace.sceneName.data(), name_len);
-    if (!is)
-        throw std::runtime_error("truncated ray trace stream");
+    for (std::uint32_t i = 0; i < name_len; ++i)
+        trace.sceneName.push_back(readPod<char>(is));
 
     const auto bounce_count = readPod<std::uint32_t>(is);
-    trace.bounces.reserve(bounce_count);
     for (std::uint32_t i = 0; i < bounce_count; ++i) {
         BounceRays b;
         b.bounce = readPod<std::int32_t>(is);
         const auto ray_count = readPod<std::uint64_t>(is);
-        b.rays.reserve(ray_count);
         for (std::uint64_t j = 0; j < ray_count; ++j) {
             geom::Ray r;
             r.origin = readPod<geom::Vec3>(is);

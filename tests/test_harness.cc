@@ -126,14 +126,6 @@ TEST_F(HarnessFixture, RunCaptureAggregatesBounces)
     EXPECT_GT(result.overallMrays(0.98), 0.0);
 }
 
-TEST_F(HarnessFixture, RunCaptureRespectsRayCap)
-{
-    const auto result = runCapture(Arch::Aila, *prepared_->tracer,
-                                   prepared_->trace, *config_, 2, 1000);
-    for (const auto &b : result.perBounce)
-        EXPECT_LE(b.raysTraced, 1000u);
-}
-
 TEST_F(HarnessFixture, IdealizedDrsAtLeastAsFastAsReal)
 {
     const auto &rays = prepared_->trace.bounce(2).rays;

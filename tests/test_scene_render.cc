@@ -4,8 +4,11 @@
  * and serialization — the "PBRT black box" substitute.
  */
 
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -96,6 +99,38 @@ smallConfig()
     return config;
 }
 
+std::string
+traceBytes(const render::RayTrace &trace)
+{
+    std::ostringstream os;
+    render::save(trace, os);
+    return os.str();
+}
+
+std::string
+imageBytes(const render::Image &image)
+{
+    std::string bytes;
+    for (int y = 0; y < image.height(); ++y)
+        for (int x = 0; x < image.width(); ++x) {
+            const Vec3 p = image.pixel(x, y);
+            for (const float c : {p.x, p.y, p.z})
+                bytes.append(reinterpret_cast<const char *>(&c), sizeof c);
+        }
+    return bytes;
+}
+
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
 TEST(PathTracer, RenderProducesLight)
 {
     const scene::Scene s = scene::makeTestScene();
@@ -118,11 +153,45 @@ TEST(PathTracer, CaptureBouncesShrinkMonotonically)
 
 TEST(PathTracer, CaptureRespectsRayCap)
 {
+    // capture(N) must be capture(0) cut to N rays per bounce, byte for
+    // byte: with N = 1, with N = 100, and with an N that fills the
+    // shallow bounces but leaves the deeper ones short.
+    render::RenderConfig config;
+    config.width = 64;
+    config.height = 48;
+    config.samplesPerPixel = 1;
+    for (scene::SceneId id : scene::allSceneIds()) {
+        SCOPED_TRACE(scene::sceneName(id));
+        const scene::Scene s = scene::makeScene(id, 0.05f);
+        const render::PathTracer tracer(s, config);
+        const render::RayTrace full = tracer.capture(0);
+        ASSERT_GE(full.bounces.size(), 3u);
+        const std::size_t shallow = full.bounces[1].size();
+        ASSERT_LT(full.bounces.back().size(), shallow);
+
+        for (const std::size_t cap : {std::size_t{1}, std::size_t{100},
+                                      shallow}) {
+            render::RayTrace expected = full;
+            for (auto &b : expected.bounces)
+                if (b.rays.size() > cap)
+                    b.rays.resize(cap);
+            const render::RayTrace capped = tracer.capture(cap);
+            for (const auto &b : capped.bounces)
+                EXPECT_LE(b.size(), cap);
+            EXPECT_TRUE(traceBytes(capped) == traceBytes(expected))
+                << "capture(" << cap << ") is not capture(0) truncated";
+        }
+    }
+}
+
+TEST(PathTracer, CaptureAndRenderMatchGoldenDigests)
+{
+    // Every bench traces the rays capture() returns, and render() walks
+    // the same paths: these digests pin both.
     const scene::Scene s = scene::makeTestScene();
     render::PathTracer tracer(s, smallConfig());
-    const render::RayTrace trace = tracer.capture(100);
-    for (const auto &b : trace.bounces)
-        EXPECT_LE(b.size(), 100u);
+    EXPECT_EQ(fnv1a(traceBytes(tracer.capture(0))), 0x9d778026e0853147ull);
+    EXPECT_EQ(fnv1a(imageBytes(tracer.render())), 0x00e7bbe2be6d95c8ull);
 }
 
 TEST(PathTracer, PrimaryRaysCoherentSecondaryNot)
@@ -212,6 +281,38 @@ TEST(RayTrace, LoadRejectsTruncated)
     bytes.resize(bytes.size() / 2);
     std::stringstream cut(bytes);
     EXPECT_THROW(render::load(cut), std::runtime_error);
+}
+
+TEST(RayTrace, LoadRejectsLyingCounts)
+{
+    // One bounce of one ray in a scene named "t": the name length sits at
+    // byte 8 of the stream, the bounce count at 13, the ray count at 21.
+    render::RayTrace trace;
+    trace.sceneName = "t";
+    trace.bounces.push_back(render::BounceRays{1, {Ray{}}});
+    std::stringstream stream;
+    render::save(trace, stream);
+    const std::string bytes = stream.str();
+    ASSERT_EQ(bytes.size(), 29u + sizeof(Ray));
+
+    // A count far beyond what the stream holds must run the reader out
+    // of records, not size an allocation.
+    const auto load_error = [&](std::size_t offset, auto count) {
+        std::string lying = bytes;
+        std::memcpy(lying.data() + offset, &count, sizeof count);
+        std::istringstream is(lying);
+        try {
+            render::load(is);
+        } catch (const std::exception &e) {
+            return std::string(e.what());
+        }
+        return std::string("no exception");
+    };
+    const std::string truncated = "truncated ray trace stream";
+    EXPECT_EQ(load_error(21, std::uint64_t{1} << 40), truncated);
+    EXPECT_EQ(load_error(21, std::uint64_t{1} << 58), truncated);
+    EXPECT_EQ(load_error(13, std::uint32_t{0xffffffff}), truncated);
+    EXPECT_EQ(load_error(8, std::uint32_t{0xffffffff}), truncated);
 }
 
 TEST(RayTrace, MissingBounceThrows)

@@ -10,8 +10,7 @@ src/obs/report.h). Reports are paired by file name, rows by their
 compared with a directional relative tolerance: a metric only fails in
 the direction that means "worse" (fewer Mrays/s, more cycles, a higher
 stall rate...). Wall-clock fields are ignored — the simulator is
-deterministic, the machine is not — and BENCH_micro.json (google
-benchmark wall-clock output) is skipped entirely.
+deterministic, the machine is not.
 
 Exit codes: 0 = no regression, 1 = regression or non-comparable input,
 2 = usage error. Used by run_benches.sh --compare and the CI smoke test.
@@ -39,8 +38,6 @@ METRICS = {
 
 IDENTITY_KEYS = ("scene", "arch", "config", "bounce")
 
-SKIP_FILES = {"BENCH_micro.json"}
-
 
 def load_reports(directory):
     if not os.path.isdir(directory):
@@ -48,8 +45,6 @@ def load_reports(directory):
     reports = {}
     for name in sorted(os.listdir(directory)):
         if not (name.startswith("BENCH_") and name.endswith(".json")):
-            continue
-        if name in SKIP_FILES:
             continue
         path = os.path.join(directory, name)
         try:

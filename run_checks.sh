@@ -8,7 +8,8 @@
 #    parser and path tracer suite) under each sanitizer with DRS_CHECK=1:
 #    test_check plus fuzz_smoke, the seeded randomized lockstep
 #    cross-check (fixed master seed 0x5eed -> deterministic configs,
-#    every seed printed for --replay).
+#    every seed printed for --replay, every SimStats digest checked
+#    against tests/golden/fuzz_sim_0x5eed.txt).
 # 2. Kill-mid-sweep resume smoke, in every sanitizer build: a bench run
 #    is crash-injected after two journal appends (DRS_CRASH_AFTER -> exit
 #    70), resumed with --resume, and the merged report must be identical
@@ -115,10 +116,11 @@ echo; echo "######## regular build: registry fuzz smoke ########"; echo
 # The fuzzer draws its architecture from the plugin registry, so this leg
 # exercises the whole lineup (hardware + software reorderers) even when
 # the sanitizer builds are skipped. More configs than the ctest smoke:
-# the regular build is fast.
+# the regular build is fast. Every digest must be in the stored list.
 cmake -B build -S . -DDRS_WERROR=ON >/dev/null
 cmake --build build -j"$JOBS" --target fuzz_sim
-build/tools/fuzz_sim --configs 75 --seed 0x5eed --jobs "$JOBS"
+bash tests/check_fuzz_golden.sh build/tools/fuzz_sim \
+    tests/golden/fuzz_sim_0x5eed.txt --configs 75 --seed 0x5eed --jobs "$JOBS"
 
 echo; echo "######## fleet: chaos recovery must be bit-identical ########"; echo
 # ctest -L fleet covers the protocol/supervision suites AND the

@@ -1,6 +1,7 @@
 #include "baselines/dmk_control.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <unordered_set>
@@ -122,19 +123,18 @@ DmkControl::verifyInvariants() const
 }
 
 std::uint32_t
-DmkControl::conflictCost(const std::vector<int> &slots) const
+DmkControl::conflictCost(const std::vector<int> &slots)
 {
     // Each of the 17 ray variables is one warp-wide spawn-memory access;
     // lanes touch bank (slot + variable) % banks. Extra cycles per access
     // = (max per-bank population - 1), summed over the variables.
     std::uint32_t total = 0;
     const int banks = config_.spawnBanks;
-    std::vector<int> population(static_cast<std::size_t>(banks));
     for (int var = 0; var < config_.cost.rayVariables; ++var) {
-        std::fill(population.begin(), population.end(), 0);
+        bankPopulation_.assign(static_cast<std::size_t>(banks), 0);
         int worst = 0;
         for (int slot : slots) {
-            auto &p = population[static_cast<std::size_t>(
+            auto &p = bankPopulation_[static_cast<std::size_t>(
                 (slot + var) % banks)];
             ++p;
             worst = std::max(worst, p);
@@ -151,16 +151,11 @@ DmkControl::onRdctrl(int warp)
     const int lanes = workspace_.laneCount();
 
     // Census of the warp's own row.
-    int fetch = 0;
-    int inner = 0;
-    int leaf = 0;
-    for (int lane = 0; lane < lanes; ++lane) {
-        switch (workspace_.state(row, lane)) {
-          case TravState::Fetch: ++fetch; break;
-          case TravState::Inner: ++inner; break;
-          case TravState::Leaf: ++leaf; break;
-        }
-    }
+    const std::uint32_t inner_lanes =
+        workspace_.laneMask(row, TravState::Inner);
+    const std::uint32_t leaf_lanes = workspace_.laneMask(row, TravState::Leaf);
+    const int inner = simt::popcount(inner_lanes);
+    const int leaf = simt::popcount(leaf_lanes);
     const bool input_rays = !workspace_.poolEmpty();
     const bool pools_empty = pools_[1].empty() && pools_[2].empty();
 
@@ -168,18 +163,11 @@ DmkControl::onRdctrl(int warp)
         RdctrlResult r;
         r.ctrl = state;
         r.row = row;
-        std::uint32_t mask = 0;
+        std::uint32_t mask = simt::fullMask(lanes);
         std::uint32_t holes = 0;
-        for (int lane = 0; lane < lanes; ++lane) {
-            const TravState s = workspace_.state(row, lane);
-            if (s == state)
-                mask |= 1u << lane;
-            else if (s == TravState::Fetch)
-                holes |= 1u << lane;
-        }
-        if (state == TravState::Fetch) {
-            mask = simt::fullMask(lanes);
-            holes = 0;
+        if (state != TravState::Fetch) {
+            mask = workspace_.laneMask(row, state);
+            holes = workspace_.laneMask(row, TravState::Fetch);
         }
         r.mask = mask;
         // Terminated lanes refetch in place, like any while-if kernel.
@@ -217,13 +205,13 @@ DmkControl::onRdctrl(int warp)
     std::uint32_t conflicts = 0;
 
     int dumped = 0;
-    for (int lane = 0; lane < lanes; ++lane) {
-        const TravState s = workspace_.state(row, lane);
-        if (s == TravState::Fetch)
-            continue;
+    for (std::uint32_t live = inner_lanes | leaf_lanes; live != 0;
+         live &= live - 1) {
+        const int lane = std::countr_zero(live);
+        const TravState s = (inner_lanes >> lane) & 1u ? TravState::Inner
+                                                       : TravState::Leaf;
         PooledRay pooled;
-        pooled.payload = workspace_.slot(row, lane);
-        workspace_.slot(row, lane) = kernels::RaySlot{};
+        pooled.payload = workspace_.takeRay(row, lane);
         pooled.spawnSlot = allocSpawnSlot();
         pools_[static_cast<std::size_t>(s)].push_back(std::move(pooled));
         ++dumped;
@@ -257,18 +245,18 @@ DmkControl::onRdctrl(int warp)
         return result;
     }
 
-    std::vector<int> load_slots;
+    loadSlots_.clear();
     const int take = std::min<int>(lanes, static_cast<int>(pool->size()));
     for (int lane = 0; lane < take; ++lane) {
         PooledRay pooled = std::move(pool->back());
         pool->pop_back();
-        workspace_.slot(row, lane) = std::move(pooled.payload);
-        load_slots.push_back(pooled.spawnSlot);
+        workspace_.putRay(row, lane, std::move(pooled.payload));
+        loadSlots_.push_back(pooled.spawnSlot);
         freeSpawnSlot(pooled.spawnSlot);
         raysLoaded_.add();
     }
     overhead += config_.cost.spawnLoad;
-    conflicts += conflictCost(load_slots);
+    conflicts += conflictCost(loadSlots_);
 
     spawns_.add();
     conflictCycles_.add(conflicts);

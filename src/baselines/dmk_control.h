@@ -101,7 +101,7 @@ class DmkControl : public simt::WarpController
     };
 
     /** Bank-conflict cycles of moving @p slots through spawn memory. */
-    std::uint32_t conflictCost(const std::vector<int> &slots) const;
+    std::uint32_t conflictCost(const std::vector<int> &slots);
 
     int allocSpawnSlot();
     void freeSpawnSlot(int slot);
@@ -112,6 +112,10 @@ class DmkControl : public simt::WarpController
     std::array<std::vector<PooledRay>, simt::kNumTravStates> pools_;
     std::vector<int> freeSlots_;
     int nextSpawnSlot_ = 0;
+
+    // Scratch of onRdctrl's reload, reused across spawns.
+    std::vector<int> loadSlots_;
+    std::vector<int> bankPopulation_;
 
     /** Observability counters ("dmk.*"); see obs::Counters. */
     obs::Counters counters_;

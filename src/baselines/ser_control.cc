@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
+#include "simt/warp.h"
+
 namespace drs::baselines {
 
 using simt::RdctrlResult;
@@ -47,29 +49,13 @@ SerControl::onRdctrl(int warp)
 {
     auto &workspace = kernel_.travWorkspace();
     const int row = warp; // fixed binding: no ray management hardware
-    const int lanes = workspace.laneCount();
 
-    std::uint32_t inner_mask = 0;
-    std::uint32_t leaf_mask = 0;
-    std::uint32_t hole_mask = 0;
-    int inner = 0;
-    int leaf = 0;
-    for (int lane = 0; lane < lanes; ++lane) {
-        const std::uint32_t bit = 1u << static_cast<unsigned>(lane);
-        switch (workspace.state(row, lane)) {
-          case TravState::Inner:
-            inner_mask |= bit;
-            ++inner;
-            break;
-          case TravState::Leaf:
-            leaf_mask |= bit;
-            ++leaf;
-            break;
-          case TravState::Fetch:
-            hole_mask |= bit;
-            break;
-        }
-    }
+    // The warp's row, read from the workspace's row census.
+    const std::uint32_t inner_mask = workspace.laneMask(row, TravState::Inner);
+    const std::uint32_t leaf_mask = workspace.laneMask(row, TravState::Leaf);
+    const std::uint32_t hole_mask = workspace.laneMask(row, TravState::Fetch);
+    const int inner = simt::popcount(inner_mask);
+    const int leaf = simt::popcount(leaf_mask);
 
     // A full coherent batch is waiting: shading takes priority, so the
     // buffer cannot grow without bound while every warp traverses.

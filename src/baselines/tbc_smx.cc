@@ -1,11 +1,12 @@
 #include "baselines/tbc_smx.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <map>
 #include <ostream>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 namespace drs::baselines {
 
@@ -34,10 +35,10 @@ TbcSmx::TbcSmx(const simt::GpuConfig &config, const TbcConfig &tbc,
         entry.rpc = kernel.program().exitBlock();
         for (int w = 0; w < tbc.warpsPerBlock; ++w) {
             CompactedWarp warp;
-            warp.lanes.resize(static_cast<std::size_t>(lanes));
             const int row = b * tbc.warpsPerBlock + w;
             for (int lane = 0; lane < lanes; ++lane)
                 warp.lanes[static_cast<std::size_t>(lane)] = {row, lane};
+            warp.activeThreads = lanes;
             entry.warps.push_back(std::move(warp));
         }
         block.stack.push_back(std::move(entry));
@@ -50,6 +51,7 @@ TbcSmx::TbcSmx(const simt::GpuConfig &config, const TbcConfig &tbc,
             warp.semanticsDone = false;
             warp.readyCycle = 0;
         }
+        block.runningWarps = block.stack.back().warps.size();
     }
 }
 
@@ -68,23 +70,45 @@ TbcSmx::done() const
     return true;
 }
 
-std::vector<TbcSmx::CompactedWarp>
-TbcSmx::compact(const std::vector<std::vector<ThreadRef>> &per_lane,
-                int lanes)
+int
+TbcSmx::nextBlock(const ThreadBlock &block, const ThreadRef &t) const
 {
-    std::size_t depth = 0;
-    for (const auto &list : per_lane)
-        depth = std::max(depth, list.size());
+    return block.nextBlocks[static_cast<std::size_t>(threadSlotIndex(t))];
+}
 
-    std::vector<CompactedWarp> warps(depth);
-    for (auto &warp : warps)
-        warp.lanes.assign(static_cast<std::size_t>(lanes), ThreadRef{});
-    for (int lane = 0; lane < lanes; ++lane) {
-        const auto &list = per_lane[static_cast<std::size_t>(lane)];
-        for (std::size_t k = 0; k < list.size(); ++k)
-            warps[k].lanes[static_cast<std::size_t>(lane)] = list[k];
+std::vector<TbcSmx::CompactedWarp>
+TbcSmx::compact(const ThreadBlock &block, const BlockEntry &entry,
+                int target)
+{
+    // Per-lane compaction: the k-th thread (in warp order) of home lane
+    // L bound for target goes to lane L of the k-th new warp.
+    std::vector<CompactedWarp> warps;
+    if (!spareWarps_.empty()) {
+        warps = std::move(spareWarps_.back());
+        spareWarps_.pop_back();
+        warps.clear();
+    }
+    std::array<std::size_t, 32> depth{};
+    for (const auto &warp : entry.warps) {
+        for (const ThreadRef &t : warp.lanes) {
+            if (t.row < 0 || nextBlock(block, t) != target)
+                continue;
+            std::size_t &k = depth[static_cast<std::size_t>(t.lane)];
+            if (k == warps.size())
+                warps.emplace_back();
+            CompactedWarp &into = warps[k++];
+            into.lanes[static_cast<std::size_t>(t.lane)] = t;
+            ++into.activeThreads;
+        }
     }
     return warps;
+}
+
+void
+TbcSmx::popEntry(ThreadBlock &block)
+{
+    spareWarps_.push_back(std::move(block.stack.back().warps));
+    block.stack.pop_back();
 }
 
 void
@@ -93,7 +117,7 @@ TbcSmx::completeWarp(ThreadBlock &block, CompactedWarp &warp)
     BlockEntry &top = block.stack.back();
     const simt::Block &blk = kernel_.program().block(top.pc);
 
-    std::vector<std::uint64_t> addresses;
+    memAddresses_.clear();
     std::uint32_t bytes = 0;
     for (const auto &t : warp.lanes) {
         if (t.row < 0)
@@ -102,13 +126,14 @@ TbcSmx::completeWarp(ThreadBlock &block, CompactedWarp &warp)
         block.nextBlocks[static_cast<std::size_t>(threadSlotIndex(t))] =
             step.nextBlock;
         if (blk.memSpace != simt::MemSpace::None && step.memBytes > 0) {
-            addresses.push_back(step.memAddress);
+            memAddresses_.push_back(step.memAddress);
             bytes = step.memBytes;
         }
     }
-    if (!addresses.empty())
-        deferAccess(warp.readyCycle, blk.memSpace, addresses, bytes);
+    if (!memAddresses_.empty())
+        deferAccess(warp.readyCycle, blk.memSpace, memAddresses_, bytes);
     warp.semanticsDone = true;
+    --block.runningWarps;
 }
 
 void
@@ -116,23 +141,21 @@ TbcSmx::finishEntry(ThreadBlock &block)
 {
     const Program &prog = kernel_.program();
     BlockEntry &top = block.stack.back();
-    const int lanes = config_.simdLanes;
 
-    // Partition all threads of the entry by their buffered successor.
-    std::map<int, std::vector<std::vector<ThreadRef>>> targets;
+    // The entry's distinct buffered successors, in ascending block order.
+    targets_.clear();
     for (const auto &warp : top.warps) {
         for (const auto &t : warp.lanes) {
             if (t.row < 0)
                 continue;
-            const int next = block.nextBlocks[static_cast<std::size_t>(
-                threadSlotIndex(t))];
-            auto [it, inserted] = targets.try_emplace(next);
-            if (inserted)
-                it->second.resize(static_cast<std::size_t>(lanes));
-            it->second[static_cast<std::size_t>(t.lane)].push_back(t);
+            const int next = nextBlock(block, t);
+            const auto it =
+                std::lower_bound(targets_.begin(), targets_.end(), next);
+            if (it == targets_.end() || *it != next)
+                targets_.insert(it, next);
         }
     }
-    assert(!targets.empty());
+    assert(!targets_.empty());
 
     auto arm_top = [&](BlockEntry &entry) {
         const int count = prog.block(entry.pc).instructionCount;
@@ -141,13 +164,14 @@ TbcSmx::finishEntry(ThreadBlock &block)
             warp.semanticsDone = false;
             warp.readyCycle = cycle_;
         }
+        block.runningWarps = entry.warps.size();
     };
 
-    if (targets.size() == 1) {
-        const int next = targets.begin()->first;
+    if (targets_.size() == 1) {
+        const int next = targets_.front();
         if (next == top.rpc) {
             if (block.stack.size() > 1) {
-                block.stack.pop_back();
+                popEntry(block);
             } else {
                 top.pc = next;
             }
@@ -155,19 +179,23 @@ TbcSmx::finishEntry(ThreadBlock &block)
             top.pc = next;
             // Straight-line continuation: recompact anyway, which merges
             // holes left by threads that reached the reconvergence point.
-            top.warps = compact(targets.begin()->second, lanes);
+            std::vector<CompactedWarp> warps = compact(block, top, next);
+            spareWarps_.push_back(std::exchange(top.warps, std::move(warps)));
         }
     } else {
-        // Block-wide divergence: barrier + compaction.
+        // Block-wide divergence: barrier + compaction. Each child entry
+        // is compacted from the parent's warps (pushes move the parent,
+        // so it is addressed by index).
         const int rpc = prog.immediatePostDominator(top.pc);
         top.pc = rpc;
-        for (auto &[next, per_lane] : targets) {
+        const std::size_t parent = block.stack.size() - 1;
+        for (const int next : targets_) {
             if (next == rpc)
                 continue;
             BlockEntry entry;
             entry.pc = next;
             entry.rpc = rpc;
-            entry.warps = compact(per_lane, lanes);
+            entry.warps = compact(block, block.stack[parent], next);
             block.stack.push_back(std::move(entry));
         }
         block.barrierUntil = cycle_ + static_cast<std::uint64_t>(
@@ -177,7 +205,7 @@ TbcSmx::finishEntry(ThreadBlock &block)
 
     while (block.stack.size() > 1 &&
            block.stack.back().pc == block.stack.back().rpc)
-        block.stack.pop_back();
+        popEntry(block);
 
     BlockEntry &new_top = block.stack.back();
     if (block.stack.size() == 1 && new_top.pc == prog.exitBlock()) {
@@ -201,7 +229,7 @@ TbcSmx::issueFromBlock(ThreadBlock &block, int max_issues)
         if (warp.semanticsDone || warp.readyCycle > cycle_ ||
             warp.remainingInstructions <= 0)
             continue;
-        const int active = warp.activeThreads();
+        const int active = warp.activeThreads;
         int issued = 0;
         while (issued < max_issues && warp.remainingInstructions > 0) {
             histogram_.recordInstruction(active, blk.spawnRelated);
@@ -235,6 +263,14 @@ TbcSmx::verifyInvariants() const
         if (block.stack.front().rpc != prog.exitBlock())
             throw std::logic_error(
                 "TBC: bottom stack entry does not reconverge at exit");
+        const auto &top_warps = block.stack.back().warps;
+        if (!block.exited &&
+            block.runningWarps !=
+                static_cast<std::size_t>(std::count_if(
+                    top_warps.begin(), top_warps.end(),
+                    [](const auto &warp) { return !warp.semanticsDone; })))
+            throw std::logic_error(
+                "TBC: running-warp count disagrees with the top entry");
 
         const int first_row = static_cast<int>(b) * tbc_.warpsPerBlock;
         const int last_row = first_row + tbc_.warpsPerBlock;
@@ -250,8 +286,18 @@ TbcSmx::verifyInvariants() const
                 throw std::logic_error("TBC: stack pc/rpc out of range");
             std::unordered_set<int> threads;
             for (const CompactedWarp &warp : entry.warps) {
-                if (static_cast<int>(warp.lanes.size()) != lanes)
-                    throw std::logic_error("TBC: malformed compacted warp");
+                for (std::size_t lane = static_cast<std::size_t>(lanes);
+                     lane < warp.lanes.size(); ++lane)
+                    if (warp.lanes[lane].row >= 0)
+                        throw std::logic_error(
+                            "TBC: thread in a lane past the warp width");
+                if (warp.activeThreads !=
+                    std::count_if(warp.lanes.begin(), warp.lanes.end(),
+                                  [](const ThreadRef &t) {
+                                      return t.row >= 0;
+                                  }))
+                    throw std::logic_error(
+                        "TBC: compacted warp's thread count is stale");
                 for (int lane = 0; lane < lanes; ++lane) {
                     const ThreadRef &t =
                         warp.lanes[static_cast<std::size_t>(lane)];
@@ -318,13 +364,13 @@ TbcSmx::issue()
     // waited out their memory latency) partitions and compacts, whether
     // or not a scheduler visits the block this cycle.
     for (auto &block : blocks_) {
-        if (block.exited || block.barrierUntil > cycle_)
+        if (block.exited || block.barrierUntil > cycle_ ||
+            block.runningWarps != 0)
             continue;
-        bool all_done = true;
-        for (const auto &warp : block.stack.back().warps)
-            all_done = all_done && warp.semanticsDone &&
-                       warp.readyCycle <= cycle_;
-        if (all_done)
+        const auto &warps = block.stack.back().warps;
+        if (std::all_of(warps.begin(), warps.end(), [&](const auto &warp) {
+                return warp.readyCycle <= cycle_;
+            }))
             finishEntry(block);
     }
 

@@ -12,6 +12,7 @@
  * for TBC's modest SIMD-efficiency gains.
  */
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -62,7 +63,8 @@ class TbcSmx : public simt::SmxExecutor
     /**
      * Block-stack invariants, verified periodically under a checker:
      * every stack is non-empty with its bottom entry reconverging at the
-     * exit block; pcs/rpcs are valid blocks; compaction is
+     * exit block; the running-warp count matches the top entry; pcs/rpcs
+     * are valid blocks; compaction is
      * lane-preserving (a thread only ever occupies its home lane);
      * threads stay within their block's rows and appear at most once per
      * entry; child entries reconverge at their parent's pc and hold
@@ -95,17 +97,13 @@ class TbcSmx : public simt::SmxExecutor
      */
     struct CompactedWarp
     {
-        std::vector<ThreadRef> lanes; ///< size = warp width; row<0 = hole
+        /** Per lane; row < 0 = hole (every lane past the warp width). */
+        std::array<ThreadRef, 32> lanes{};
+        /** Threads in lanes, counted when the warp is formed. */
+        int activeThreads = 0;
         int remainingInstructions = 0;
         std::uint64_t readyCycle = 0;
         bool semanticsDone = false;
-        int activeThreads() const
-        {
-            int n = 0;
-            for (const auto &t : lanes)
-                n += t.row >= 0 ? 1 : 0;
-            return n;
-        }
     };
 
     /** One block-wide reconvergence stack entry. */
@@ -124,11 +122,22 @@ class TbcSmx : public simt::SmxExecutor
         /** Buffered successor per thread slot, filled at warp completion. */
         std::vector<int> nextBlocks; // indexed row-major over block slots
         std::uint64_t barrierUntil = 0;
+        /** Warps of the top entry whose semantics have not run yet. */
+        std::size_t runningWarps = 0;
     };
 
-    /** Compact @p threads (per lane lists) into warps, lane-preserving. */
-    static std::vector<CompactedWarp>
-    compact(const std::vector<std::vector<ThreadRef>> &per_lane, int lanes);
+    /** Successor @p t buffered when its warp completed. */
+    int nextBlock(const ThreadBlock &block, const ThreadRef &t) const;
+
+    /**
+     * Compact the threads of @p entry whose successor is @p target into
+     * new warps, lane-preserving.
+     */
+    std::vector<CompactedWarp> compact(const ThreadBlock &block,
+                                       const BlockEntry &entry, int target);
+
+    /** Pop the block's top entry, keeping its warp list for compact(). */
+    void popEntry(ThreadBlock &block);
 
     /** All warps of the top entry finished: partition and push. */
     void finishEntry(ThreadBlock &block);
@@ -144,6 +153,10 @@ class TbcSmx : public simt::SmxExecutor
     TbcConfig tbc_;
     std::vector<ThreadBlock> blocks_;
     std::vector<int> lastIssuedBlock_; ///< per scheduler
+    /** finishEntry's successor list (scratch, ascending). */
+    std::vector<int> targets_;
+    /** Warp lists of discarded stack entries, reused by compact(). */
+    std::vector<std::vector<CompactedWarp>> spareWarps_;
 
     obs::Counter &syncStallCycles_;
 };

@@ -1,5 +1,6 @@
 #include "check/check.h"
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -128,8 +129,11 @@ verifyWorkspace(const kernels::TravWorkspace &workspace, bool strict)
         first + static_cast<std::int64_t>(workspace.results().size());
 
     for (int row = 0; row < workspace.rowCount(); ++row) {
+        // Recount the row census from the slots themselves.
+        std::array<std::uint32_t, simt::kNumTravStates> masks{};
         for (int lane = 0; lane < workspace.laneCount(); ++lane) {
             const kernels::RaySlot &slot = workspace.slot(row, lane);
+            masks[static_cast<std::size_t>(slot.state)] |= 1u << lane;
             if (slot.state == simt::TravState::Fetch) {
                 if (slot.rayId != -1)
                     throw InvariantViolation(
@@ -145,10 +149,16 @@ verifyWorkspace(const kernels::TravWorkspace &workspace, bool strict)
             if (slot.leafCursor > slot.leafEnd)
                 throw InvariantViolation("leaf cursor ran past its end");
         }
+        for (int s = 0; s < simt::kNumTravStates; ++s)
+            if (workspace.laneMask(row, static_cast<simt::TravState>(s)) !=
+                masks[static_cast<std::size_t>(s)])
+                throw InvariantViolation(
+                    "row census lane mask disagrees with slot states");
     }
 
     if (live != workspace.liveRays())
-        throw InvariantViolation("liveRays disagrees with slot states");
+        throw InvariantViolation(
+            "row census live count disagrees with slot states");
 
     const std::size_t total = workspace.results().size();
     const std::size_t accounted =

@@ -42,8 +42,9 @@ bool checkEnabled(int mode = -1);
 
 /**
  * Traversal-workspace invariants: empty slots hold no ray id, live slots
- * hold in-stripe unique ray ids with a sane leaf cursor, liveRays()
- * agrees with the slot states, and rays are conserved.
+ * hold in-stripe unique ray ids with a sane leaf cursor, the row census
+ * (each row's per-state lane masks and the live-ray count) matches a
+ * recount from the slot states, and rays are conserved.
  *
  * @param strict every ray of the stripe must be inside the workspace
  *        (completed + live + unfetched == stripe size). False for

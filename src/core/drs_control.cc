@@ -1,6 +1,7 @@
 #include "core/drs_control.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <ostream>
 #include <stdexcept>
@@ -37,12 +38,15 @@ DrsControl::DrsControl(const DrsConfig &config,
     ops_.assign(static_cast<std::size_t>(opsPerTask_) * 3, Operation{});
     warpRow_.assign(static_cast<std::size_t>(num_warps), -1);
     rowOwner_.assign(static_cast<std::size_t>(rows_), -1);
-    censusCache_.assign(static_cast<std::size_t>(rows_), RowCensus{});
-    censusValid_.assign(static_cast<std::size_t>(rows_), 0);
+    unbound_.assign(static_cast<std::size_t>(rows_ + 63) / 64, 0);
+    lockCount_.assign(static_cast<std::size_t>(rows_), 0);
+    for (int row = 0; row < rows_; ++row)
+        setUnbound(row, true);
     // Initially the first N rows are bound to the N warps (Section 3.2.2).
     for (int w = 0; w < num_warps; ++w) {
         warpRow_[static_cast<std::size_t>(w)] = w;
         rowOwner_[static_cast<std::size_t>(w)] = w;
+        setUnbound(w, false);
     }
 }
 
@@ -50,31 +54,23 @@ DrsControl::RowCensus
 DrsControl::census(int row) const
 {
     RowCensus c;
-    for (int lane = 0; lane < lanes_; ++lane)
-        ++c.count[static_cast<std::size_t>(workspace_.state(row, lane))];
+    c.fetchLanes = workspace_.laneMask(row, TravState::Fetch);
+    c.innerLanes = workspace_.laneMask(row, TravState::Inner);
+    c.leafLanes = workspace_.laneMask(row, TravState::Leaf);
     return c;
 }
 
-const DrsControl::RowCensus &
-DrsControl::cachedCensus(int row)
+int
+DrsControl::firstLane(int row, TravState state) const
 {
-    if (!censusValid_[static_cast<std::size_t>(row)]) {
-        censusCache_[static_cast<std::size_t>(row)] = census(row);
-        censusValid_[static_cast<std::size_t>(row)] = 1;
-    }
-    return censusCache_[static_cast<std::size_t>(row)];
-}
-
-void
-DrsControl::invalidateCensus(int row)
-{
-    censusValid_[static_cast<std::size_t>(row)] = 0;
+    const std::uint32_t mask = workspace_.laneMask(row, state);
+    return mask != 0 ? std::countr_zero(mask) : -1;
 }
 
 bool
 DrsControl::dispatchable(const RowCensus &c) const
 {
-    if (c.live() == 0)
+    if (c.liveLanes() == 0)
         return !workspace_.poolEmpty(); // all-fetch row: batched refill
     // Live rays must share a single traversal state; holes are fine, and
     // a minority of opposite-state rays within the tolerance rides along
@@ -90,24 +86,16 @@ DrsControl::dispatch(int warp, int row, const RowCensus &c)
 
     RdctrlResult result;
     result.row = row;
-    if (c.live() == 0) {
+    if (c.liveLanes() == 0) {
         result.ctrl = TravState::Fetch;
         result.mask = simt::fullMask(lanes_);
         return result;
     }
 
-    const TravState state =
-        c.inner() >= c.leaf() ? TravState::Inner : TravState::Leaf;
-    result.ctrl = state;
-    std::uint32_t mask = 0;
-    std::uint32_t holes = 0;
-    for (int lane = 0; lane < lanes_; ++lane) {
-        const TravState s = workspace_.state(row, lane);
-        if (s == state)
-            mask |= 1u << lane;
-        else if (s == TravState::Fetch)
-            holes |= 1u << lane;
-    }
+    const bool inner = c.inner() >= c.leaf();
+    result.ctrl = inner ? TravState::Inner : TravState::Leaf;
+    const std::uint32_t mask = inner ? c.innerLanes : c.leafLanes;
+    const std::uint32_t holes = c.fetchLanes;
     result.mask = mask;
     assert(mask != 0);
     // Batched hole refill: when enough empty slots accumulated, their
@@ -119,13 +107,28 @@ DrsControl::dispatch(int warp, int row, const RowCensus &c)
     return result;
 }
 
-bool
-DrsControl::rowLocked(int row) const
+void
+DrsControl::setUnbound(int row, bool unbound)
 {
-    for (const auto &op : ops_)
-        if (op.active && (op.rowA == row || op.rowB == row))
-            return true;
-    return false;
+    std::uint64_t &word = unbound_[static_cast<std::size_t>(row) / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (row % 64);
+    word = unbound ? word | bit : word & ~bit;
+}
+
+template <typename Visit>
+int
+DrsControl::findFreeRow(Visit &&visit) const
+{
+    for (std::size_t word = 0; word < unbound_.size(); ++word) {
+        for (std::uint64_t bits = unbound_[word]; bits != 0;
+             bits &= bits - 1) {
+            const int row =
+                static_cast<int>(word * 64) + std::countr_zero(bits);
+            if (!rowLocked(row) && visit(row))
+                return row;
+        }
+    }
+    return -1;
 }
 
 void
@@ -136,13 +139,13 @@ DrsControl::bindRow(int warp, int row)
         return;
     if (old >= 0) {
         rowOwner_[static_cast<std::size_t>(old)] = -1;
-        invalidateCensus(old);
+        setUnbound(old, true);
     }
     assert(rowOwner_[static_cast<std::size_t>(row)] == -1 &&
            "a row may not be bound to more than one warp");
     warpRow_[static_cast<std::size_t>(warp)] = row;
     rowOwner_[static_cast<std::size_t>(row)] = warp;
-    invalidateCensus(row);
+    setUnbound(row, false);
     dirty_ = true;
     uniformCacheValid_ = false;
 }
@@ -155,37 +158,33 @@ DrsControl::unbindWarpRow(int warp)
         return;
     rowOwner_[static_cast<std::size_t>(old)] = -1;
     warpRow_[static_cast<std::size_t>(warp)] = -1;
-    invalidateCensus(old);
+    setUnbound(old, true);
     dirty_ = true;
     uniformCacheValid_ = false;
 }
 
 int
-DrsControl::findUniformRow()
+DrsControl::findUniformRow() const
 {
     // Preference order: drain leaf rows first, keep inner rows moving,
     // fetch new work last; prefer fuller rows for higher SIMD payoff.
     int best = -1;
     int best_score = -1;
-    for (int row = 0; row < rows_; ++row) {
-        if (rowOwner_[static_cast<std::size_t>(row)] >= 0 || rowLocked(row))
-            continue;
-        const RowCensus &c = cachedCensus(row);
+    findFreeRow([&](int row) {
+        const RowCensus c = census(row);
         if (!dispatchable(c))
-            continue;
+            return false;
         // Fuller rows give higher SIMD payoff per dispatch; leaf rows
         // break ties so nearly finished rays drain.
-        int score;
-        if (c.live() > 0) {
-            score = c.live() * 4 + (c.leaf() > 0 ? 1 : 0);
-        } else {
-            score = 1; // all-fetch (pool non-empty)
-        }
+        const int score =
+            c.liveLanes() != 0 ? c.live() * 4 + (c.leafLanes != 0 ? 1 : 0)
+                               : 1; // all-fetch (pool non-empty)
         if (score > best_score) {
             best_score = score;
             best = row;
         }
-    }
+        return false;
+    });
     return best;
 }
 
@@ -208,9 +207,9 @@ DrsControl::cachedUniformRow()
 RdctrlResult
 DrsControl::onRdctrl(int warp)
 {
-    // Terminal condition: no pool rays and no live rays anywhere. The
-    // live-ray census is cached per cycle: every stalled warp retries
-    // each cycle during the drain phase.
+    // Terminal condition: no pool rays and no live rays anywhere. Both
+    // are sampled at the cycle's first rdctrl, and every warp issuing
+    // rdctrl later in the same cycle sees that sample.
     if (liveCacheCycle_ != now_) {
         liveCacheCycle_ = now_;
         liveCachePoolEmpty_ = workspace_.poolEmpty();
@@ -241,9 +240,8 @@ DrsControl::onRdctrl(int warp)
                 workspace_.poolEmpty();
             if (!full_enough) {
                 const int fuller = cachedUniformRow();
-                if (fuller >= 0 &&
-                    cachedCensus(fuller).live() > c.live()) {
-                    const RowCensus fc = cachedCensus(fuller);
+                if (fuller >= 0 && census(fuller).live() > c.live()) {
+                    const RowCensus fc = census(fuller);
                     unbindWarpRow(warp);
                     remaps_.add();
                     return dispatch(warp, fuller, fc);
@@ -258,8 +256,7 @@ DrsControl::onRdctrl(int warp)
         if (own >= 0)
             unbindWarpRow(warp);
         remaps_.add();
-        const RowCensus c = cachedCensus(found);
-        return dispatch(warp, found, c);
+        return dispatch(warp, found, census(found));
     }
 
     // Stall: release the warp's row so the swap engine may reorganize it.
@@ -276,26 +273,27 @@ void
 DrsControl::refreshDesignatedRow(ShuffleTask task)
 {
     const auto t = static_cast<std::size_t>(task);
-    auto eligible = [&](int row) {
-        if (rowOwner_[static_cast<std::size_t>(row)] >= 0 || rowLocked(row))
-            return false;
+    auto designated_elsewhere = [&](int row) {
         for (std::size_t other = 0; other < designated_.size(); ++other)
             if (other != t && designated_[other] == row)
-                return false;
-        return true;
+                return true;
+        return false;
     };
 
-    // Keep the current designation while it is still useful.
+    // Keep the current designation while it is still useful. A mask is
+    // "full" when every lane is in that state.
+    const std::uint32_t full = simt::fullMask(lanes_);
     const int current = designated_[t];
-    if (current >= 0 && eligible(current)) {
-        const RowCensus &c = cachedCensus(current);
+    if (current >= 0 && rowOwner_[static_cast<std::size_t>(current)] < 0 &&
+        !rowLocked(current) && !designated_elsewhere(current)) {
+        const RowCensus c = census(current);
         const bool still_useful =
-            (task == ShuffleTask::FetchCollect && c.fetch() < lanes_ &&
-             c.live() > 0) ||
-            (task == ShuffleTask::LeafCollect && c.leaf() > 0 &&
-             c.leaf() < lanes_) ||
-            (task == ShuffleTask::InnerEject && c.inner() > 0 &&
-             c.inner() < lanes_);
+            (task == ShuffleTask::FetchCollect && c.fetchLanes != full &&
+             c.liveLanes() != 0) ||
+            (task == ShuffleTask::LeafCollect && c.leafLanes != 0 &&
+             c.leafLanes != full) ||
+            (task == ShuffleTask::InnerEject && c.innerLanes != 0 &&
+             c.innerLanes != full);
         if (still_useful)
             return;
     }
@@ -303,26 +301,27 @@ DrsControl::refreshDesignatedRow(ShuffleTask task)
 
     int best = -1;
     int best_score = -1;
-    for (int row = 0; row < rows_; ++row) {
-        if (!eligible(row))
-            continue;
-        const RowCensus &c = cachedCensus(row);
+    findFreeRow([&](int row) {
+        if (designated_elsewhere(row))
+            return false;
+        const RowCensus c = census(row);
         int score = -1;
         switch (task) {
           case ShuffleTask::FetchCollect:
             // Nearly-empty mixed rows are cheapest to finish emptying.
-            if (c.fetch() > 0 && c.fetch() < lanes_ && c.live() > 0)
+            if (c.fetchLanes != 0 && c.fetchLanes != full &&
+                c.liveLanes() != 0)
                 score = c.fetch();
             break;
           case ShuffleTask::LeafCollect:
             // Rows already rich in leaf rays finish collecting fastest.
             // Only rows that actually mix leaf with inner need fixing.
-            if (c.leaf() > 0 && c.inner() > 0)
+            if (c.leafLanes != 0 && c.innerLanes != 0)
                 score = c.leaf();
             break;
           case ShuffleTask::InnerEject:
             // Rows with few inner rays are emptied of them fastest.
-            if (c.inner() > 0 && c.leaf() > 0)
+            if (c.innerLanes != 0 && c.leafLanes != 0)
                 score = lanes_ - c.inner();
             break;
         }
@@ -330,7 +329,8 @@ DrsControl::refreshDesignatedRow(ShuffleTask task)
             best_score = score;
             best = row;
         }
-    }
+        return false;
+    });
     designated_[t] = best;
 }
 
@@ -342,23 +342,11 @@ DrsControl::chooseOperation(ShuffleTask task)
     if (home < 0)
         return std::nullopt;
 
-    auto find_lane = [&](int row, TravState state) {
-        for (int lane = 0; lane < lanes_; ++lane)
-            if (workspace_.state(row, lane) == state)
-                return lane;
-        return -1;
-    };
-
+    // The first unbound, unlocked row other than home, in ascending
+    // order, whose census is accepted.
     auto partner_rows = [&](auto &&accept) {
-        for (int row = 0; row < rows_; ++row) {
-            if (row == home ||
-                rowOwner_[static_cast<std::size_t>(row)] >= 0 ||
-                rowLocked(row))
-                continue;
-            if (accept(cachedCensus(row)))
-                return row;
-        }
-        return -1;
+        return findFreeRow(
+            [&](int row) { return row != home && accept(census(row)); });
     };
 
     Operation op;
@@ -370,16 +358,16 @@ DrsControl::chooseOperation(ShuffleTask task)
       case ShuffleTask::FetchCollect: {
         // Empty the home row: move a live ray into a hole of a row whose
         // live rays share the ray's state (keeping that row dispatchable).
-        int lane = find_lane(home, TravState::Inner);
+        int lane = firstLane(home, TravState::Inner);
         TravState state = TravState::Inner;
         if (lane < 0) {
-            lane = find_lane(home, TravState::Leaf);
+            lane = firstLane(home, TravState::Leaf);
             state = TravState::Leaf;
         }
         if (lane < 0)
             return std::nullopt;
         const bool want_inner = state == TravState::Inner;
-        const int home_live = cachedCensus(home).live();
+        const int home_live = census(home).live();
         // Monotone consolidation: rays only move from emptier rows into
         // strictly fuller compatible rows, so the engine cannot ping-pong
         // with the inner-eject task. Prefer a hole in a row whose live
@@ -388,17 +376,19 @@ DrsControl::chooseOperation(ShuffleTask task)
         // Only pure, strictly fuller rows accept rays: anything looser
         // lets this task undo the separation the other two tasks make.
         const int partner = partner_rows([&](const RowCensus &c) {
-            if (c.fetch() == 0 || c.live() <= home_live)
+            if (c.fetchLanes == 0)
                 return false;
-            return want_inner ? (c.leaf() == 0 && c.inner() > 0)
-                              : (c.inner() == 0 && c.leaf() > 0);
+            const bool pure = want_inner
+                                  ? (c.leafLanes == 0 && c.innerLanes != 0)
+                                  : (c.innerLanes == 0 && c.leafLanes != 0);
+            return pure && c.live() > home_live;
         });
         if (partner < 0)
             return std::nullopt;
         op.rowA = home;
         op.laneA = lane;
         op.rowB = partner;
-        op.laneB = find_lane(partner, TravState::Fetch);
+        op.laneB = firstLane(partner, TravState::Fetch);
         op.isExchange = false;
         break;
       }
@@ -407,26 +397,26 @@ DrsControl::chooseOperation(ShuffleTask task)
         // exchange one of its inner rays for a donor's leaf ray. The
         // donor is the mixed row with the fewest leaf rays: it becomes
         // dispatchable after the fewest moves.
-        const int hole = find_lane(home, TravState::Fetch);
-        const int inner_slot = find_lane(home, TravState::Inner);
+        const int hole = firstLane(home, TravState::Fetch);
+        const int inner_slot = firstLane(home, TravState::Inner);
         int donor = -1;
         int donor_leaves = lanes_ + 1;
-        for (int row = 0; row < rows_; ++row) {
-            if (row == home ||
-                rowOwner_[static_cast<std::size_t>(row)] >= 0 ||
-                rowLocked(row))
-                continue;
-            const RowCensus &c = cachedCensus(row);
-            if (c.leaf() > 0 && c.inner() > 0 && c.leaf() < donor_leaves) {
+        findFreeRow([&](int row) {
+            if (row == home)
+                return false;
+            const RowCensus c = census(row);
+            if (c.leafLanes != 0 && c.innerLanes != 0 &&
+                c.leaf() < donor_leaves) {
                 donor = row;
                 donor_leaves = c.leaf();
             }
-        }
+            return false;
+        });
         if (donor < 0)
             return std::nullopt;
         if (hole >= 0) {
             op.rowA = donor;
-            op.laneA = find_lane(donor, TravState::Leaf);
+            op.laneA = firstLane(donor, TravState::Leaf);
             op.rowB = home;
             op.laneB = hole;
             op.isExchange = false;
@@ -434,7 +424,7 @@ DrsControl::chooseOperation(ShuffleTask task)
             op.rowA = home;
             op.laneA = inner_slot;
             op.rowB = donor;
-            op.laneB = find_lane(donor, TravState::Leaf);
+            op.laneB = firstLane(donor, TravState::Leaf);
             op.isExchange = true;
         } else {
             return std::nullopt;
@@ -445,32 +435,32 @@ DrsControl::chooseOperation(ShuffleTask task)
         // Push an inner ray from the home row into an inner-compatible
         // row (hole first, leaf-exchange second, any hole as last resort
         // — the paper's "empty slots on other rows").
-        const int lane = find_lane(home, TravState::Inner);
+        const int lane = firstLane(home, TravState::Inner);
         if (lane < 0)
             return std::nullopt;
         int partner = partner_rows([&](const RowCensus &c) {
-            return c.fetch() > 0 && c.leaf() == 0 && c.inner() > 0;
+            return c.fetchLanes != 0 && c.leafLanes == 0 &&
+                   c.innerLanes != 0;
         });
         bool exchange = false;
         int partner_lane = -1;
         if (partner >= 0) {
-            partner_lane = find_lane(partner, TravState::Fetch);
+            partner_lane = firstLane(partner, TravState::Fetch);
         } else {
             partner = partner_rows([&](const RowCensus &c) {
-                return c.leaf() > 0 && c.inner() > c.leaf();
+                return c.leafLanes != 0 && c.inner() > c.leaf();
             });
             if (partner >= 0) {
-                partner_lane = find_lane(partner, TravState::Leaf);
+                partner_lane = firstLane(partner, TravState::Leaf);
                 exchange = true;
             }
         }
         if (partner_lane < 0) {
-            partner = partner_rows([&](const RowCensus &c) {
-                return c.fetch() > 0;
-            });
+            partner = partner_rows(
+                [&](const RowCensus &c) { return c.fetchLanes != 0; });
             if (partner < 0)
                 return std::nullopt;
-            partner_lane = find_lane(partner, TravState::Fetch);
+            partner_lane = firstLane(partner, TravState::Fetch);
             exchange = false;
         }
         op.rowA = home;
@@ -491,6 +481,14 @@ DrsControl::chooseOperation(ShuffleTask task)
 }
 
 void
+DrsControl::startOperation(Operation &entry, const Operation &op)
+{
+    entry = op;
+    ++lockCount_[static_cast<std::size_t>(op.rowA)];
+    ++lockCount_[static_cast<std::size_t>(op.rowB)];
+}
+
+void
 DrsControl::completeOperation(Operation &op)
 {
     if (op.isExchange) {
@@ -507,8 +505,8 @@ DrsControl::completeOperation(Operation &op)
     // destination slot, exactly where real buffer damage would surface.
     if (fault_ != nullptr && fault_->rollSwapBitFlip())
         workspace_.corruptRay(op.rowB, op.laneB, fault_->pick(256));
-    invalidateCensus(op.rowA);
-    invalidateCensus(op.rowB);
+    --lockCount_[static_cast<std::size_t>(op.rowA)];
+    --lockCount_[static_cast<std::size_t>(op.rowB)];
     if (smx_ != nullptr) {
         smx_->recordRaySwap(now_ - op.startCycle);
         smx_->addShuffleRfAccesses(
@@ -591,7 +589,7 @@ DrsControl::cycle(int issued_instructions)
                         chooseOperation(static_cast<ShuffleTask>(t));
                     if (chosen) {
                         chosen->startCycle = now_;
-                        op = *chosen;
+                        startOperation(op, *chosen);
                     } else {
                         failed = true;
                     }
@@ -694,18 +692,28 @@ DrsControl::verifyInvariants() const
                 "DrsControl: operation has no remaining work");
     }
 
-    // The census cache is only ever read for unbound rows; a stale entry
-    // there would silently misdirect dispatch and shuffle decisions.
-    for (int row = 0; row < rows_; ++row) {
-        if (rowOwner_[static_cast<std::size_t>(row)] >= 0)
-            continue;
-        if (!censusValid_[static_cast<std::size_t>(row)])
-            continue;
-        if (censusCache_[static_cast<std::size_t>(row)].count !=
-            census(row).count)
-            throw std::logic_error(
-                "DrsControl: stale census cache for an unbound row");
+    // The row searches visit the unbound set and skip locked rows; a
+    // stale bit or count would silently misdirect dispatch and shuffles.
+    for (std::size_t word = 0; word < unbound_.size(); ++word) {
+        for (int bit = 0; bit < 64; ++bit) {
+            const int row = static_cast<int>(word * 64) + bit;
+            const bool unbound = (unbound_[word] >> bit) & 1u;
+            if (unbound != (row < rows_ &&
+                            rowOwner_[static_cast<std::size_t>(row)] < 0))
+                throw std::logic_error(
+                    "DrsControl: unbound-row set disagrees with rowOwner");
+        }
     }
+    std::vector<int> locks(static_cast<std::size_t>(rows_), 0);
+    for (const auto &op : ops_) {
+        if (!op.active)
+            continue;
+        ++locks[static_cast<std::size_t>(op.rowA)];
+        ++locks[static_cast<std::size_t>(op.rowB)];
+    }
+    if (locks != lockCount_)
+        throw std::logic_error(
+            "DrsControl: row lock counts disagree with in-flight operations");
 }
 
 DrsControlStats
@@ -727,40 +735,34 @@ DrsControl::idealConsolidate()
     // rows and repack them into full, state-pure rows (inner rows first,
     // then leaf rows, then empty rows). This is the fixed point the real
     // swap engine works toward.
-    std::vector<int> pool_rows;
-    std::vector<std::pair<int, int>> inner_rays;
-    std::vector<std::pair<int, int>> leaf_rays;
-    for (int row = 0; row < rows_; ++row) {
-        if (rowOwner_[static_cast<std::size_t>(row)] >= 0 || rowLocked(row))
-            continue;
-        pool_rows.push_back(row);
+    poolRows_.clear();
+    innerRays_.clear();
+    leafRays_.clear();
+    findFreeRow([&](int row) {
+        poolRows_.push_back(row);
+        const std::uint32_t inner = workspace_.laneMask(row, TravState::Inner);
+        const std::uint32_t leaf = workspace_.laneMask(row, TravState::Leaf);
         for (int lane = 0; lane < lanes_; ++lane) {
-            switch (workspace_.state(row, lane)) {
-              case TravState::Inner:
-                inner_rays.emplace_back(row, lane);
-                break;
-              case TravState::Leaf:
-                leaf_rays.emplace_back(row, lane);
-                break;
-              case TravState::Fetch:
-                break;
-            }
+            if ((inner >> lane) & 1u)
+                innerRays_.emplace_back(row, lane);
+            else if ((leaf >> lane) & 1u)
+                leafRays_.emplace_back(row, lane);
         }
-    }
-    if (pool_rows.empty())
+        return false;
+    });
+    if (poolRows_.empty())
         return;
 
-    std::vector<std::pair<int, int>> targets;
-    targets.reserve(pool_rows.size() * static_cast<std::size_t>(lanes_));
-    for (int row : pool_rows)
+    targets_.clear();
+    for (int row : poolRows_)
         for (int lane = 0; lane < lanes_; ++lane)
-            targets.emplace_back(row, lane);
+            targets_.emplace_back(row, lane);
 
     std::size_t cursor = 0;
     auto place = [&](std::vector<std::pair<int, int>> &rays) {
-        for (std::size_t i = 0; i < rays.size() && cursor < targets.size();
+        for (std::size_t i = 0; i < rays.size() && cursor < targets_.size();
              ++i) {
-            const auto target = targets[cursor++];
+            const auto target = targets_[cursor++];
             const auto src = rays[i];
             if (src == target)
                 continue;
@@ -768,21 +770,18 @@ DrsControl::idealConsolidate()
                                 target.second);
             // A later source may have occupied the target slot; it now
             // lives where src was.
-            for (auto *list : {&inner_rays, &leaf_rays})
+            for (auto *list : {&innerRays_, &leafRays_})
                 for (std::size_t j = 0; j < list->size(); ++j)
                     if ((*list)[j] == target)
                         (*list)[j] = src;
         }
     };
-    place(inner_rays);
+    place(innerRays_);
     // Leaf rays start at the next row boundary so no row mixes states.
     if (cursor % static_cast<std::size_t>(lanes_) != 0)
         cursor += static_cast<std::size_t>(lanes_) -
                   cursor % static_cast<std::size_t>(lanes_);
-    place(leaf_rays);
-
-    for (int row : pool_rows)
-        invalidateCensus(row);
+    place(leafRays_);
     uniformCacheValid_ = false;
 }
 

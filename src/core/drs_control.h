@@ -24,11 +24,13 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/drs_config.h"
 #include "obs/counters.h"
 #include "simt/controller.h"
+#include "simt/warp.h"
 
 namespace drs::simt {
 class Smx;
@@ -85,9 +87,10 @@ class DrsControl : public simt::WarpController
     /**
      * Renaming-table and swap-engine invariants: warpRow_/rowOwner_ are
      * mutually consistent bijections on the bound pairs (row-ownership
-     * exclusivity), in-flight operations only touch unbound rows with
-     * in-range lanes and positive remaining work, and cached censuses of
-     * unbound rows match the workspace. Throws std::logic_error.
+     * exclusivity), the unbound-row set matches rowOwner_, in-flight
+     * operations only touch unbound rows with in-range lanes and
+     * positive remaining work, and each row's lock count equals the
+     * in-flight operations touching it. Throws std::logic_error.
      */
     void verifyInvariants() const override;
 
@@ -123,28 +126,27 @@ class DrsControl : public simt::WarpController
         std::uint64_t startCycle = 0;
     };
 
-    /** Per-row state census. */
+    /**
+     * A row's census: its lane masks per traversal state, read from the
+     * workspace and counted on demand (the searches test the masks
+     * first, which rejects most rows without counting).
+     */
     struct RowCensus
     {
-        std::array<int, simt::kNumTravStates> count{};
-        int total() const { return count[0] + count[1] + count[2]; }
-        int fetch() const { return count[0]; }
-        int inner() const { return count[1]; }
-        int leaf() const { return count[2]; }
-        int live() const { return count[1] + count[2]; }
+        std::uint32_t fetchLanes = 0;
+        std::uint32_t innerLanes = 0;
+        std::uint32_t leafLanes = 0;
+        std::uint32_t liveLanes() const { return innerLanes | leafLanes; }
+        int fetch() const { return simt::popcount(fetchLanes); }
+        int inner() const { return simt::popcount(innerLanes); }
+        int leaf() const { return simt::popcount(leafLanes); }
+        int live() const { return simt::popcount(liveLanes()); }
     };
 
-    /** Fresh census straight from the workspace. */
     RowCensus census(int row) const;
 
-    /**
-     * Cached census for engine decisions. Valid only for unbound rows —
-     * their contents change exclusively through engine operations, which
-     * invalidate the cache.
-     */
-    const RowCensus &cachedCensus(int row);
-
-    void invalidateCensus(int row);
+    /** First lane of @p row in @p state, or -1. */
+    int firstLane(int row, simt::TravState state) const;
 
     /** True when the row can be dispatched without divergence stalls. */
     bool dispatchable(const RowCensus &c) const;
@@ -152,13 +154,24 @@ class DrsControl : public simt::WarpController
     /** Dispatch decision for a dispatchable row. */
     simt::RdctrlResult dispatch(int warp, int row, const RowCensus &c);
 
+    /**
+     * Visit the unbound, unlocked rows in ascending order until
+     * @p visit(row) returns true; returns that row, or -1.
+     */
+    template <typename Visit>
+    int findFreeRow(Visit &&visit) const;
+
     /** Find the best unbound, unlocked, dispatchable row (or -1). */
-    int findUniformRow();
+    int findUniformRow() const;
 
     /** Memoized findUniformRow (stalled warps retry every cycle). */
     int cachedUniformRow();
 
-    bool rowLocked(int row) const;
+    bool rowLocked(int row) const
+    {
+        return lockCount_[static_cast<std::size_t>(row)] != 0;
+    }
+    void setUnbound(int row, bool unbound);
     void bindRow(int warp, int row);
     void unbindWarpRow(int warp);
 
@@ -167,6 +180,9 @@ class DrsControl : public simt::WarpController
 
     /** Re-select a designated row for @p task if needed. */
     void refreshDesignatedRow(ShuffleTask task);
+
+    /** Start @p op in the request-table entry @p entry; locks its rows. */
+    void startOperation(Operation &entry, const Operation &op);
 
     void completeOperation(Operation &op);
 
@@ -183,6 +199,10 @@ class DrsControl : public simt::WarpController
 
     std::vector<int> warpRow_;    ///< renaming table: warp -> row (-1 none)
     std::vector<int> rowOwner_;   ///< row -> warp (-1 unbound)
+    /** Bit r set when row r is unbound (rowOwner_[r] == -1). */
+    std::vector<std::uint64_t> unbound_;
+    /** Per row, the in-flight operations touching it. */
+    std::vector<int> lockCount_;
     std::array<int, 3> designated_{-1, -1, -1}; ///< per ShuffleTask row
     /**
      * In-flight operations: the swapping request table. Each shuffle
@@ -194,10 +214,7 @@ class DrsControl : public simt::WarpController
     std::uint64_t now_ = 0;
     bool dirty_ = true; ///< unbound-row set or contents changed
 
-    std::vector<RowCensus> censusCache_;
-    std::vector<char> censusValid_;
-
-    // Per-cycle cache of the drain-termination check.
+    // Per-cycle sample of the drain-termination check.
     std::uint64_t liveCacheCycle_ = ~0ULL;
     std::size_t liveCacheValue_ = 1;
     bool liveCachePoolEmpty_ = false;
@@ -205,6 +222,15 @@ class DrsControl : public simt::WarpController
     // Memoized uniform-row search (see cachedUniformRow()).
     bool uniformCacheValid_ = false;
     int uniformCacheRow_ = -1;
+
+    // Scratch of idealConsolidate, reused across calls.
+    std::vector<int> poolRows_;
+    std::vector<std::pair<int, int>> innerRays_;
+    std::vector<std::pair<int, int>> leafRays_;
+    std::vector<std::pair<int, int>> targets_;
+
+    /** Lets tests corrupt the tables to prove verifyInvariants notices. */
+    friend struct DrsControlTestPeer;
 
     /** Observability counters ("drs.*"); see obs::Counters. */
     obs::Counters counters_;

@@ -14,7 +14,7 @@ using simt::TravState;
 
 GenericWorkspace::GenericWorkspace(const GenericWorkloadConfig &config,
                                    int rows, int lanes)
-    : rows_(rows), lanes_(lanes),
+    : RowWorkspace(rows, lanes),
       slots_(static_cast<std::size_t>(rows) * lanes)
 {
     geom::Pcg32 rng(config.seed);
@@ -35,13 +35,19 @@ GenericWorkspace::GenericWorkspace(const GenericWorkloadConfig &config,
 GenericTask &
 GenericWorkspace::slot(int row, int lane)
 {
-    return slots_.at(static_cast<std::size_t>(row) * lanes_ + lane);
+    return slots_.at(static_cast<std::size_t>(row) * laneCount() + lane);
+}
+
+const GenericTask &
+GenericWorkspace::task(int row, int lane) const
+{
+    return slots_.at(static_cast<std::size_t>(row) * laneCount() + lane);
 }
 
 TravState
 GenericWorkspace::state(int row, int lane) const
 {
-    return slots_.at(static_cast<std::size_t>(row) * lanes_ + lane).state;
+    return task(row, lane).state;
 }
 
 void
@@ -53,21 +59,18 @@ GenericWorkspace::moveRay(int src_row, int src_lane, int dst_row,
     assert(dst.state == TravState::Fetch);
     dst = src;
     src = GenericTask{};
+    setLaneState(dst_row, dst_lane, dst.state);
+    setLaneState(src_row, src_lane, TravState::Fetch);
 }
 
 void
 GenericWorkspace::swapRays(int row_a, int lane_a, int row_b, int lane_b)
 {
-    std::swap(slot(row_a, lane_a), slot(row_b, lane_b));
-}
-
-std::size_t
-GenericWorkspace::liveRays() const
-{
-    std::size_t n = 0;
-    for (const auto &t : slots_)
-        n += t.state != TravState::Fetch ? 1 : 0;
-    return n;
+    GenericTask &a = slot(row_a, lane_a);
+    GenericTask &b = slot(row_b, lane_b);
+    std::swap(a, b);
+    setLaneState(row_a, lane_a, a.state);
+    setLaneState(row_b, lane_b, b.state);
 }
 
 bool
@@ -78,6 +81,7 @@ GenericWorkspace::fetchStep(int row, int lane)
     GenericTask &s = slot(row, lane);
     s = tasks_[nextTask_++];
     s.state = s.phaseARemaining > 0 ? TravState::Inner : TravState::Leaf;
+    setLaneState(row, lane, s.state);
     return true;
 }
 
@@ -87,8 +91,10 @@ GenericWorkspace::phaseAStep(int row, int lane)
     GenericTask &s = slot(row, lane);
     assert(s.state == TravState::Inner);
     ++iterations_;
-    if (--s.phaseARemaining <= 0)
+    if (--s.phaseARemaining <= 0) {
         s.state = s.phaseBRemaining > 0 ? TravState::Leaf : TravState::Fetch;
+        setLaneState(row, lane, s.state);
+    }
 }
 
 void
@@ -100,6 +106,7 @@ GenericWorkspace::phaseBStep(int row, int lane)
     if (--s.phaseBRemaining <= 0) {
         ++completed_;
         s = GenericTask{};
+        setLaneState(row, lane, TravState::Fetch);
     }
 }
 
@@ -207,10 +214,10 @@ GenericKernel::execute(int block, int row, int lane)
           case GenericBlocks::kFetchBody:
             (void)workspace_.fetchStep(row, lane);
             step.nextBlock = GenericBlocks::kRdctrl;
-            if (workspace_.slot(row, lane).taskId >= 0) {
+            if (workspace_.task(row, lane).taskId >= 0) {
                 step.memAddress = 0x9000'0000 +
                     static_cast<std::uint64_t>(
-                        workspace_.slot(row, lane).taskId) * 16;
+                        workspace_.task(row, lane).taskId) * 16;
                 step.memBytes = 16;
             }
             return step;
@@ -227,7 +234,7 @@ GenericKernel::execute(int block, int row, int lane)
         }
     }
 
-    GenericTask &slot = workspace_.slot(row, lane);
+    const GenericTask &slot = workspace_.task(row, lane);
     switch (block) {
       case GenericBlocks::kWwFetch: {
         const bool got = workspace_.fetchStep(row, lane);
@@ -236,7 +243,7 @@ GenericKernel::execute(int block, int row, int lane)
         if (got) {
             step.memAddress = 0x9000'0000 +
                 static_cast<std::uint64_t>(
-                    workspace_.slot(row, lane).taskId) * 16;
+                    workspace_.task(row, lane).taskId) * 16;
             step.memBytes = 16;
         }
         return step;

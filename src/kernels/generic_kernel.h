@@ -54,16 +54,14 @@ class GenericWorkspace : public simt::RowWorkspace
     GenericWorkspace(const GenericWorkloadConfig &config, int rows,
                      int lanes);
 
-    int rowCount() const override { return rows_; }
-    int laneCount() const override { return lanes_; }
     simt::TravState state(int row, int lane) const override;
     void moveRay(int src_row, int src_lane, int dst_row,
                  int dst_lane) override;
     void swapRays(int row_a, int lane_a, int row_b, int lane_b) override;
     bool poolEmpty() const override { return nextTask_ >= tasks_.size(); }
-    std::size_t liveRays() const override;
 
-    GenericTask &slot(int row, int lane);
+    /** The task in (row, lane); only the members here change it. */
+    const GenericTask &task(int row, int lane) const;
 
     /** Fetch the next pool task into (row, lane); false when drained. */
     bool fetchStep(int row, int lane);
@@ -80,8 +78,8 @@ class GenericWorkspace : public simt::RowWorkspace
     std::uint64_t totalIterations() const { return iterations_; }
 
   private:
-    int rows_;
-    int lanes_;
+    GenericTask &slot(int row, int lane);
+
     std::vector<GenericTask> tasks_; ///< input pool
     std::size_t nextTask_ = 0;
     std::vector<GenericTask> slots_;

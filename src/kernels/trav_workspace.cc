@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <stdexcept>
 #include <utility>
 
 namespace drs::kernels {
@@ -17,30 +16,27 @@ TravWorkspace::TravWorkspace(const bvh::Bvh &bvh,
                              std::span<const geom::Ray> rays,
                              std::size_t first_ray, int rows, int lanes,
                              bool any_hit)
-    : bvh_(bvh),
+    : RowWorkspace(rows, lanes),
+      bvh_(bvh),
       triangles_(triangles),
       rays_(rays),
       firstRay_(first_ray),
-      rows_(rows),
-      lanes_(lanes),
       slots_(static_cast<std::size_t>(rows) * lanes),
       results_(rays_.size()),
       anyHit_(any_hit)
 {
-    if (rows <= 0 || lanes <= 0)
-        throw std::invalid_argument("workspace needs positive dimensions");
 }
 
 RaySlot &
 TravWorkspace::slot(int row, int lane)
 {
-    return slots_.at(static_cast<std::size_t>(row) * lanes_ + lane);
+    return slots_.at(static_cast<std::size_t>(row) * laneCount() + lane);
 }
 
 const RaySlot &
 TravWorkspace::slot(int row, int lane) const
 {
-    return slots_.at(static_cast<std::size_t>(row) * lanes_ + lane);
+    return slots_.at(static_cast<std::size_t>(row) * laneCount() + lane);
 }
 
 TravState
@@ -50,19 +46,50 @@ TravWorkspace::state(int row, int lane) const
 }
 
 void
+TravWorkspace::clearSlot(RaySlot &s)
+{
+    std::vector<std::int32_t> stack = std::move(s.stack);
+    stack.clear();
+    s = RaySlot{};
+    s.stack = std::move(stack);
+}
+
+void
 TravWorkspace::moveRay(int src_row, int src_lane, int dst_row, int dst_lane)
 {
     RaySlot &src = slot(src_row, src_lane);
     RaySlot &dst = slot(dst_row, dst_lane);
     assert(dst.state == TravState::Fetch && "destination must be empty");
-    dst = std::move(src);
-    src = RaySlot{};
+    std::swap(dst, src);
+    clearSlot(src);
+    setLaneState(dst_row, dst_lane, dst.state);
+    setLaneState(src_row, src_lane, TravState::Fetch);
 }
 
 void
 TravWorkspace::swapRays(int row_a, int lane_a, int row_b, int lane_b)
 {
-    std::swap(slot(row_a, lane_a), slot(row_b, lane_b));
+    RaySlot &a = slot(row_a, lane_a);
+    RaySlot &b = slot(row_b, lane_b);
+    std::swap(a, b);
+    setLaneState(row_a, lane_a, a.state);
+    setLaneState(row_b, lane_b, b.state);
+}
+
+RaySlot
+TravWorkspace::takeRay(int row, int lane)
+{
+    RaySlot ray = std::exchange(slot(row, lane), RaySlot{});
+    setLaneState(row, lane, TravState::Fetch);
+    return ray;
+}
+
+void
+TravWorkspace::putRay(int row, int lane, RaySlot &&ray)
+{
+    RaySlot &s = slot(row, lane);
+    s = std::move(ray);
+    setLaneState(row, lane, s.state);
 }
 
 void
@@ -81,16 +108,6 @@ TravWorkspace::corruptRay(int row, int lane, std::uint32_t bit)
     // inconsistency (it only steers which nodes the ray visits).
 }
 
-std::size_t
-TravWorkspace::liveRays() const
-{
-    std::size_t n = 0;
-    for (const auto &s : slots_)
-        if (s.state != TravState::Fetch)
-            ++n;
-    return n;
-}
-
 bool
 TravWorkspace::fetchStep(int row, int lane)
 {
@@ -99,7 +116,7 @@ TravWorkspace::fetchStep(int row, int lane)
 
     const std::size_t index = nextRay_++;
     RaySlot &s = slot(row, lane);
-    s = RaySlot{};
+    clearSlot(s);
     s.ray = rays_[index];
     s.invDir = Vec3{1.0f / s.ray.direction.x, 1.0f / s.ray.direction.y,
                     1.0f / s.ray.direction.z};
@@ -107,15 +124,15 @@ TravWorkspace::fetchStep(int row, int lane)
     s.hitTriangle = geom::kNoHit;
     if (bvh_.empty()) {
         // Degenerate scene: the ray terminates immediately.
-        s.state = TravState::Inner;
         s.nodeIndex = -1;
-        return true;
+    } else {
+        enterNode(s, 0);
     }
-    enterNode(s, 0);
     // Kernel 1 line 5: after initialization the next state is always
     // INNER (the root is traversed first), even when the root is a leaf —
     // the inner step then forwards to the leaf phase.
     s.state = TravState::Inner;
+    setLaneState(row, lane, TravState::Inner);
     return true;
 }
 
@@ -149,7 +166,7 @@ TravWorkspace::popOrTerminate(RaySlot &s)
             result.t = geom::kRayInfinity;
         ++raysCompleted_;
         const std::int64_t last = s.rayId;
-        s = RaySlot{};
+        clearSlot(s);
         s.lastRayId = last;
         return;
     }
@@ -162,6 +179,14 @@ InnerOutcome
 TravWorkspace::innerStep(int row, int lane)
 {
     RaySlot &s = slot(row, lane);
+    const InnerOutcome outcome = traverseInner(s);
+    setLaneState(row, lane, s.state);
+    return outcome;
+}
+
+InnerOutcome
+TravWorkspace::traverseInner(RaySlot &s)
+{
     assert(s.state == TravState::Inner);
 
     if (s.nodeIndex < 0) {
@@ -223,6 +248,7 @@ TravWorkspace::deferLeaf(int row, int lane)
     const std::int32_t next = s.stack.back();
     s.stack.pop_back();
     enterNode(s, next);
+    setLaneState(row, lane, s.state);
     return true;
 }
 
@@ -230,6 +256,14 @@ bool
 TravWorkspace::leafStep(int row, int lane)
 {
     RaySlot &s = slot(row, lane);
+    const bool hit = testLeaf(s);
+    setLaneState(row, lane, s.state);
+    return hit;
+}
+
+bool
+TravWorkspace::testLeaf(RaySlot &s)
+{
     assert(s.state == TravState::Leaf);
     assert(s.leafCursor < s.leafEnd);
 
@@ -267,6 +301,7 @@ TravWorkspace::storeResult(int row, int lane)
     // shadow-ray style early outs).
     s.stack.clear();
     popOrTerminate(s);
+    setLaneState(row, lane, TravState::Fetch);
 }
 
 std::uint64_t

@@ -69,7 +69,9 @@ enum class InnerOutcome
  * Traversal state storage + semantics for one SMX.
  *
  * Implements simt::RowWorkspace so the DRS control can inspect states and
- * move rays between slots.
+ * move rays between slots. Every member that changes a slot's state (the
+ * step functions, moveRay/swapRays, takeRay/putRay) updates the row
+ * census; a write to RaySlot::state through slot() would bypass it.
  */
 class TravWorkspace : public simt::RowWorkspace
 {
@@ -82,7 +84,8 @@ class TravWorkspace : public simt::RowWorkspace
      *        lifetime (no copy is made)
      * @param first_ray index of rays[0] within the global batch
      * @param rows number of logical rows
-     * @param lanes slots per row (warp size)
+     * @param lanes slots per row (warp size), in [1, 32]
+     * @throws std::invalid_argument on out-of-range dimensions
      */
     TravWorkspace(const bvh::Bvh &bvh,
                   const std::vector<geom::Triangle> &triangles,
@@ -97,14 +100,11 @@ class TravWorkspace : public simt::RowWorkspace
     bool anyHitMode() const { return anyHit_; }
 
     // RowWorkspace interface (used by the DRS control / DMK).
-    int rowCount() const override { return rows_; }
-    int laneCount() const override { return lanes_; }
     simt::TravState state(int row, int lane) const override;
     void moveRay(int src_row, int src_lane, int dst_row,
                  int dst_lane) override;
     void swapRays(int row_a, int lane_a, int row_b, int lane_b) override;
     bool poolEmpty() const override { return nextRay_ >= rays_.size(); }
-    std::size_t liveRays() const override;
     /**
      * Fault-injection hook: flip one bit of the slot's geom::Ray payload
      * (origin/direction/tmin/tmax). Only those bytes are touched — the
@@ -114,9 +114,24 @@ class TravWorkspace : public simt::RowWorkspace
      */
     void corruptRay(int row, int lane, std::uint32_t bit) override;
 
-    /** Direct slot access (kernels and tests). */
+    /**
+     * Direct slot access (kernels and tests). Writes may touch the ray's
+     * variables but not its state, which only the members below change.
+     */
     RaySlot &slot(int row, int lane);
     const RaySlot &slot(int row, int lane) const;
+
+    /**
+     * Move the ray out of (row, lane), leaving the slot empty (Fetch):
+     * the DMK's dump to spawn memory.
+     */
+    RaySlot takeRay(int row, int lane);
+
+    /**
+     * Load @p ray into (row, lane), replacing the slot's contents: the
+     * DMK's reload from spawn memory.
+     */
+    void putRay(int row, int lane, RaySlot &&ray);
 
     // --- traversal semantics (shared by both kernel flavours) ---
 
@@ -171,18 +186,26 @@ class TravWorkspace : public simt::RowWorkspace
     std::size_t poolRemaining() const { return rays_.size() - nextRay_; }
 
   private:
+    /** innerStep/leafStep on the slot, before the census update. */
+    InnerOutcome traverseInner(RaySlot &slot);
+    bool testLeaf(RaySlot &slot);
+
     /** Advance to the node on top of the stack, or terminate the ray. */
     void popOrTerminate(RaySlot &slot);
 
     /** Enter node @p node: set Inner or Leaf phase accordingly. */
     void enterNode(RaySlot &slot, std::int32_t node);
 
+    /**
+     * Empty @p slot (as a default RaySlot) but keep its traversal stack's
+     * storage, so refetching a slot does not allocate.
+     */
+    static void clearSlot(RaySlot &slot);
+
     const bvh::Bvh &bvh_;
     const std::vector<geom::Triangle> &triangles_;
     const std::span<const geom::Ray> rays_; ///< borrowed input stripe
     std::size_t firstRay_;
-    int rows_;
-    int lanes_;
     std::size_t nextRay_ = 0;
     std::uint64_t raysCompleted_ = 0;
     std::vector<RaySlot> slots_;

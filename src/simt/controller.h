@@ -12,8 +12,11 @@
  * hardware models.
  */
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <stdexcept>
+#include <vector>
 
 #include "obs/counters.h"
 
@@ -39,20 +42,53 @@ inline constexpr int kNumTravStates = 3;
  * hardware. Implemented by the traversal kernels (they own the actual
  * per-slot live variables); the DRS control reads states and commands
  * logical ray moves through it.
+ *
+ * The base class keeps the row census — per row, one lane mask for each
+ * traversal state — plus the number of live rays, the ray state table
+ * the DRS hardware keeps. Implementations report every slot state change
+ * through setLaneState(), so the census is never rescanned.
  */
 class RowWorkspace
 {
   public:
+    /**
+     * @param rows number of logical rows (N warps + M backup + 2 empty)
+     * @param lanes slots per row (the warp size), in [1, 32]
+     * @throws std::invalid_argument on a non-positive row count or an
+     *         out-of-range lane count (the census masks are 32-bit)
+     */
+    RowWorkspace(int rows, int lanes) : rows_(rows), lanes_(lanes)
+    {
+        if (rows <= 0)
+            throw std::invalid_argument("workspace needs at least one row");
+        if (lanes < 1 || lanes > 32)
+            throw std::invalid_argument(
+                "workspace lanes must be in [1, 32] (lane masks are 32-bit)");
+        const std::uint32_t all =
+            lanes == 32 ? 0xffffffffu : (1u << lanes) - 1u;
+        masks_.assign(static_cast<std::size_t>(rows), {all, 0u, 0u});
+    }
+
     virtual ~RowWorkspace() = default;
 
     /** Number of logical rows (N warps + M backup + 2 empty). */
-    virtual int rowCount() const = 0;
+    int rowCount() const { return rows_; }
 
     /** Lanes per row (the warp size). */
-    virtual int laneCount() const = 0;
+    int laneCount() const { return lanes_; }
 
-    /** Traversal state of slot (row, lane). */
+    /** Traversal state of slot (row, lane), read from the slot itself. */
     virtual TravState state(int row, int lane) const = 0;
+
+    /** Lanes of @p row whose slots are in @p state (the row census). */
+    std::uint32_t laneMask(int row, TravState state) const
+    {
+        return masks_[static_cast<std::size_t>(row)]
+                     [static_cast<std::size_t>(state)];
+    }
+
+    /** Number of live (Inner or Leaf) rays currently held in rows. */
+    std::size_t liveRays() const { return liveRays_; }
 
     /**
      * Move the ray of (src_row, src_lane) into (dst_row, dst_lane); the
@@ -67,9 +103,6 @@ class RowWorkspace
     /** True when the SMX's input ray pool is exhausted. */
     virtual bool poolEmpty() const = 0;
 
-    /** Number of live (Inner or Leaf) rays currently held in rows. */
-    virtual std::size_t liveRays() const = 0;
-
     /**
      * Fault-injection hook: flip one bit of the ray payload held in slot
      * (row, lane). @p bit indexes into the slot's ray bytes modulo their
@@ -82,6 +115,33 @@ class RowWorkspace
         (void)lane;
         (void)bit;
     }
+
+  protected:
+    /** Record that slot (row, lane) now holds @p state in the census. */
+    void setLaneState(int row, int lane, TravState state)
+    {
+        auto &masks = masks_[static_cast<std::size_t>(row)];
+        const std::uint32_t bit = 1u << lane;
+        // The masks partition the lanes: a lane outside the fetch mask
+        // holds a live ray.
+        if ((masks[static_cast<std::size_t>(TravState::Fetch)] & bit) == 0)
+            --liveRays_;
+        for (std::uint32_t &mask : masks)
+            mask &= ~bit;
+        masks[static_cast<std::size_t>(state)] |= bit;
+        if (state != TravState::Fetch)
+            ++liveRays_;
+    }
+
+  private:
+    /** Lets tests corrupt the census to prove the checker notices. */
+    friend struct RowWorkspaceTestPeer;
+
+    int rows_;
+    int lanes_;
+    /** Per row, one lane mask per TravState (they partition the lanes). */
+    std::vector<std::array<std::uint32_t, kNumTravStates>> masks_;
+    std::size_t liveRays_ = 0;
 };
 
 /** Outcome of a warp's attempt to issue the rdctrl instruction. */

@@ -3,6 +3,7 @@
 #include "fault/fault.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace drs::simt {
@@ -39,7 +40,10 @@ SmxMemory::warpAccess(MemSpace space,
                       const std::vector<std::uint64_t> &addresses,
                       std::uint32_t bytes)
 {
-    return commitAccess(resolveL1(space, addresses, bytes));
+    const PendingWarpAccess pending = resolveL1(space, addresses, bytes);
+    const std::uint32_t latency = commitAccess(pending);
+    pendingLines_.resize(pending.firstMiss);
+    return latency;
 }
 
 PendingWarpAccess
@@ -48,39 +52,44 @@ SmxMemory::resolveL1(MemSpace space,
                      std::uint32_t bytes)
 {
     PendingWarpAccess pending;
+    pending.firstMiss = static_cast<std::uint32_t>(pendingLines_.size());
     if (space == MemSpace::None || addresses.empty())
         return pending;
 
     Cache &l1 = (space == MemSpace::Texture) ? l1Texture_ : l1Data_;
     const std::uint32_t line = l1.lineBytes();
+    const int line_shift = std::countr_zero(line); // a power of two
 
-    // Coalesce: collect the distinct lines this warp instruction touches.
-    // An access of `bytes` bytes may straddle a line boundary.
-    std::vector<std::uint64_t> lines;
-    lines.reserve(addresses.size());
+    // Coalesce: collect the distinct lines this warp instruction touches,
+    // in ascending order. An access of `bytes` bytes may straddle a line
+    // boundary.
+    lines_.clear();
     for (std::uint64_t a : addresses) {
-        const std::uint64_t first = a / line;
-        const std::uint64_t last = (a + std::max(bytes, 1u) - 1) / line;
-        for (std::uint64_t l = first; l <= last; ++l)
-            lines.push_back(l);
+        const std::uint64_t first = a >> line_shift;
+        const std::uint64_t last = (a + std::max(bytes, 1u) - 1) >> line_shift;
+        for (std::uint64_t l = first; l <= last; ++l) {
+            const auto at = std::lower_bound(lines_.begin(), lines_.end(), l);
+            if (at == lines_.end() || *at != l)
+                lines_.insert(at, l);
+        }
     }
-    std::sort(lines.begin(), lines.end());
-    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
 
     pending.l1Latency = (space == MemSpace::Texture)
                             ? config_.l1Texture.hitLatency
                             : config_.l1Data.hitLatency;
-    for (std::uint64_t l : lines) {
+    for (std::uint64_t l : lines_) {
         const std::uint64_t byte_addr = l * line;
         if (l1.access(byte_addr))
             pending.baseLatency =
                 std::max(pending.baseLatency, pending.l1Latency);
         else
-            pending.missLines.push_back(byte_addr);
+            pendingLines_.push_back(byte_addr);
     }
+    pending.missCount =
+        static_cast<std::uint32_t>(pendingLines_.size()) - pending.firstMiss;
     // Additional lines serialize at the L1 port, adding a small per-line
     // charge (memory divergence).
-    pending.extraLatency = static_cast<std::uint32_t>(lines.size() - 1) *
+    pending.extraLatency = static_cast<std::uint32_t>(lines_.size() - 1) *
                            config_.perLineSerialization;
     return pending;
 }
@@ -88,15 +97,17 @@ SmxMemory::resolveL1(MemSpace space,
 std::uint32_t
 SmxMemory::commitAccess(const PendingWarpAccess &pending)
 {
-    if (pending.missLines.empty() && pending.baseLatency == 0 &&
+    if (pending.missCount == 0 && pending.baseLatency == 0 &&
         pending.extraLatency == 0)
         return 0;
 
     // The warp waits for the slowest line.
     std::uint32_t worst = pending.baseLatency;
-    for (std::uint64_t byte_addr : pending.missLines)
+    for (std::uint32_t i = 0; i < pending.missCount; ++i)
         worst = std::max(worst,
-                         pending.l1Latency + shared_.accessLine(byte_addr));
+                         pending.l1Latency +
+                             shared_.accessLine(
+                                 pendingLines_[pending.firstMiss + i]));
     return worst + pending.extraLatency;
 }
 

@@ -68,8 +68,12 @@ struct PendingWarpAccess
     std::uint32_t extraLatency = 0;
     /** L1 hit latency added in front of each pending L2 line. */
     std::uint32_t l1Latency = 0;
-    /** Byte addresses of the lines that missed the L1. */
-    std::vector<std::uint64_t> missLines;
+    /**
+     * The lines that missed the L1: entries [firstMiss, firstMiss +
+     * missCount) of the resolving SmxMemory's pending-line buffer.
+     */
+    std::uint32_t firstMiss = 0;
+    std::uint32_t missCount = 0;
 };
 
 /** The per-SMX memory path (both L1s), backed by a SharedMemorySide. */
@@ -93,8 +97,8 @@ class SmxMemory
     /**
      * Phase 1 of a warp access: coalesce lanes into lines and look them up
      * in the private L1 (which this call updates). Lines that miss are
-     * returned for a later commitAccess() against the shared side; the L2
-     * is NOT touched. warpAccess() == resolveL1() + commitAccess().
+     * kept for a later commitAccess() against the shared side; the L2 is
+     * NOT touched. warpAccess() == resolveL1() + commitAccess().
      */
     PendingWarpAccess resolveL1(MemSpace space,
                                 const std::vector<std::uint64_t> &addresses,
@@ -105,6 +109,12 @@ class SmxMemory
      * order resolveL1 produced them) and return the final warp latency.
      */
     std::uint32_t commitAccess(const PendingWarpAccess &pending);
+
+    /**
+     * Forget the miss lines of every resolved access; call once all of
+     * them are committed. The buffers keep their storage.
+     */
+    void releasePending() { pendingLines_.clear(); }
 
     const CacheStats &l1DataStats() const { return l1Data_.stats(); }
     const CacheStats &l1TextureStats() const { return l1Texture_.stats(); }
@@ -130,6 +140,10 @@ class SmxMemory
     SharedMemorySide &shared_;
     Cache l1Data_;
     Cache l1Texture_;
+    /** Coalescing scratch: the distinct lines of one access. */
+    std::vector<std::uint64_t> lines_;
+    /** Miss lines of the resolved, not yet released accesses. */
+    std::vector<std::uint64_t> pendingLines_;
 };
 
 } // namespace drs::simt

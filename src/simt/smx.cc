@@ -3,6 +3,7 @@
 #include "fault/fault.h"
 #include "simt/engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <ostream>
 #include <stdexcept>
@@ -16,6 +17,16 @@ SmxExecutor::SmxExecutor(const GpuConfig &config, Kernel &kernel,
       memory_(config.memory, shared),
       normalRfAccesses_(counters_.get("smx.rf.normal_accesses"))
 {
+    // Loud bounds validation up front: the issue loops mask lanes with
+    // 1u << lane and partition warps by scheduler, so an out-of-range
+    // width or scheduler count would wrap silently instead of failing.
+    // Plain throws (not assert) — the default build is RelWithDebInfo
+    // with NDEBUG.
+    if (config.simdLanes < 1 || config.simdLanes > 32)
+        throw std::invalid_argument(
+            "Smx: simdLanes must be in [1, 32] (lane masks are 32-bit)");
+    if (config.schedulersPerSmx < 1)
+        throw std::invalid_argument("Smx: need at least one scheduler");
 }
 
 void
@@ -49,11 +60,8 @@ SmxExecutor::deferAccess(std::uint64_t &ready_cycle, MemSpace space,
                          const std::vector<std::uint64_t> &addresses,
                          std::uint32_t bytes)
 {
-    DeferredAccess deferred;
-    deferred.readyCycle = &ready_cycle;
-    deferred.issueCycle = cycle_;
-    deferred.pending = memory_.resolveL1(space, addresses, bytes);
-    deferredAccesses_.push_back(std::move(deferred));
+    deferredAccesses_.push_back(
+        {&ready_cycle, cycle_, memory_.resolveL1(space, addresses, bytes)});
 }
 
 void
@@ -64,6 +72,7 @@ SmxExecutor::commitMemory()
     for (const DeferredAccess &d : deferredAccesses_)
         *d.readyCycle = d.issueCycle + memory_.commitAccess(d.pending);
     deferredAccesses_.clear();
+    memory_.releasePending();
 }
 
 void
@@ -145,30 +154,16 @@ Smx::Smx(const GpuConfig &config, Kernel &kernel, WarpController *controller,
       issueIdleCycles_(counters_.get("smx.issue.idle_cycles")),
       blockIssue_(static_cast<std::size_t>(kernel.program().blockCount()),
                   {0, 0}),
-      nextBlocks_(static_cast<std::size_t>(config.simdLanes), -1),
-      memAddresses_()
+      nextBlocks_(static_cast<std::size_t>(config.simdLanes), -1)
 {
-    // Loud bounds validation up front: the issue loop masks lanes with
-    // 1u << lane and indexes warps_ with static_cast<int>, so an
-    // out-of-range width or warp count would wrap silently instead of
-    // failing. Plain throws (not assert) — the default build is
-    // RelWithDebInfo with NDEBUG.
-    if (config.simdLanes < 1 || config.simdLanes > 32)
-        throw std::invalid_argument(
-            "Smx: simdLanes must be in [1, 32] (lane masks are 32-bit)");
     if (num_warps < 1)
         throw std::invalid_argument("Smx: need at least one resident warp");
-    if (config.schedulersPerSmx < 1)
-        throw std::invalid_argument("Smx: need at least one scheduler");
 
     const Program &prog = kernel.program();
     const int entry = 0;
     warps_.reserve(static_cast<std::size_t>(num_warps));
-    for (int w = 0; w < num_warps; ++w) {
+    for (int w = 0; w < num_warps; ++w)
         warps_.emplace_back(w, w, entry, prog.exitBlock(), config.simdLanes);
-        warps_.back().age = static_cast<std::uint64_t>(w);
-    }
-    memAddresses_.reserve(static_cast<std::size_t>(config.simdLanes));
 }
 
 bool
@@ -196,13 +191,17 @@ Smx::resolveRdctrl(Warp &warp)
             warp.stalledOnRdctrl = true;
             warp.stallStartCycle = cycle_;
             rdctrlStalledIssues_.add();
+            ++stalledWarps_;
         }
         return false;
     }
-    if (warp.stalledOnRdctrl && tracer_ && tracer_->enabled())
-        tracer_->record(obs::TraceEventKind::RdctrlStall, warp.id(),
-                        warp.stallStartCycle, cycle_);
-    warp.stalledOnRdctrl = false;
+    if (warp.stalledOnRdctrl) {
+        if (tracer_ && tracer_->enabled())
+            tracer_->record(obs::TraceEventKind::RdctrlStall, warp.id(),
+                            warp.stallStartCycle, cycle_);
+        warp.stalledOnRdctrl = false;
+        --stalledWarps_;
+    }
     warp.rdctrlResolved = true;
     warp.pendingExit = result.exit;
     warp.pendingBody = result.exit      ? -1
@@ -278,7 +277,6 @@ Smx::issueFromWarp(Warp &warp, int max_issues)
         }
         normalRfAccesses_.add(kRfAccessesPerInstruction);
         ++issued;
-        warp.lastIssueCycle = cycle_;
         if (warp.overheadInstructions == 0 &&
             warp.remainingInstructions == 0) {
             completeBlock(warp);
@@ -349,6 +347,12 @@ Smx::completeBlock(Warp &warp)
 void
 Smx::verifyInvariants() const
 {
+    const auto stalled = std::count_if(
+        warps_.begin(), warps_.end(),
+        [](const Warp &warp) { return warp.stalledOnRdctrl; });
+    if (static_cast<std::uint64_t>(stalled) != stalledWarps_)
+        throw std::logic_error(
+            "Smx: stalled-warp count disagrees with the warps");
     if (controller_ != nullptr)
         controller_->verifyInvariants();
 }
@@ -358,63 +362,40 @@ Smx::issue()
 {
     int issued_total = 0;
     const int per_scheduler = config_.issuesPerScheduler();
-    const int schedulers = config_.schedulersPerSmx;
+    const auto schedulers =
+        static_cast<std::size_t>(config_.schedulersPerSmx);
 
-    for (int s = 0; s < schedulers; ++s) {
+    for (std::size_t s = 0; s < schedulers; ++s) {
         // Greedy-then-oldest: try the warp this scheduler issued from
         // last; when it cannot issue, fall back to the oldest ready warp.
         int issued = 0;
-        const int last = lastIssued_[static_cast<std::size_t>(s)];
+        const int last = lastIssued_[s];
         if (last >= 0) {
             Warp &warp = warps_[static_cast<std::size_t>(last)];
             if (warpReady(warp))
                 issued = issueFromWarp(warp, per_scheduler);
         }
 
-        if (issued == 0) {
-            // Oldest-first scan over this scheduler's warp partition;
-            // warps that fail to issue (e.g. stalled on rdctrl) are
-            // skipped and the next-oldest is tried.
-            bool have_floor = false;
-            std::uint64_t age_floor = 0;
-            while (issued == 0) {
-                int candidate = -1;
-                std::uint64_t cand_age = ~0ULL;
-                for (std::size_t w = static_cast<std::size_t>(s);
-                     w < warps_.size();
-                     w += static_cast<std::size_t>(schedulers)) {
-                    Warp &warp = warps_[w];
-                    if (!warpReady(warp))
-                        continue;
-                    if (have_floor && warp.age <= age_floor)
-                        continue;
-                    if (warp.age < cand_age) {
-                        cand_age = warp.age;
-                        candidate = static_cast<int>(w);
-                    }
-                }
-                if (candidate < 0)
-                    break;
-                issued = issueFromWarp(
-                    warps_[static_cast<std::size_t>(candidate)],
-                    per_scheduler);
-                if (issued > 0) {
-                    lastIssued_[static_cast<std::size_t>(s)] = candidate;
-                } else {
-                    have_floor = true;
-                    age_floor = cand_age;
-                }
-            }
+        // Oldest-first over this scheduler's warp partition: warps are
+        // as old as their index, so one ascending pass tries them oldest
+        // first, skipping those that fail to issue (e.g. stalled on
+        // rdctrl). The greedy warp is tried again in its turn.
+        for (std::size_t w = s; issued == 0 && w < warps_.size();
+             w += schedulers) {
+            Warp &warp = warps_[w];
+            if (!warpReady(warp))
+                continue;
+            issued = issueFromWarp(warp, per_scheduler);
+            if (issued > 0)
+                lastIssued_[s] = static_cast<int>(w);
         }
         if (attribution_)
-            attributeUnissued(s, per_scheduler - issued);
+            attributeUnissued(static_cast<int>(s), per_scheduler - issued);
         issued_total += issued;
     }
 
     // Count stall time of rdctrl-stalled warps (Figure 9's metric).
-    for (const auto &w : warps_)
-        if (w.stalledOnRdctrl && !w.exited())
-            rdctrlStallCycles_.add();
+    rdctrlStallCycles_.add(stalledWarps_);
 
     if (issued_total == 0)
         issueIdleCycles_.add();
@@ -429,16 +410,18 @@ Smx::attributeUnissued(int scheduler, int slots)
     if (slots <= 0)
         return;
 
-    // Blame the oldest culprit warp of this scheduler's partition, with
-    // the same priority the taxonomy lists: a warp parked by the ray
-    // hardware outranks a memory wait, which outranks an in-core hazard,
-    // which outranks plain "nothing eligible".
+    // Blame the oldest culprit warp of this scheduler's partition (the
+    // first in index order), with the same priority the taxonomy lists:
+    // a warp parked by the ray hardware outranks a memory wait, which
+    // outranks an in-core hazard, which outranks plain "nothing
+    // eligible".
     const Warp *rdctrl = nullptr;
     const Warp *memory = nullptr;
     const Warp *hazard = nullptr;
     const Warp *live = nullptr;
-    const auto oldest = [](const Warp *best, const Warp &warp) {
-        return best == nullptr || warp.age < best->age ? &warp : best;
+    const auto keep_oldest = [](const Warp *&oldest, const Warp &warp) {
+        if (oldest == nullptr)
+            oldest = &warp;
     };
     for (std::size_t w = static_cast<std::size_t>(scheduler);
          w < warps_.size();
@@ -446,14 +429,14 @@ Smx::attributeUnissued(int scheduler, int slots)
         const Warp &warp = warps_[w];
         if (warp.exited())
             continue;
-        live = oldest(live, warp);
+        keep_oldest(live, warp);
         if (warp.stalledOnRdctrl)
-            rdctrl = oldest(rdctrl, warp);
+            keep_oldest(rdctrl, warp);
         else if (warp.readyCycle > cycle_) {
             if (warp.waitReason == WarpWait::SpawnOverhead)
-                hazard = oldest(hazard, warp);
+                keep_oldest(hazard, warp);
             else
-                memory = oldest(memory, warp);
+                keep_oldest(memory, warp);
         }
     }
 
@@ -512,8 +495,7 @@ Smx::describeState(std::ostream &out) const
             out << " exited\n";
             continue;
         }
-        out << " row=" << w.row() << " age=" << w.age
-            << " readyCycle=" << w.readyCycle;
+        out << " row=" << w.row() << " readyCycle=" << w.readyCycle;
         if (w.stalledOnRdctrl)
             out << " STALLED-on-rdctrl since=" << w.stallStartCycle;
         out << " stack=[";

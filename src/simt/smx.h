@@ -148,6 +148,13 @@ class SmxExecutor
                      const std::vector<std::uint64_t> &addresses,
                      std::uint32_t bytes);
 
+    /**
+     * Scratch for the lane addresses of one warp instruction, filled by
+     * the executor and passed to deferAccess(). Per SMX: the SMX-threaded
+     * engine steps SMXs concurrently.
+     */
+    std::vector<std::uint64_t> memAddresses_;
+
     /** Approximate operand-collector traffic of one warp instruction. */
     static constexpr std::uint64_t kRfAccessesPerInstruction = 3;
 
@@ -179,6 +186,7 @@ class SmxExecutor
         PendingWarpAccess pending;
     };
 
+    /** This cycle's accesses, in issue order (cleared, never freed). */
     std::vector<DeferredAccess> deferredAccesses_;
 };
 
@@ -265,6 +273,8 @@ class Smx : public SmxExecutor
     std::vector<Warp> warps_;
     /** Last warp each scheduler issued from (greedy policy). */
     std::vector<int> lastIssued_;
+    /** Warps with stalledOnRdctrl set (none of them has exited). */
+    std::uint64_t stalledWarps_ = 0;
 
     obs::Counter &rdctrlIssued_;
     obs::Counter &rdctrlStalledIssues_;
@@ -280,9 +290,8 @@ class Smx : public SmxExecutor
     /** Per-block {instructions, active-thread sum} (see SimStats). */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> blockIssue_;
 
-    // Scratch reused across completeBlock calls.
+    /** Per-lane successors of the completing block (scratch). */
     std::vector<int> nextBlocks_;
-    std::vector<std::uint64_t> memAddresses_;
 };
 
 } // namespace drs::simt

@@ -1,8 +1,8 @@
 #include "simt/warp.h"
 
-#include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
-#include <map>
 #include <stdexcept>
 
 namespace drs::simt {
@@ -24,20 +24,37 @@ Warp::applySuccessors(const std::vector<int> &next_blocks,
 {
     assert(!exited_);
     StackEntry &top = stack_.back();
-    const std::uint32_t mask = top.mask;
+    const std::uint32_t mask = top.mask & fullMask(lanes_);
     const int branch_pc = top.pc;
 
-    // Partition active lanes by successor.
-    std::map<int, std::uint32_t> targets; // ordered for determinism
-    for (int lane = 0; lane < lanes_; ++lane) {
-        if (!(mask & (1u << lane)))
-            continue;
-        targets[next_blocks[static_cast<std::size_t>(lane)]] |= 1u << lane;
+    // Partition active lanes by successor, kept in ascending block order
+    // (insertion into a fixed array: there is at most one target per
+    // lane, and rarely more than a few).
+    struct Target
+    {
+        int block;
+        std::uint32_t lanes;
+    };
+    std::array<Target, 32> targets;
+    std::size_t count = 0;
+    for (std::uint32_t rest = mask; rest != 0; rest &= rest - 1) {
+        const int lane = std::countr_zero(rest);
+        const int next = next_blocks[static_cast<std::size_t>(lane)];
+        std::size_t i = 0;
+        while (i < count && targets[i].block < next)
+            ++i;
+        if (i == count || targets[i].block != next) {
+            for (std::size_t j = count; j > i; --j)
+                targets[j] = targets[j - 1];
+            targets[i] = {next, 0};
+            ++count;
+        }
+        targets[i].lanes |= 1u << lane;
     }
-    assert(!targets.empty());
+    assert(count != 0);
 
-    if (targets.size() == 1) {
-        const int next = targets.begin()->first;
+    if (count == 1) {
+        const int next = targets[0].block;
         if (next == top.rpc) {
             // Reached the reconvergence point: rejoin the entry below.
             if (stack_.size() > 1) {
@@ -63,12 +80,13 @@ Warp::applySuccessors(const std::vector<int> &next_blocks,
         // the immediate post-dominator; one entry per target is pushed.
         const int rpc = program.immediatePostDominator(branch_pc);
         top.pc = rpc;
-        // Push in descending target order so execution order is
-        // deterministic; any order is architecturally valid.
-        for (auto it = targets.begin(); it != targets.end(); ++it) {
-            if (it->first == rpc)
+        // Push in ascending block order, so the highest block runs first;
+        // any fixed order is architecturally valid.
+        for (std::size_t i = 0; i < count; ++i) {
+            if (targets[i].block == rpc)
                 continue; // these lanes wait at the reconvergence entry
-            stack_.push_back(StackEntry{it->first, rpc, it->second});
+            stack_.push_back(StackEntry{targets[i].block, rpc,
+                                        targets[i].lanes});
         }
     }
 

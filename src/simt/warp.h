@@ -34,11 +34,18 @@ struct StackEntry
     std::uint32_t mask = 0; ///< active lanes
 };
 
-/** Number of set bits in a lane mask. */
+/**
+ * Number of set bits in a lane mask. Spelled out because the baseline
+ * x86-64 target has no popcount instruction, and the builtin becomes a
+ * library call there.
+ */
 inline int
 popcount(std::uint32_t mask)
 {
-    return __builtin_popcount(mask);
+    mask -= (mask >> 1) & 0x55555555u;
+    mask = (mask & 0x33333333u) + ((mask >> 2) & 0x33333333u);
+    return static_cast<int>(
+        (((mask + (mask >> 4)) & 0x0f0f0f0fu) * 0x01010101u) >> 24);
 }
 
 /** Full mask for @p lanes threads. */
@@ -121,10 +128,6 @@ class Warp
     std::uint64_t readyCycle = 0;
     /** What readyCycle waits on (attribution bookkeeping only). */
     WarpWait waitReason = WarpWait::None;
-    /** Cycle of last issue, for greedy-then-oldest scheduling. */
-    std::uint64_t lastIssueCycle = 0;
-    /** Arrival order for the "oldest" policy. */
-    std::uint64_t age = 0;
     /** Set while the warp is stalled on rdctrl. */
     bool stalledOnRdctrl = false;
     /** Cycle the current rdctrl stall began (tracer bookkeeping). */

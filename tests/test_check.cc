@@ -11,7 +11,9 @@
 
 #include <cstdlib>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +31,25 @@
 #include "simt/gpu.h"
 #include "simt/kernel_ir.h"
 #include "simt/warp.h"
+
+namespace drs::simt {
+
+/** Corrupts a workspace's row census for the checker tests. */
+struct RowWorkspaceTestPeer
+{
+    static void flipMask(RowWorkspace &ws, int row, TravState state,
+                         int lane)
+    {
+        ws.masks_[static_cast<std::size_t>(row)]
+                 [static_cast<std::size_t>(state)] ^= 1u << lane;
+    }
+    static void setLiveRays(RowWorkspace &ws, std::size_t live)
+    {
+        ws.liveRays_ = live;
+    }
+};
+
+} // namespace drs::simt
 
 namespace drs::check {
 namespace {
@@ -181,12 +202,64 @@ TEST(Workspace, StrictConservationCatchesLostRay)
     kernels::TravWorkspace ws(setup.bvh, setup.scene.triangles(),
                               setup.rays, 0, 2, 32);
     ws.fetchStep(0, 0);
-    // Drop the fetched ray entirely: slot emptied, never completed. The
-    // relaxed mode (architectures that legally park rays elsewhere)
-    // accepts this; strict conservation must not.
-    ws.slot(0, 0) = kernels::RaySlot{};
+    // Move the fetched ray out of the rows, as the DMK parks rays in
+    // spawn memory: slot emptied, never completed. The relaxed mode
+    // (architectures that legally park rays elsewhere) accepts this;
+    // strict conservation must not.
+    const kernels::RaySlot parked = ws.takeRay(0, 0);
+    EXPECT_GE(parked.rayId, 0);
     EXPECT_NO_THROW(verifyWorkspace(ws, /*strict=*/false));
     EXPECT_THROW(verifyWorkspace(ws, /*strict=*/true), InvariantViolation);
+}
+
+TEST(Workspace, TakeAndPutRayKeepTheCensus)
+{
+    TestSetup setup(64);
+    kernels::TravWorkspace ws(setup.bvh, setup.scene.triangles(),
+                              setup.rays, 0, 2, 32);
+    ws.fetchStep(0, 3);
+    EXPECT_EQ(ws.laneMask(0, simt::TravState::Inner), 1u << 3);
+    kernels::RaySlot ray = ws.takeRay(0, 3);
+    EXPECT_EQ(ws.liveRays(), 0u);
+    ws.putRay(1, 30, std::move(ray));
+    EXPECT_EQ(ws.laneMask(1, simt::TravState::Inner), 1u << 30);
+    EXPECT_EQ(ws.laneMask(0, simt::TravState::Fetch), 0xffffffffu);
+    EXPECT_EQ(ws.liveRays(), 1u);
+    EXPECT_NO_THROW(verifyWorkspace(ws, /*strict=*/true));
+}
+
+TEST(Workspace, DetectsCorruptCensusMask)
+{
+    TestSetup setup(64);
+    kernels::TravWorkspace ws(setup.bvh, setup.scene.triangles(),
+                              setup.rays, 0, 2, 32);
+    ws.fetchStep(1, 4);
+    // Claim the inner ray is a leaf ray; the live count stays right.
+    simt::RowWorkspaceTestPeer::flipMask(ws, 1, simt::TravState::Inner, 4);
+    simt::RowWorkspaceTestPeer::flipMask(ws, 1, simt::TravState::Leaf, 4);
+    EXPECT_THROW(verifyWorkspace(ws, /*strict=*/false), InvariantViolation);
+}
+
+TEST(Workspace, DetectsCorruptCensusLiveCount)
+{
+    TestSetup setup(64);
+    kernels::TravWorkspace ws(setup.bvh, setup.scene.triangles(),
+                              setup.rays, 0, 2, 32);
+    ws.fetchStep(0, 0);
+    simt::RowWorkspaceTestPeer::setLiveRays(ws, 2);
+    EXPECT_THROW(verifyWorkspace(ws, /*strict=*/false), InvariantViolation);
+}
+
+TEST(Workspace, RejectsLaneCountsOutsideTheMaskWidth)
+{
+    TestSetup setup(64);
+    for (const int lanes : {0, 33}) {
+        EXPECT_THROW(kernels::TravWorkspace(setup.bvh,
+                                            setup.scene.triangles(),
+                                            setup.rays, 0, 2, lanes),
+                     std::invalid_argument)
+            << "lanes = " << lanes;
+    }
 }
 
 // --------------------------------------------------------- warp checker

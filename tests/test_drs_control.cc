@@ -13,6 +13,21 @@
 #include "simt/warp.h"
 
 namespace drs::core {
+
+/** Corrupts DrsControl's private tables for the invariant tests. */
+struct DrsControlTestPeer
+{
+    static void addLock(DrsControl &control, int row)
+    {
+        ++control.lockCount_[static_cast<std::size_t>(row)];
+    }
+    static void flipUnbound(DrsControl &control, int row)
+    {
+        control.unbound_[static_cast<std::size_t>(row) / 64] ^=
+            std::uint64_t{1} << (row % 64);
+    }
+};
+
 namespace {
 
 using simt::RdctrlResult;
@@ -23,16 +38,14 @@ class MockWorkspace : public simt::RowWorkspace
 {
   public:
     MockWorkspace(int rows, int lanes, bool pool_empty = false)
-        : rows_(rows), lanes_(lanes), poolEmpty_(pool_empty),
+        : RowWorkspace(rows, lanes), poolEmpty_(pool_empty),
           states_(static_cast<std::size_t>(rows) * lanes, TravState::Fetch)
     {
     }
 
-    int rowCount() const override { return rows_; }
-    int laneCount() const override { return lanes_; }
     TravState state(int row, int lane) const override
     {
-        return states_[static_cast<std::size_t>(row) * lanes_ + lane];
+        return states_[static_cast<std::size_t>(row) * laneCount() + lane];
     }
     void moveRay(int sr, int sl, int dr, int dl) override
     {
@@ -48,21 +61,15 @@ class MockWorkspace : public simt::RowWorkspace
         setState(rb, lb, a);
     }
     bool poolEmpty() const override { return poolEmpty_; }
-    std::size_t liveRays() const override
-    {
-        std::size_t n = 0;
-        for (auto s : states_)
-            n += s != TravState::Fetch ? 1 : 0;
-        return n;
-    }
 
     void setState(int row, int lane, TravState s)
     {
-        states_[static_cast<std::size_t>(row) * lanes_ + lane] = s;
+        states_[static_cast<std::size_t>(row) * laneCount() + lane] = s;
+        setLaneState(row, lane, s);
     }
     void fillRow(int row, TravState s)
     {
-        for (int lane = 0; lane < lanes_; ++lane)
+        for (int lane = 0; lane < laneCount(); ++lane)
             setState(row, lane, s);
     }
 
@@ -72,8 +79,6 @@ class MockWorkspace : public simt::RowWorkspace
     int swaps = 0;
 
   private:
-    int rows_;
-    int lanes_;
     bool poolEmpty_;
     std::vector<TravState> states_;
 };
@@ -271,6 +276,59 @@ TEST(DrsControl, IdealizedConsolidationIsImmediate)
             has_leaf |= ws.state(row, lane) == TravState::Leaf;
         }
         EXPECT_FALSE(has_inner && has_leaf) << "row " << row;
+    }
+}
+
+TEST(DrsControl, RowSearchReachesRowsPastSixtyFour)
+{
+    // 60 warps + 8 backup + 2 empty = 70 rows: the unbound set spans two
+    // 64-bit words. Rows 66 and 69 are uniform inner rows; the fuller
+    // one wins, and the first of two equal candidates wins.
+    MockWorkspace ws(70, 32, true);
+    DrsConfig config = strictConfig();
+    config.backupRows = 8;
+    DrsControl control(config, ws, 60);
+    ws.fillRow(0, TravState::Inner);
+    ws.setState(0, 7, TravState::Leaf);
+    for (int lane = 0; lane < 20; ++lane)
+        ws.setState(66, lane, TravState::Inner);
+    ws.fillRow(69, TravState::Inner);
+    RdctrlResult r = control.onRdctrl(0);
+    EXPECT_FALSE(r.stall);
+    EXPECT_EQ(r.row, 69);
+    EXPECT_EQ(control.warpRow(0), 69);
+
+    ws.fillRow(1, TravState::Inner);
+    ws.setState(1, 3, TravState::Leaf);
+    ws.fillRow(65, TravState::Inner);
+    ws.fillRow(67, TravState::Inner);
+    r = control.onRdctrl(1);
+    EXPECT_EQ(r.row, 65);
+    EXPECT_NO_THROW(control.verifyInvariants());
+}
+
+TEST(DrsControl, VerifyInvariantsCatchesCorruptLockCount)
+{
+    MockWorkspace ws(7, 32);
+    DrsControl control(strictConfig(), ws, 4);
+    EXPECT_NO_THROW(control.verifyInvariants());
+    DrsControlTestPeer::addLock(control, 5);
+    EXPECT_THROW(control.verifyInvariants(), std::logic_error);
+}
+
+TEST(DrsControl, VerifyInvariantsCatchesCorruptUnboundBit)
+{
+    MockWorkspace ws(70, 32);
+    DrsConfig config = strictConfig();
+    config.backupRows = 8;
+    for (const int row : {2, 66, 70}) {
+        SCOPED_TRACE(row);
+        DrsControl control(config, ws, 60);
+        EXPECT_NO_THROW(control.verifyInvariants());
+        // A bound row marked unbound, an unbound row marked bound, and a
+        // bit past the last row.
+        DrsControlTestPeer::flipUnbound(control, row);
+        EXPECT_THROW(control.verifyInvariants(), std::logic_error);
     }
 }
 

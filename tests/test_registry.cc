@@ -16,16 +16,22 @@
  *     invariants) passes and leaves SimStats untouched;
  *   - runGpu's wiring holds: a GPU without SMXs is rejected, a
  *     cancelled token stops the run, and a 1-cycle watchdog aborts it
- *     with a per-SMX dump.
+ *     with a per-SMX dump;
+ *   - SimStats match digests recorded from a known-good build, bit for
+ *     bit (plus three DRS configurations that stress the row census).
  *
  * Plus the registry mechanics themselves: the built-in lineup, loud
  * failure for unknown architectures, duplicate rejection, and runtime
  * registration being picked up by runBatch immediately.
  */
 
+#include <cstdint>
+#include <functional>
+#include <ios>
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,6 +41,7 @@
 #include "harness/arch_detail.h"
 #include "harness/arch_plugin.h"
 #include "harness/harness.h"
+#include "harness/report.h"
 #include "reorder/reorder.h"
 
 namespace drs::harness {
@@ -364,6 +371,91 @@ TEST_P(RegistryConformance, TightWatchdogAbortsWithDiagnostics)
     } catch (const fault::WatchdogTimeout &timeout) {
         EXPECT_NE(timeout.dump().find("SMX 0"), std::string::npos);
     }
+}
+
+/** FNV-1a over the lossless JSON form: equal digests, equal SimStats. */
+std::uint64_t
+statsDigest(const simt::SimStats &stats)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char ch : statsJsonFull(stats).dump()) {
+        hash ^= static_cast<unsigned char>(ch);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/** The golden batch: conference at scale 0.05, 2048 rays of B2, 2 SMX. */
+const PreparedScene &
+goldenScene()
+{
+    static const PreparedScene scene = [] {
+        ExperimentScale scale = testScale();
+        scale.sceneScale = 0.05f;
+        scale.raysPerBounce = 2048;
+        return prepareScene(scene::SceneId::Conference, scale);
+    }();
+    return scene;
+}
+
+TEST_P(RegistryConformance, SimStatsMatchGoldenDigests)
+{
+    // Exact SimStats of every built-in architecture on one small batch.
+    // The DRS variants reach the row-census corners: 70 rows (past a
+    // 64-bit row set), idealized consolidation, and a strict dispatch
+    // rule with every swap buffer in use. A change that alters the model
+    // on purpose re-records the digests printed on failure.
+    struct Golden
+    {
+        const char *arch;
+        const char *variant;
+        std::function<void(RunConfig &)> configure;
+        std::uint64_t digest;
+    };
+    const std::vector<Golden> goldens = {
+        {"aila", "default", [](RunConfig &) {}, 0x28672e6781d82280ULL},
+        {"drs", "default", [](RunConfig &) {}, 0xc29e64bfbf6e6e0cULL},
+        {"drs", "extra bank, 8 backup rows",
+         [](RunConfig &c) {
+             c.drs.useExtraRegisterBank = true;
+             c.drs.backupRows = 8;
+         },
+         0x2a78ec4fa9050a6aULL},
+        {"drs", "idealized", [](RunConfig &c) { c.drs.idealized = true; },
+         0x6c68e9c6a936a3a8ULL},
+        {"drs", "strict dispatch, 18 buffers",
+         [](RunConfig &c) {
+             c.drs.dispatchMinorityTolerance = 0;
+             c.drs.swapBuffers = 18;
+         },
+         0xe9481c3d38188817ULL},
+        {"dmk", "default", [](RunConfig &) {}, 0x738e6a897df60c49ULL},
+        {"tbc", "default", [](RunConfig &) {}, 0xe29c075ce2fdcaf3ULL},
+        {"sort", "default", [](RunConfig &) {}, 0x6ed9475e0917c08aULL},
+        {"cutcode", "default", [](RunConfig &) {}, 0x7157fe627674cca9ULL},
+        {"ser", "default", [](RunConfig &) {}, 0x15a7b19397693282ULL},
+        {"pathpred", "default", [](RunConfig &) {}, 0x89e9fae1bb08bdd5ULL},
+    };
+
+    const auto &rays = goldenScene().trace.bounce(2).rays;
+    ASSERT_GE(rays.size(), 2048u);
+    const std::span<const geom::Ray> batch =
+        std::span<const geom::Ray>(rays).first(2048);
+    int checked = 0;
+    for (const Golden &golden : goldens) {
+        if (GetParam() != golden.arch)
+            continue;
+        SCOPED_TRACE(golden.variant);
+        RunConfig config = baseConfig();
+        golden.configure(config);
+        const auto stats =
+            runBatch(arch(), *goldenScene().tracer, batch, config);
+        EXPECT_EQ(stats.raysTraced, batch.size());
+        EXPECT_EQ(statsDigest(stats), golden.digest)
+            << "actual digest 0x" << std::hex << statsDigest(stats);
+        ++checked;
+    }
+    EXPECT_GT(checked, 0) << "no golden digest for " << GetParam();
 }
 
 // Regression: quantize() used to cast a non-finite float straight to

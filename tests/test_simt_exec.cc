@@ -231,6 +231,50 @@ TEST(Warp, DivergenceAndReconvergence)
     EXPECT_EQ(popcount(warp.activeMask()), 32);
 }
 
+TEST(Warp, DivergencePushesTargetsInBlockOrder)
+{
+    // 0 -> {1,2,3,4}; 1,2,3 -> 4; 4 -> 5(exit). Block 4 is the
+    // reconvergence point of the branch at 0.
+    std::vector<Block> blocks(6);
+    blocks[0] = {"br", 1, {1, 2, 3, 4}, MemSpace::None, SpecialOp::None,
+                 false};
+    blocks[1] = {"a", 1, {4}, MemSpace::None, SpecialOp::None, false};
+    blocks[2] = {"b", 1, {4}, MemSpace::None, SpecialOp::None, false};
+    blocks[3] = {"c", 1, {4}, MemSpace::None, SpecialOp::None, false};
+    blocks[4] = {"join", 1, {5}, MemSpace::None, SpecialOp::None, false};
+    blocks[5] = {"exit", 1, {}, MemSpace::None, SpecialOp::None, false};
+    Program program(std::move(blocks), 5);
+    ASSERT_EQ(program.immediatePostDominator(0), 4);
+
+    // Lane 0 goes to the highest target, so lane order and block order
+    // disagree: lanes 4k -> 3, 4k+1 -> 1, 4k+2 -> 4 (rpc), 4k+3 -> 2.
+    Warp warp(0, 0, 0, 5, 32);
+    std::vector<int> next(32);
+    for (int i = 0; i < 32; ++i) {
+        static constexpr int kTarget[] = {3, 1, 4, 2};
+        next[static_cast<std::size_t>(i)] = kTarget[i % 4];
+    }
+    warp.applySuccessors(next, program);
+
+    // The reconvergence entry keeps every lane; one entry per other
+    // target follows in ascending block id, so block 3 runs first.
+    const std::vector<StackEntry> &stack = warp.stack();
+    ASSERT_EQ(stack.size(), 4u);
+    EXPECT_EQ(stack[0].pc, 4);
+    EXPECT_EQ(stack[0].rpc, 5);
+    EXPECT_EQ(stack[0].mask, 0xffffffffu);
+    const int pcs[] = {1, 2, 3};
+    const std::uint32_t masks[] = {0x22222222u, 0x88888888u, 0x11111111u};
+    for (std::size_t i = 0; i < 3; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(stack[i + 1].pc, pcs[i]);
+        EXPECT_EQ(stack[i + 1].rpc, 4);
+        EXPECT_EQ(stack[i + 1].mask, masks[i]);
+    }
+    EXPECT_EQ(warp.pc(), 3);
+    EXPECT_EQ(warp.activeMask(), 0x11111111u);
+}
+
 TEST(Warp, PartialExit)
 {
     // 0 -> {0, 1}: half the lanes loop, half exit.

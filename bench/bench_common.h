@@ -12,14 +12,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <mutex>
 #include <string>
 
+#include "exec/env.h"
 #include "exec/parallel_for.h"
 #include "fleet/fleet.h"
 #include "harness/harness.h"
@@ -70,37 +71,22 @@ struct Options
 inline Options
 parseOptions(int argc, char **argv)
 {
-    auto positive_int = [](const char *flag, const char *text, int fallback) {
-        char *end = nullptr;
-        const long v = std::strtol(text, &end, 10);
-        if (end == text || *end != '\0' || v <= 0 || v > 1'000'000) {
-            std::fprintf(stderr,
-                         "warning: ignoring %s=\"%s\" "
-                         "(want a positive integer)\n",
-                         flag, text);
-            return fallback;
-        }
-        return static_cast<int>(v);
-    };
-
+    constexpr int kMaxWorkers = fleet::FleetOptions::kMaxWorkers;
+    constexpr int kMaxSmxThreads = 1'000'000;
     Options options;
     options.jobs = exec::defaultConcurrency();
-    if (const char *s = std::getenv("DRS_SMX_THREADS"))
-        options.smxThreads =
-            positive_int("DRS_SMX_THREADS", s, options.smxThreads);
-    if (const char *s = std::getenv("DRS_FLEET"))
-        options.fleetWorkers = positive_int("DRS_FLEET", s, 0);
-    if (const char *s = std::getenv("DRS_PROGRESS")) {
-        if (std::strcmp(s, "0") == 0)
-            options.progress = false;
-        else if (std::strcmp(s, "1") == 0)
-            options.progress = true;
-        else
+    exec::envKnob("DRS_SMX_THREADS", 1, kMaxSmxThreads, options.smxThreads);
+    exec::envKnob("DRS_FLEET", 1, kMaxWorkers, options.fleetWorkers);
+    exec::envKnob("DRS_PROGRESS", false, true, options.progress);
+    // Same strict contract as the knobs: an empty path warns and is
+    // ignored rather than silently producing no report or journal.
+    auto path_flag = [](const char *flag, const char *v, std::string &out) {
+        if (*v == '\0')
             std::fprintf(stderr,
-                         "warning: ignoring DRS_PROGRESS=\"%s\" "
-                         "(want 0 or 1)\n",
-                         s);
-    }
+                         "warning: ignoring %s with an empty path\n", flag);
+        else
+            out = v;
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -114,31 +100,18 @@ parseOptions(int argc, char **argv)
             return nullptr;
         };
         if (const char *v = value_of("--jobs"))
-            options.jobs = positive_int("--jobs", v, options.jobs);
+            exec::parseKnob("--jobs", v, 1, INT_MAX, options.jobs);
         else if (const char *v = value_of("--fleet"))
-            options.fleetWorkers =
-                positive_int("--fleet", v, options.fleetWorkers);
+            exec::parseKnob("--fleet", v, 1, kMaxWorkers,
+                            options.fleetWorkers);
         else if (const char *v = value_of("--smx-threads"))
-            options.smxThreads =
-                positive_int("--smx-threads", v, options.smxThreads);
-        else if (const char *v = value_of("--json")) {
-            // Same strict contract as the environment knobs: a malformed
-            // (empty) value warns and is ignored rather than silently
-            // producing no report.
-            if (*v == '\0')
-                std::fprintf(stderr,
-                             "warning: ignoring --json with an empty "
-                             "path\n");
-            else
-                options.jsonPath = v;
-        } else if (const char *v = value_of("--journal")) {
-            if (*v == '\0')
-                std::fprintf(stderr,
-                             "warning: ignoring --journal with an empty "
-                             "path\n");
-            else
-                options.journalPath = v;
-        } else if (arg == "--resume")
+            exec::parseKnob("--smx-threads", v, 1, kMaxSmxThreads,
+                            options.smxThreads);
+        else if (const char *v = value_of("--json"))
+            path_flag("--json", v, options.jsonPath);
+        else if (const char *v = value_of("--journal"))
+            path_flag("--journal", v, options.journalPath);
+        else if (arg == "--resume")
             options.resume = true;
         else if (arg == "--progress")
             options.progress = true;

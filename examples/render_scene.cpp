@@ -7,10 +7,12 @@
  * Usage: render_scene [scene] [output.ppm] [width] [height] [spp]
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "harness/harness.h"
 #include "render/path_tracer.h"
 #include "scene/scenes.h"
 
@@ -28,9 +30,8 @@ main(int argc, char **argv)
     config.height = argc > 4 ? std::atoi(argv[4]) : 240;
     config.samplesPerPixel = argc > 5 ? std::atoi(argv[5]) : 8;
 
-    float scale = 0.25f;
-    if (const char *s = std::getenv("DRS_SCALE"))
-        scale = std::max(0.01f, static_cast<float>(std::atof(s)));
+    const float scale = std::max(
+        0.01f, harness::ExperimentScale::fromEnvironment().sceneScale);
 
     std::cout << "Rendering '" << scene_name << "' at " << config.width
               << "x" << config.height << ", " << config.samplesPerPixel

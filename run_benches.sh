@@ -7,7 +7,7 @@
 # Usage: run_benches.sh [--json [DIR]] [--compare BASELINE_DIR]
 #   --json        additionally write machine-readable BENCH_<name>.json
 #                 reports (default DIR: bench_reports), validated with
-#                 build/tools/drs_profile after the sweep.
+#                 `build/tools/drs profile` after the sweep.
 #   --compare     after the sweep, diff the fresh reports against an
 #                 earlier report directory with tools/bench_compare.py
 #                 and exit non-zero on any metric regression. Implies
@@ -74,9 +74,9 @@ for name in "${benches[@]}"; do
     missing=1
   fi
 done
-if [ -n "$json_dir" ] && [ ! -x build/tools/drs_profile ]; then
-  echo "error: report validator build/tools/drs_profile is missing (build" \
-       "it: cmake --build build --target drs_profile)" >&2
+if [ -n "$json_dir" ] && [ ! -x build/tools/drs ]; then
+  echo "error: report validator build/tools/drs is missing (build" \
+       "it: cmake --build build --target drs)" >&2
   missing=1
 fi
 [ "$missing" -eq 0 ] || exit 1
@@ -93,8 +93,8 @@ done
 
 if [ -n "$json_dir" ]; then
   echo; echo "JSON reports written to $json_dir/"
-  # drs_profile exits 1 on a report that fails the schema.
-  build/tools/drs_profile "$json_dir"/BENCH_*.json >/dev/null
+  # `drs profile` exits 1 on a report that fails the schema.
+  build/tools/drs profile "$json_dir"/BENCH_*.json >/dev/null
 fi
 
 if [ -n "$compare_dir" ]; then

@@ -16,11 +16,11 @@
 #    to an uninterrupted run (wall-clock and resume bookkeeping aside).
 # 3. Runs one bench twice in the regular build -- DRS_CHECK=0 vs
 #    DRS_CHECK=1 -- and verifies both JSON reports validate against the
-#    schema (tools/drs_profile) and are identical except for
+#    schema (`drs profile`) and are identical except for
 #    wall-clock fields: invariant checking must be a pure observer.
 # 4. Profiler smoke: the same bench under DRS_SAMPLE + DRS_TRACE must
 #    emit a Chrome trace that passes tests/check_trace.py, a report that
-#    drs_profile can render, and bench_compare.py must pass a
+#    `drs profile` can render, and bench_compare.py must pass a
 #    self-compare of that report and flag a perturbed copy.
 # 5. Fleet chaos leg (regular build + asan; NOT tsan -- fork() under
 #    thread-sanitizer interceptors is unreliable): ctest -L fleet runs
@@ -31,8 +31,8 @@
 #    trace stitching and --progress ticker on, cross-checked against
 #    summary.fleet.
 # 6. Telemetry smoke (regular build): a fleet bench under DRS_LOG +
-#    DRS_TRACE; the event log must analyze cleanly (drs_events), the
-#    trace shards must merge (drs_tracecat) into a document that passes
+#    DRS_TRACE; the event log must analyze cleanly (`drs events`), the
+#    trace shards must merge (`drs tracecat`) into a document that passes
 #    tests/check_trace.py, and logging must be a pure observer (report
 #    identical to a telemetry-off run, wall-clock aside).
 #
@@ -71,7 +71,7 @@ resume_smoke() {
       --json "$tmp/BENCH_resumed.json" >/dev/null
   DRS_RAYS=2048 DRS_SCALE=0.05 DRS_SMX=2 \
       "$bench" --jobs 2 --json "$tmp/BENCH_clean.json" >/dev/null
-  "$1/tools/drs_profile" "$tmp"/BENCH_*.json >/dev/null
+  "$1/tools/drs" profile "$tmp"/BENCH_*.json >/dev/null
   python3 - "$tmp/BENCH_clean.json" "$tmp/BENCH_resumed.json" <<'PYEOF'
 import json
 import sys
@@ -125,7 +125,7 @@ bash tests/check_fuzz_golden.sh build/tools/fuzz_sim \
 echo; echo "######## fleet: chaos recovery must be bit-identical ########"; echo
 # ctest -L fleet covers the protocol/supervision suites AND the
 # fleet_chaos harness (kill-mid-sweep -> --resume -> bit-identity with
-# zero jobs lost or double-reported, verified by drs_journal --expect).
+# zero jobs lost or double-reported, verified by `drs journal --expect`).
 cmake -B build -S . -DDRS_WERROR=ON >/dev/null
 cmake --build build -j"$JOBS"
 (cd build && ctest -L fleet --output-on-failure -j"$JOBS")
@@ -133,7 +133,7 @@ cmake --build build -j"$JOBS"
 echo; echo "######## bench JSON: DRS_CHECK must be a pure observer ########"
 echo
 cmake -B build -S . -DDRS_WERROR=ON >/dev/null
-cmake --build build -j"$JOBS" --target bench_fig2_aila_breakdown drs_profile
+cmake --build build -j"$JOBS" --target bench_fig2_aila_breakdown drs
 resume_smoke build
 json_dir=$(mktemp -d)
 trap 'rm -rf "$json_dir"' EXIT
@@ -143,7 +143,7 @@ DRS_CHECK=0 build/bench/bench_fig2_aila_breakdown --jobs 2 \
     --json "$json_dir/BENCH_unchecked.json"
 DRS_CHECK=1 build/bench/bench_fig2_aila_breakdown --jobs 2 \
     --json "$json_dir/BENCH_checked.json"
-build/tools/drs_profile "$json_dir"/BENCH_*.json >/dev/null
+build/tools/drs profile "$json_dir"/BENCH_*.json >/dev/null
 python3 - "$json_dir/BENCH_unchecked.json" "$json_dir/BENCH_checked.json" \
     <<'EOF'
 import json
@@ -168,25 +168,24 @@ EOF
 
 echo; echo "######## telemetry: event log + stitched fleet trace smoke ########"
 echo
-cmake --build build -j"$JOBS" --target drs_events drs_tracecat
 telemetry_dir=$(mktemp -d)
 DRS_LOG="$telemetry_dir/events.jsonl" DRS_LOG_LEVEL=debug DRS_LOG_RATE=0 \
     DRS_TRACE="$telemetry_dir/trace" \
     build/bench/bench_fig2_aila_breakdown --jobs 2 --fleet 2 --progress \
     --json "$telemetry_dir/BENCH_logged.json" >/dev/null 2>&1
-build/tools/drs_events "$telemetry_dir/events.jsonl" >/dev/null
-dispatches=$(build/tools/drs_events --count fleet.dispatch \
+build/tools/drs events "$telemetry_dir/events.jsonl" >/dev/null
+dispatches=$(build/tools/drs events --count fleet.dispatch \
     "$telemetry_dir/events.jsonl")
 if [ "$dispatches" -lt 1 ]; then
   echo "FAIL: fleet run logged no fleet.dispatch events"
   exit 1
 fi
-build/tools/drs_tracecat -o "$telemetry_dir/merged.json" \
+build/tools/drs tracecat -o "$telemetry_dir/merged.json" \
     "$telemetry_dir"/trace.w*.j* "$telemetry_dir/trace.coord"
 python3 tests/check_trace.py "$telemetry_dir/merged.json"
 build/bench/bench_fig2_aila_breakdown --jobs 2 --fleet 2 \
     --json "$telemetry_dir/BENCH_quiet.json" >/dev/null
-build/tools/drs_profile "$telemetry_dir"/BENCH_*.json >/dev/null
+build/tools/drs profile "$telemetry_dir"/BENCH_*.json >/dev/null
 python3 - "$telemetry_dir/BENCH_quiet.json" \
     "$telemetry_dir/BENCH_logged.json" <<'EOF'
 import json
@@ -222,9 +221,9 @@ DRS_SAMPLE=500 DRS_TRACE="$json_dir/trace.json" \
     build/bench/bench_fig2_aila_breakdown --jobs 1 \
     --json "$json_dir/profiled/BENCH_fig2_aila_breakdown.json"
 python3 tests/check_trace.py "$json_dir/trace.json"
-build/tools/drs_profile \
+build/tools/drs profile \
     "$json_dir/profiled/BENCH_fig2_aila_breakdown.json" >/dev/null
-echo "ok   drs_profile renders the sampled report"
+echo "ok   drs profile renders the sampled report"
 bash tests/check_compare.sh python3 tools/bench_compare.py tests/fixtures
 
 echo; echo "run_checks.sh: all checks passed"

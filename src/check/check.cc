@@ -1,13 +1,13 @@
 #include "check/check.h"
 
 #include <array>
-#include <cstdio>
-#include <cstdlib>
+#include <atomic>
 #include <string>
 #include <string_view>
 #include <unordered_set>
 #include <vector>
 
+#include "exec/env.h"
 #include "kernels/trav_workspace.h"
 #include "simt/kernel.h"
 #include "simt/memory.h"
@@ -23,23 +23,12 @@ checkEnabled(int mode)
         return false;
     if (mode == 1)
         return true;
-    const char *env = std::getenv("DRS_CHECK");
-    if (env == nullptr)
-        return false;
-    const std::string_view value(env);
-    if (value.empty() || value == "0")
-        return false;
-    if (value == "1")
-        return true;
-    static bool warned = false;
-    if (!warned) {
-        warned = true;
-        std::fprintf(stderr,
-                     "DRS_CHECK=%s not understood (use 0 or 1); "
-                     "invariant checking stays off\n",
-                     env);
-    }
-    return false;
+    // Every job of a sweep asks, from every sweep thread: a malformed
+    // value warns once per process.
+    static std::atomic<bool> warned{false};
+    bool enabled = false;
+    exec::envKnob("DRS_CHECK", false, true, enabled, 10, &warned);
+    return enabled;
 }
 
 void

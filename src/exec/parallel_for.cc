@@ -15,9 +15,9 @@ namespace drs::exec {
 int
 defaultConcurrency()
 {
-    std::uint64_t jobs = 0;
+    int jobs = 0;
     if (envKnob("DRS_JOBS", 1, INT_MAX, jobs))
-        return static_cast<int>(jobs);
+        return jobs;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }

@@ -1,7 +1,8 @@
 #include "fault/fault.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
+
+#include "exec/env.h"
 
 namespace drs::fault {
 
@@ -21,34 +22,16 @@ FaultConfig
 FaultConfig::fromEnvironment()
 {
     FaultConfig config;
-    if (const char *s = std::getenv("DRS_FAULT_SEED")) {
-        char *end = nullptr;
-        const std::uint64_t v = std::strtoull(s, &end, 0);
-        if (end != s && *end == '\0')
-            config.seed = v;
-        else
-            std::fprintf(stderr,
-                         "[fault] warning: ignoring malformed "
-                         "DRS_FAULT_SEED='%s'\n",
-                         s);
-    }
+    exec::envKnob("DRS_FAULT_SEED", 0, UINT64_MAX, config.seed, 0);
     return config;
 }
 
 std::uint64_t
 watchdogCyclesFromEnvironment()
 {
-    const char *s = std::getenv("DRS_WATCHDOG");
-    if (!s)
-        return 0;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s, &end, 0);
-    if (end != s && *end == '\0')
-        return v;
-    std::fprintf(stderr,
-                 "[fault] warning: ignoring malformed DRS_WATCHDOG='%s'\n",
-                 s);
-    return 0;
+    std::uint64_t cycles = 0;
+    exec::envKnob("DRS_WATCHDOG", 0, UINT64_MAX, cycles, 0);
+    return cycles;
 }
 
 FaultInjector::FaultInjector(const FaultConfig &config, std::uint64_t unit_id)

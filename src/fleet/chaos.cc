@@ -28,9 +28,8 @@ ChaosConfig::fromEnvironment()
     ChaosConfig config;
     exec::envKnob("DRS_FLEET_CHAOS", 0, UINT64_MAX, config.seed, 0);
     exec::envKnob("DRS_FLEET_CHAOS_RATE", 0.0, 1.0, config.killRate);
-    std::uint64_t kills = 0;
-    if (exec::envKnob("DRS_FLEET_CHAOS_KILLS", 0, 1'000'000, kills, 0))
-        config.maxKillDispatches = static_cast<int>(kills);
+    exec::envKnob("DRS_FLEET_CHAOS_KILLS", 0, 1'000'000,
+                  config.maxKillDispatches, 0);
     return config;
 }
 

@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -252,7 +251,7 @@ workerMain(int readFd, int writeFd, int workerId, int generation,
                           std::memory_order_release);
             // Per-claim trace shard: every (worker, job) pair writes its
             // own file, so a worker's later jobs never overwrite earlier
-            // shards and tools/drs_tracecat can stitch them all. Pure
+            // shards and `drs tracecat` can stitch them all. Pure
             // observer — the path never feeds back into the simulation.
             SweepJob job = jobs[index];
             if (job.config.trace.enabled && !job.config.trace.path.empty())
@@ -1013,7 +1012,7 @@ struct FleetRun
     /**
      * Write the coordinator's job-lifecycle spans and supervision
      * instants as a standalone Chrome trace document (pid 0, one thread
-     * per worker id). tools/drs_tracecat merges it with the workers'
+     * per worker id). `drs tracecat` merges it with the workers'
      * per-claim shards into the stitched fleet trace.
      */
     void writeCoordinatorTrace(const std::string &path)
@@ -1094,19 +1093,15 @@ FleetOptions
 FleetOptions::fromEnvironment()
 {
     FleetOptions options;
-    constexpr double kUnbounded = std::numeric_limits<double>::infinity();
-    std::uint64_t value = 0;
-    if (exec::envKnob("DRS_FLEET", 1, 1024, value, 0))
-        options.workers = static_cast<int>(value);
-    exec::envKnob("DRS_FLEET_HEARTBEAT", 0.0, kUnbounded,
+    exec::envKnob("DRS_FLEET", 1, kMaxWorkers, options.workers);
+    exec::envKnob("DRS_FLEET_HEARTBEAT", 0.0, exec::kMaxKnobSeconds,
                   options.heartbeatSeconds);
-    exec::envKnob("DRS_FLEET_HEARTBEAT_TIMEOUT", 0.0, kUnbounded,
+    exec::envKnob("DRS_FLEET_HEARTBEAT_TIMEOUT", 0.0, exec::kMaxKnobSeconds,
                   options.heartbeatTimeoutSeconds);
-    if (exec::envKnob("DRS_FLEET_RESPAWNS", 0, 1'000'000, value, 0))
-        options.maxRespawns = static_cast<int>(value);
-    if (exec::envKnob("DRS_FLEET_QUARANTINE", 1, 1'000'000, value, 0))
-        options.quarantineDeaths = static_cast<int>(value);
-    exec::envKnob("DRS_FLEET_BACKOFF", 0.0, kUnbounded,
+    exec::envKnob("DRS_FLEET_RESPAWNS", 0, 1'000'000, options.maxRespawns, 0);
+    exec::envKnob("DRS_FLEET_QUARANTINE", 1, 1'000'000,
+                  options.quarantineDeaths, 0);
+    exec::envKnob("DRS_FLEET_BACKOFF", 0.0, exec::kMaxKnobSeconds,
                   options.backoffSeconds);
     const obs::TraceConfig trace = obs::TraceConfig::fromEnvironment();
     if (trace.enabled)

@@ -50,6 +50,9 @@ namespace drs::fleet {
 
 struct FleetOptions
 {
+    /** Most worker processes DRS_FLEET / --fleet may ask for. */
+    static constexpr int kMaxWorkers = 1024;
+
     /** Worker processes to keep running (>= 1). */
     int workers = 2;
     /** Worker heartbeat period (seconds). */
@@ -88,7 +91,7 @@ struct FleetOptions
      * path). When set, the coordinator writes its job-lifecycle spans
      * (dispatch -> result, plus death/respawn/kill/redispatch/quarantine
      * instants) to "<tracePath>.coord"; workers write per-claim shards
-     * to "<tracePath>.w<id>.j<index>". tools/drs_tracecat merges them.
+     * to "<tracePath>.w<id>.j<index>". `drs tracecat` merges them.
      * Empty = no coordinator trace.
      */
     std::string tracePath;

@@ -1,14 +1,16 @@
 #include "harness/harness.h"
 
 #include <algorithm>
-#include <cctype>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 
 #include "check/check.h"
 #include "check/reference.h"
+#include "exec/env.h"
 #include "harness/arch_plugin.h"
 
 namespace drs::harness {
@@ -171,40 +173,13 @@ ExperimentScale
 ExperimentScale::fromEnvironment()
 {
     ExperimentScale scale;
-    auto read_env = [](const char *name, auto &value) {
-        const char *s = std::getenv(name);
-        if (!s)
-            return;
-        // Parse strictly: a malformed or non-positive value would
-        // otherwise silently fall back to the default and corrupt a
-        // sweep without anyone noticing.
-        char *end = nullptr;
-        const double v = std::strtod(s, &end);
-        while (end && *end != '\0' &&
-               std::isspace(static_cast<unsigned char>(*end)))
-            ++end;
-        if (end == s || *end != '\0') {
-            std::fprintf(stderr,
-                         "warning: ignoring malformed %s=\"%s\" "
-                         "(not a number)\n",
-                         name, s);
-            return;
-        }
-        if (!(v > 0)) { // also catches NaN
-            std::fprintf(stderr,
-                         "warning: ignoring %s=\"%s\" "
-                         "(must be positive)\n",
-                         name, s);
-            return;
-        }
-        value = static_cast<std::remove_reference_t<decltype(value)>>(v);
-    };
-    read_env("DRS_RAYS", scale.raysPerBounce);
-    read_env("DRS_SCALE", scale.sceneScale);
-    read_env("DRS_SMX", scale.numSmx);
-    read_env("DRS_WIDTH", scale.width);
-    read_env("DRS_HEIGHT", scale.height);
-    read_env("DRS_SPP", scale.samplesPerPixel);
+    exec::envKnob("DRS_RAYS", 1, SIZE_MAX, scale.raysPerBounce);
+    exec::envKnob("DRS_SCALE", std::numeric_limits<float>::denorm_min(),
+                  std::numeric_limits<float>::max(), scale.sceneScale);
+    exec::envKnob("DRS_SMX", 1, INT_MAX, scale.numSmx);
+    exec::envKnob("DRS_WIDTH", 1, INT_MAX, scale.width);
+    exec::envKnob("DRS_HEIGHT", 1, INT_MAX, scale.height);
+    exec::envKnob("DRS_SPP", 1, INT_MAX, scale.samplesPerPixel);
     return scale;
 }
 

@@ -404,14 +404,11 @@ SweepOptions::fromEnvironment()
     options.watchdogCycles = fault::watchdogCyclesFromEnvironment();
     // Strictly positive: the smallest double above zero is the bound.
     constexpr double kPositive = std::numeric_limits<double>::denorm_min();
-    constexpr double kUnbounded = std::numeric_limits<double>::infinity();
-    exec::envKnob("DRS_JOB_TIMEOUT", kPositive, kUnbounded,
+    exec::envKnob("DRS_JOB_TIMEOUT", kPositive, exec::kMaxKnobSeconds,
                   options.jobTimeoutSeconds);
-    exec::envKnob("DRS_RETRY_DEADLINE", kPositive, kUnbounded,
+    exec::envKnob("DRS_RETRY_DEADLINE", kPositive, exec::kMaxKnobSeconds,
                   options.retryDeadlineSeconds);
-    std::uint64_t crashAfter = 0;
-    if (exec::envKnob("DRS_CRASH_AFTER", 1, INT_MAX, crashAfter))
-        options.crashAfter = static_cast<int>(crashAfter);
+    exec::envKnob("DRS_CRASH_AFTER", 1, INT_MAX, options.crashAfter);
     return options;
 }
 

@@ -11,6 +11,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "exec/env.h"
+
 namespace drs::obs {
 
 namespace {
@@ -105,40 +107,15 @@ LogConfig
 LogConfig::fromEnvironment()
 {
     LogConfig config;
-    if (const char *s = std::getenv("DRS_LOG")) {
-        if (*s == '\0')
-            std::fprintf(stderr,
-                         "warning: ignoring empty DRS_LOG "
-                         "(want a file path)\n");
-        else
-            config.path = s;
-    }
-    if (const char *s = std::getenv("DRS_LOG_LEVEL")) {
-        if (!parseLogLevel(s, &config.level))
-            std::fprintf(stderr,
-                         "warning: ignoring malformed DRS_LOG_LEVEL='%s' "
-                         "(want debug|info|warn|error)\n",
-                         s);
-    }
-    if (const char *s = std::getenv("DRS_LOG_STDERR")) {
-        if (!parseLogLevel(s, &config.stderrLevel))
-            std::fprintf(stderr,
-                         "warning: ignoring malformed DRS_LOG_STDERR='%s' "
-                         "(want debug|info|warn|error|off)\n",
-                         s);
-    }
-    if (const char *s = std::getenv("DRS_LOG_RATE")) {
-        char *end = nullptr;
-        errno = 0;
-        const long v = std::strtol(s, &end, 10);
-        if (errno != 0 || end == s || *end != '\0' || v < 0 || v > 1'000'000)
-            std::fprintf(stderr,
-                         "warning: ignoring malformed DRS_LOG_RATE='%s' "
-                         "(want a non-negative event count)\n",
-                         s);
-        else
-            config.maxEventsPerWindow = static_cast<int>(v);
-    }
+    exec::envKnob("DRS_LOG", config.path);
+    std::string level;
+    if (exec::envKnob("DRS_LOG_LEVEL", level) &&
+        !parseLogLevel(level, &config.level))
+        exec::warnMalformed("DRS_LOG_LEVEL", level.c_str());
+    if (exec::envKnob("DRS_LOG_STDERR", level) &&
+        !parseLogLevel(level, &config.stderrLevel))
+        exec::warnMalformed("DRS_LOG_STDERR", level.c_str());
+    exec::envKnob("DRS_LOG_RATE", 0, 1'000'000, config.maxEventsPerWindow);
     return config;
 }
 

@@ -33,6 +33,9 @@ class Json;
 /** DRS_SAMPLE / RunConfig sampling policy. */
 struct SampleConfig
 {
+    /** Largest per-SMX frame budget: 2^20 frames, 96 MiB. */
+    static constexpr std::size_t kMaxCapacity = std::size_t{1} << 20;
+
     bool enabled = false;
     /** Cycles per timeline window (before any coalescing). */
     std::uint64_t interval = 0;
@@ -41,8 +44,9 @@ struct SampleConfig
 
     /**
      * DRS_SAMPLE=<cycles> enables sampling at that window size;
-     * DRS_SAMPLE_CAPACITY overrides the frame budget. Malformed values
-     * warn and are ignored (same contract as DRS_TRACE_CAPACITY).
+     * DRS_SAMPLE_CAPACITY overrides the frame budget (at most
+     * kMaxCapacity). Malformed values warn and are ignored
+     * (exec::envKnob).
      */
     static SampleConfig fromEnvironment();
 };

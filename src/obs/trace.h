@@ -102,16 +102,19 @@ class Tracer
 /**
  * Tracing configuration, env-selectable: DRS_TRACE=<path> enables tracing
  * and names the output file; DRS_TRACE_CAPACITY=<n> bounds the per-SMX
- * ring (default 65536 events). Parsing is strict: malformed values warn
- * on stderr and are ignored (same contract as ExperimentScale).
+ * ring (default 65536 events, at most kMaxCapacity). Malformed values
+ * warn on stderr and are ignored (exec::envKnob).
  */
 struct TraceConfig
 {
+    /** Largest per-SMX ring: 2^20 events, 32 MiB. */
+    static constexpr std::size_t kMaxCapacity = std::size_t{1} << 20;
+
     bool enabled = false;
     std::string path;
     std::size_t capacity = 65536;
 
-    /** Read DRS_TRACE / DRS_TRACE_CAPACITY; strict parse, warn+ignore. */
+    /** Read DRS_TRACE / DRS_TRACE_CAPACITY. */
     static TraceConfig fromEnvironment();
 };
 

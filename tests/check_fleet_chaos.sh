@@ -16,17 +16,17 @@
 #      log must hold the crash_injection record.
 #   4. Resume: --resume under the same chaos finishes the sweep, with
 #      its own DRS_LOG / DRS_TRACE and the --progress ticker on.
-#   5. The recovered report must pass drs_profile's schema-v4 check
+#   5. The recovered report must pass `drs profile`'s schema-v4 check
 #      (including summary.fleet.telemetry) and the final journal must
-#      hold every job exactly once (drs_journal --expect).
+#      hold every job exactly once (`drs journal --expect`).
 #   6. Event-log accounting: every summary.fleet supervision counter of
 #      the resume run (spawned, worker_deaths, respawned,
 #      heartbeat_kills, redispatched, quarantined) must equal the count
-#      of its event in that run's log (drs_events --count), telemetry
+#      of its event in that run's log (`drs events --count`), telemetry
 #      digests must cover at most the jobs the log saw finish, and
-#      drs_events must accept the merged chaos+resume log (integrity:
+#      `drs events` must accept the merged chaos+resume log (integrity:
 #      at most one torn tail per file).
-#   7. Trace stitching: drs_tracecat merges every worker shard of both
+#   7. Trace stitching: `drs tracecat` merges every worker shard of both
 #      phases (torn shards from SIGKILLed workers are expected debris)
 #      with the resume coordinator shard; the merged trace must pass
 #      check_trace.py and its supervision instants must match the
@@ -37,17 +37,13 @@
 #      report byte for byte — observability changed nothing but the
 #      clock.
 #
-# Usage: check_fleet_chaos.sh BENCH_BINARY DRS_JOURNAL PYTHON \
-#            DRS_PROFILE DRS_EVENTS DRS_TRACECAT TRACE_CHECKER
+# Usage: check_fleet_chaos.sh BENCH_BINARY DRS PYTHON TRACE_CHECKER
 set -euo pipefail
 
 bench=$1
-drs_journal=$2
+drs=$2
 python=$3
-drs_profile=$4
-drs_events=$5
-drs_tracecat=$6
-trace_checker=$7
+trace_checker=$4
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -78,8 +74,8 @@ if [ "$status" -ne 70 ]; then
 fi
 
 echo "== fleet chaos: partial journal and partial event log verify =="
-"$drs_journal" "$tmp/sweep.jsonl"
-crashes=$("$drs_events" --count fleet.crash_injection "$tmp/events_chaos.jsonl")
+"$drs" journal "$tmp/sweep.jsonl"
+crashes=$("$drs" events --count fleet.crash_injection "$tmp/events_chaos.jsonl")
 if [ "$crashes" -ne 1 ]; then
     echo "FAIL: chaos-phase log has $crashes crash_injection records, expected 1"
     exit 1
@@ -103,14 +99,14 @@ grep -q '\[progress\]' "$tmp/resume.err" || {
 }
 
 echo "== fleet chaos: recovered report passes the schema =="
-"$drs_profile" "$tmp/fleet.json" > /dev/null
+"$drs" profile "$tmp/fleet.json" > /dev/null
 
 echo "== fleet chaos: final journal holds every job exactly once =="
 jobs=$("$python" -c '
 import json, sys
 report = json.load(open(sys.argv[1]))
 print(report["summary"]["sweep"]["total_jobs"])' "$tmp/fleet.json")
-"$drs_journal" "$tmp/sweep.jsonl" --expect "$jobs"
+"$drs" journal "$tmp/sweep.jsonl" --expect "$jobs"
 
 echo "== fleet chaos: event log accounts for every supervision event =="
 fleet_counter() {
@@ -124,7 +120,7 @@ print(fleet)' "$tmp/fleet.json" "$1"
 check_count() {
     local counter=$1 event=$2 want got
     want=$(fleet_counter "$counter")
-    got=$("$drs_events" --count "$event" "$tmp/events_resume.jsonl")
+    got=$("$drs" events --count "$event" "$tmp/events_resume.jsonl")
     if [ "$want" -ne "$got" ]; then
         echo "FAIL: summary.fleet.$counter=$want but the event log holds" \
              "$got $event records"
@@ -140,7 +136,7 @@ check_count redispatched fleet.redispatch
 check_count quarantined fleet.quarantine
 frames=$(fleet_counter telemetry.frames)
 reported=$(fleet_counter telemetry.jobs_reported)
-job_done=$("$drs_events" --count fleet.job_done "$tmp/events_resume.jsonl")
+job_done=$("$drs" events --count fleet.job_done "$tmp/events_resume.jsonl")
 if [ "$frames" -lt 1 ] || [ "$reported" -gt "$job_done" ]; then
     echo "FAIL: telemetry frames=$frames jobs_reported=$reported vs" \
          "$job_done job_done records (want frames >= 1," \
@@ -150,7 +146,7 @@ fi
 echo "ok   $frames telemetry frames cover $reported of $job_done jobs run"
 # The merged two-phase log must be structurally sound (at most one torn
 # crash-tail line per file) and analyzable as one story.
-"$drs_events" "$tmp/events_chaos.jsonl" "$tmp/events_resume.jsonl" \
+"$drs" events "$tmp/events_chaos.jsonl" "$tmp/events_resume.jsonl" \
     > "$tmp/events_summary.txt"
 sed 's/^/     /' "$tmp/events_summary.txt"
 
@@ -159,7 +155,7 @@ shopt -s nullglob
 shards=("$tmp"/trace_chaos.w*.j* "$tmp"/trace_chaos.coord
         "$tmp"/trace_resume.w*.j* "$tmp"/trace_resume.coord)
 shopt -u nullglob
-"$drs_tracecat" -o "$tmp/merged_trace.json" "${shards[@]}"
+"$drs" tracecat -o "$tmp/merged_trace.json" "${shards[@]}"
 "$python" "$trace_checker" "$tmp/merged_trace.json"
 "$python" - "$tmp/merged_trace.json" "$tmp/fleet.json" <<'PYEOF'
 import json

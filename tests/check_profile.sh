@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# drs_profile regression check, pinned against tests/fixtures:
+# `drs profile` regression check, pinned against tests/fixtures:
 #
 #  1. The profile fixture (a fig9-style report whose rdctrl-stall share
 #     drops as read-control buffers are added) must render, and the
@@ -9,19 +9,19 @@
 #  2. A schema_version 2 report must be rejected (non-zero exit), so
 #     stale baselines fail loudly instead of mis-parsing.
 #
-# Usage: check_profile.sh <path-to-drs_profile> <profile-fixture> <v2-fixture>
+# Usage: check_profile.sh <path-to-drs> <profile-fixture> <v2-fixture>
 set -euo pipefail
 
 if [ "$#" -ne 3 ]; then
-    echo "usage: $0 <path-to-drs_profile> <profile-fixture> <v2-fixture>" >&2
+    echo "usage: $0 <path-to-drs> <profile-fixture> <v2-fixture>" >&2
     exit 2
 fi
 
-drs_profile=$1
+drs=$1
 profile_fixture=$2
 v2_fixture=$3
 
-out=$("$drs_profile" "$profile_fixture")
+out=$("$drs" profile "$profile_fixture")
 echo "$out"
 
 # The breakdown table is column-oriented: find the stalled_rdctrl column
@@ -51,7 +51,7 @@ if [ "$(echo "$stalls" | sort -rg)" != "$stalls" ]; then
 fi
 echo "ok   stalled_rdctrl share decreases across configs:" $stalls
 
-if "$drs_profile" "$v2_fixture" >/dev/null 2>&1; then
+if "$drs" profile "$v2_fixture" >/dev/null 2>&1; then
     echo "FAIL: schema_version 2 report was accepted" >&2
     exit 1
 fi

@@ -1,15 +1,15 @@
 #!/bin/bash
 # Reorder-survey smoke: run bench_reorder_survey at a tiny scale, then
-# require (1) a JSON report that drs_profile validates, (2) result rows
+# require (1) a JSON report that `drs profile` validates, (2) result rows
 # for the complete registry lineup on every scene, (3) reorder counters on the software
 # reorderers' rows, (4) a summary lineup section naming every plugin.
 #
-# Usage: check_reorder_survey.sh BENCH_BINARY PYTHON DRS_PROFILE
+# Usage: check_reorder_survey.sh BENCH_BINARY PYTHON DRS
 set -euo pipefail
 
 bench=$1
 python=$2
-drs_profile=$3
+drs=$3
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -18,7 +18,7 @@ DRS_RAYS=2048 DRS_SCALE=0.05 DRS_SMX=2 \
     "$bench" --jobs 2 --json "$tmp/BENCH_reorder_survey.json" \
     > "$tmp/survey.log"
 
-"$drs_profile" "$tmp/BENCH_reorder_survey.json" > /dev/null
+"$drs" profile "$tmp/BENCH_reorder_survey.json" > /dev/null
 
 "$python" - "$tmp/BENCH_reorder_survey.json" <<'PYEOF'
 import json

@@ -13,6 +13,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -137,6 +138,30 @@ TEST(CheckEnabled, EnvironmentParsing)
     // silent "on": a typo must not change what a run measures.
     env.set("yes");
     EXPECT_FALSE(checkEnabled(-1));
+}
+
+// Every sweep thread asks checkEnabled once per job; a malformed
+// DRS_CHECK must warn at most once (another test in this process may
+// have spent the warning) and never race (TSan leg of run_checks.sh).
+TEST(CheckEnabledThreads, MalformedValueWarnsOnceAcrossThreads)
+{
+    ScopedCheckEnv env;
+    env.set("yes");
+    testing::internal::CaptureStderr();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([] {
+            for (int i = 0; i < 64; ++i)
+                EXPECT_FALSE(checkEnabled(-1));
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+    const std::string printed = testing::internal::GetCapturedStderr();
+    std::size_t warnings = 0;
+    for (std::size_t at = printed.find("DRS_CHECK"); at != std::string::npos;
+         at = printed.find("DRS_CHECK", at + 1))
+        ++warnings;
+    EXPECT_LE(warnings, 1u) << printed;
 }
 
 // ---------------------------------------------------- workspace checker

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests of the host-side execution library: the parallel loop,
- * DRS_JOBS-driven default concurrency and cancel tokens.
+ * DRS_JOBS-driven default concurrency, cancel tokens, and the one
+ * parser behind every numeric DRS_* knob and bench flag.
  */
 
 #include <atomic>
@@ -10,13 +11,23 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench_common.h"
+#include "check/check.h"
 #include "exec/cancel.h"
 #include "exec/parallel_for.h"
+#include "fault/fault.h"
+#include "fleet/fleet.h"
+#include "harness/harness.h"
+#include "harness/sweep.h"
+#include "obs/log.h"
+#include "obs/sampler.h"
+#include "obs/trace.h"
 
 namespace drs::exec {
 namespace {
@@ -168,6 +179,197 @@ TEST(CancelToken, DeadlineExpires)
     EXPECT_TRUE(token.hasDeadline());
     EXPECT_TRUE(token.deadlineExpired());
     EXPECT_THROW(token.poll(), DeadlineExceeded);
+}
+
+// -------------------------------------------- every numeric knob and flag
+
+/** One numeric DRS_* knob or bench flag, and the consumer that reads it. */
+struct KnobCase
+{
+    const char *name;     ///< the environment variable, or a --flag
+    bool integer;         ///< a fraction is malformed too
+    const char *pastMax;  ///< one past the largest accepted value
+    const char *spaced;   ///< an accepted value with trailing whitespace
+    double spacedValue;   ///< what the consumer takes from it
+    bool warnsOnce;       ///< warns once per process, not once per read
+    /** The consumer's value; a flag's reader gets its text (or null). */
+    double (*read)(const char *flagText);
+};
+
+harness::ExperimentScale
+scale()
+{
+    return harness::ExperimentScale::fromEnvironment();
+}
+
+harness::SweepOptions
+sweep()
+{
+    return harness::SweepOptions::fromEnvironment();
+}
+
+fleet::FleetOptions
+fleetOptions()
+{
+    return fleet::FleetOptions::fromEnvironment();
+}
+
+/** bench::parseOptions with @p flag set to @p text (unset when null). */
+bench::Options
+benchOptions(const char *flag = nullptr, const char *text = nullptr)
+{
+    std::string program = "bench", name = flag ? flag : "",
+                value = text ? text : "";
+    char *argv[] = {program.data(), name.data(), value.data()};
+    return bench::parseOptions(flag && text ? 3 : 1, argv);
+}
+
+constexpr const char *kPastUint64 = "18446744073709551616";
+constexpr const char *kPastInt = "2147483648";
+constexpr const char *kPastSeconds = "1000000001";
+
+const KnobCase kKnobs[] = {
+    {"DRS_RAYS", true, kPastUint64, "7 ", 7, false,
+     [](const char *) { return double(scale().raysPerBounce); }},
+    {"DRS_SCALE", false, "1e39", "0.5 ", 0.5, false,
+     [](const char *) { return double(scale().sceneScale); }},
+    {"DRS_SMX", true, kPastInt, "3 ", 3, false,
+     [](const char *) { return double(scale().numSmx); }},
+    {"DRS_WIDTH", true, kPastInt, "33 ", 33, false,
+     [](const char *) { return double(scale().width); }},
+    {"DRS_HEIGHT", true, kPastInt, "17 ", 17, false,
+     [](const char *) { return double(scale().height); }},
+    {"DRS_SPP", true, kPastInt, "4 ", 4, false,
+     [](const char *) { return double(scale().samplesPerPixel); }},
+    {"DRS_TRACE_CAPACITY", true, "1048577", "512 ", 512, false,
+     [](const char *) {
+         return double(obs::TraceConfig::fromEnvironment().capacity);
+     }},
+    {"DRS_SAMPLE", true, kPastUint64, "100 ", 100, false,
+     [](const char *) {
+         return double(obs::SampleConfig::fromEnvironment().interval);
+     }},
+    {"DRS_SAMPLE_CAPACITY", true, "1048577", "64 ", 64, false,
+     [](const char *) {
+         return double(obs::SampleConfig::fromEnvironment().capacity);
+     }},
+    {"DRS_FAULT_SEED", true, kPastUint64, "0x10 ", 16, false,
+     [](const char *) {
+         return double(fault::FaultConfig::fromEnvironment().seed);
+     }},
+    {"DRS_WATCHDOG", true, kPastUint64, "99 ", 99, false,
+     [](const char *) {
+         return double(fault::watchdogCyclesFromEnvironment());
+     }},
+    {"DRS_LOG_RATE", true, "1000001", "5 ", 5, false,
+     [](const char *) {
+         return double(obs::LogConfig::fromEnvironment().maxEventsPerWindow);
+     }},
+    {"DRS_CHECK", true, "2", "1 ", 1, true,
+     [](const char *) { return double(check::checkEnabled(-1)); }},
+    {"DRS_JOBS", true, kPastInt, "3 ", 3, false,
+     [](const char *) { return double(defaultConcurrency()); }},
+    {"DRS_JOB_TIMEOUT", false, kPastSeconds, "2.5 ", 2.5, false,
+     [](const char *) { return sweep().jobTimeoutSeconds; }},
+    {"DRS_RETRY_DEADLINE", false, kPastSeconds, "2.5 ", 2.5, false,
+     [](const char *) { return sweep().retryDeadlineSeconds; }},
+    {"DRS_CRASH_AFTER", true, kPastInt, "3 ", 3, false,
+     [](const char *) { return double(sweep().crashAfter); }},
+    {"DRS_FLEET", true, "1025", "5 ", 5, false,
+     [](const char *) { return double(fleetOptions().workers); }},
+    {"DRS_FLEET_HEARTBEAT", false, kPastSeconds, "0.5 ", 0.5, false,
+     [](const char *) { return fleetOptions().heartbeatSeconds; }},
+    {"DRS_FLEET_HEARTBEAT_TIMEOUT", false, kPastSeconds, "3.5 ", 3.5, false,
+     [](const char *) { return fleetOptions().heartbeatTimeoutSeconds; }},
+    {"DRS_FLEET_RESPAWNS", true, "1000001", "12 ", 12, false,
+     [](const char *) { return double(fleetOptions().maxRespawns); }},
+    {"DRS_FLEET_QUARANTINE", true, "1000001", "4 ", 4, false,
+     [](const char *) { return double(fleetOptions().quarantineDeaths); }},
+    {"DRS_FLEET_BACKOFF", false, kPastSeconds, "0.5 ", 0.5, false,
+     [](const char *) { return fleetOptions().backoffSeconds; }},
+    {"DRS_FLEET_CHAOS", true, kPastUint64, "0xbeef ", 0xbeef, false,
+     [](const char *) { return double(fleetOptions().chaos.seed); }},
+    {"DRS_FLEET_CHAOS_RATE", false, "1.5", "0.25 ", 0.25, false,
+     [](const char *) { return fleetOptions().chaos.killRate; }},
+    {"DRS_FLEET_CHAOS_KILLS", true, "1000001", "3 ", 3, false,
+     [](const char *) {
+         return double(fleetOptions().chaos.maxKillDispatches);
+     }},
+    // The bench binaries read DRS_FLEET again, into the same range.
+    {"DRS_FLEET", true, "1025", "5 ", 5, false,
+     [](const char *) { return double(benchOptions().fleetWorkers); }},
+    {"DRS_SMX_THREADS", true, "1000001", "4 ", 4, false,
+     [](const char *) { return double(benchOptions().smxThreads); }},
+    {"DRS_PROGRESS", true, "2", "1 ", 1, false,
+     [](const char *) { return double(benchOptions().progress); }},
+    {"--jobs", true, kPastInt, "3 ", 3, false,
+     [](const char *text) {
+         return double(benchOptions("--jobs", text).jobs);
+     }},
+    {"--fleet", true, "1025", "5 ", 5, false,
+     [](const char *text) {
+         return double(benchOptions("--fleet", text).fleetWorkers);
+     }},
+    {"--smx-threads", true, "1000001", "4 ", 4, false,
+     [](const char *text) {
+         return double(benchOptions("--smx-threads", text).smxThreads);
+     }},
+};
+
+/**
+ * @p knob's value with it set to @p text (unset when null). A variable
+ * set around the test (run_checks.sh runs it under DRS_CHECK=1) is put
+ * back afterwards.
+ */
+double
+readKnob(const KnobCase &knob, const char *text)
+{
+    if (knob.name[0] == '-')
+        return knob.read(text);
+    const char *outer = std::getenv(knob.name);
+    const std::string saved = outer != nullptr ? outer : "";
+    if (text != nullptr)
+        setenv(knob.name, text, 1);
+    else
+        unsetenv(knob.name);
+    const double value = knob.read(nullptr);
+    if (outer != nullptr)
+        setenv(knob.name, saved.c_str(), 1);
+    else
+        unsetenv(knob.name);
+    return value;
+}
+
+TEST(Knobs, EveryNumericKnobAndFlagParsesStrictly)
+{
+    for (const KnobCase &knob : kKnobs) {
+        const double fallback = readKnob(knob, nullptr);
+        std::vector<std::string> malformed = {"", "abc", "4x", "-1",
+                                              knob.pastMax};
+        if (knob.integer)
+            malformed.push_back("1.5");
+        int warnings = 0;
+        for (const std::string &text : malformed) {
+            testing::internal::CaptureStderr();
+            const double value = readKnob(knob, text.c_str());
+            const std::string printed = testing::internal::GetCapturedStderr();
+            EXPECT_EQ(value, fallback) << knob.name << "='" << text << "'";
+            const std::string warning = std::string("warning: ignoring ") +
+                                        "malformed " + knob.name + "='" +
+                                        text + "'";
+            const bool warned = printed.find(warning) != std::string::npos;
+            if (!knob.warnsOnce) {
+                EXPECT_TRUE(warned) << knob.name << "='" << text
+                                    << "' printed: " << printed;
+            }
+            warnings += warned ? 1 : 0;
+        }
+        if (knob.warnsOnce) {
+            EXPECT_EQ(warnings, 1) << knob.name;
+        }
+        EXPECT_EQ(readKnob(knob, knob.spaced), knob.spacedValue)
+            << knob.name << "='" << knob.spaced << "'";
+    }
 }
 
 } // namespace

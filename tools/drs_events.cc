@@ -1,10 +1,10 @@
 /**
  * @file
- * Event-log analyzer for the structured JSONL logs written by
+ * `drs events`: analyzer for the structured JSONL logs written by
  * obs::EventLog (DRS_LOG=<path>). A fleet run appends every record —
  * coordinator and workers share the fd across fork(), each line is one
  * atomic write — so one file holds the interleaved story of a run.
- * This tool turns it back into something readable:
+ * This subcommand turns it back into something readable:
  *
  *   - per-(subsystem, event) counts, with severities, so "how many
  *     heartbeat kills" is one glance, not one grep;
@@ -17,14 +17,14 @@
  *   - suppressed-record totals from the rate limiter's log.rate_limited
  *     summaries, so "the log is complete" is checkable.
  *
- * With --count SUBSYSTEM.EVENT the tool prints only the total count of
+ * With --count SUBSYSTEM.EVENT it prints only the total count of
  * that event across all files — the chaos harness uses this to
  * cross-check the log against summary.fleet counters.
  *
  * A torn tail line (crash mid-append) is tolerated and counted;
- * malformed lines elsewhere fail the run.
+ * malformed lines elsewhere fail the run (readJsonl).
  *
- * Usage: drs_events [--count SUBSYSTEM.EVENT] LOG.jsonl...
+ * Usage: drs events [--count SUBSYSTEM.EVENT] LOG.jsonl...
  *
  * Exit status: 0 = analyzed, 1 = corrupt log (malformed line before the
  * tail), 2 = usage / IO error.
@@ -38,7 +38,10 @@
 #include <string>
 #include <vector>
 
+#include "drs.h"
 #include "obs/json.h"
+
+namespace drs::tools {
 
 namespace {
 
@@ -46,7 +49,7 @@ int
 usage()
 {
     std::fprintf(stderr,
-                 "usage: drs_events [--count SUBSYSTEM.EVENT] LOG.jsonl...\n");
+                 "usage: drs events [--count SUBSYSTEM.EVENT] LOG.jsonl...\n");
     return 2;
 }
 
@@ -57,12 +60,12 @@ struct Record
     std::string level;
     std::string subsystem;
     std::string event;
-    drs::obs::Json data;
+    obs::Json data;
 };
 
 /** Flatten a record's data object into "k=v k=v" for one-line output. */
 std::string
-dataText(const drs::obs::Json &data)
+dataText(const obs::Json &data)
 {
     if (!data.isObject())
         return "";
@@ -100,7 +103,7 @@ isSupervisionEvent(const Record &r)
 } // namespace
 
 int
-main(int argc, char **argv)
+eventsMain(int argc, char **argv)
 {
     std::string countKey;
     std::vector<std::string> paths;
@@ -123,37 +126,21 @@ main(int argc, char **argv)
     for (const std::string &path : paths) {
         std::ifstream in(path);
         if (!in) {
-            std::fprintf(stderr, "drs_events: cannot open %s\n",
+            std::fprintf(stderr, "drs events: cannot open %s\n",
                          path.c_str());
             return 2;
         }
-        std::string line;
-        std::size_t lineNumber = 0;
-        std::size_t torn = 0;
-        while (std::getline(in, line)) {
-            ++lineNumber;
-            if (line.empty())
-                continue;
-            if (torn > 0) {
-                std::fprintf(stderr,
-                             "drs_events: %s:%zu follows a malformed line — "
-                             "log corrupt beyond a crash tail\n",
-                             path.c_str(), lineNumber);
-                ok = false;
-            }
-            std::string parseError;
-            const auto parsed = drs::obs::Json::parse(line, &parseError);
-            if (!parsed || !parsed->isObject()) {
-                ++torn; // tolerated if it stays the final line
-                continue;
-            }
+        const auto readRecord = [&](const std::string &line, std::size_t) {
+            const auto parsed = obs::Json::parse(line);
+            if (!parsed || !parsed->isObject())
+                return false;
             Record record;
             auto uintField = [&](const char *key) -> std::uint64_t {
-                const drs::obs::Json *v = parsed->find(key);
+                const obs::Json *v = parsed->find(key);
                 return v && v->isNumber() ? v->asUint() : 0;
             };
             auto stringField = [&](const char *key) -> std::string {
-                const drs::obs::Json *v = parsed->find(key);
+                const obs::Json *v = parsed->find(key);
                 return v && v->isString() ? v->asString() : "";
             };
             record.tsMicros = uintField("ts_us");
@@ -161,22 +148,29 @@ main(int argc, char **argv)
             record.level = stringField("level");
             record.subsystem = stringField("subsystem");
             record.event = stringField("event");
-            if (record.subsystem.empty() || record.event.empty()) {
-                ++torn;
-                continue;
-            }
-            if (const drs::obs::Json *data = parsed->find("data"))
+            if (record.subsystem.empty() || record.event.empty())
+                return false;
+            if (const obs::Json *data = parsed->find("data"))
                 record.data = *data;
             if (record.subsystem == "log" &&
                 record.event == "rate_limited")
-                if (const drs::obs::Json *n = record.data.find("suppressed");
+                if (const obs::Json *n = record.data.find("suppressed");
                     n && n->isNumber())
                     suppressed += n->asUint();
             records.push_back(std::move(record));
-        }
+            return true;
+        };
+        const auto pastTail = [&](std::size_t lineNumber) {
+            std::fprintf(stderr,
+                         "drs events: %s:%zu follows a malformed line — "
+                         "log corrupt beyond a crash tail\n",
+                         path.c_str(), lineNumber);
+            ok = false;
+        };
+        const std::size_t torn = readJsonl(in, readRecord, pastTail);
         if (torn > 1) {
             std::fprintf(stderr,
-                         "drs_events: %s has %zu malformed lines (at most "
+                         "drs events: %s has %zu malformed lines (at most "
                          "one crash tail is expected)\n",
                          path.c_str(), torn);
             ok = false;
@@ -249,7 +243,7 @@ main(int argc, char **argv)
     for (const Record &r : records) {
         if (r.subsystem != "fleet")
             continue;
-        const drs::obs::Json *job = r.data.find("job");
+        const obs::Json *job = r.data.find("job");
         if (job == nullptr || !job->isNumber())
             continue;
         if (r.event == "dispatch")
@@ -279,3 +273,5 @@ main(int argc, char **argv)
     }
     return ok ? 0 : 1;
 }
+
+} // namespace drs::tools

@@ -1,52 +1,51 @@
 /**
  * @file
- * Offline profile analyzer: turns the schema-v3+ bench reports (and
- * optionally a Chrome trace) into human-readable profiles — per-row
- * issue-slot stall breakdowns, traversal-phase splits, timeline
- * sparklines and hottest-block tables.
+ * `drs profile`: offline profile analyzer. Turns the schema-v4 bench
+ * reports (and optionally a Chrome trace) into human-readable profiles
+ * — per-row issue-slot stall breakdowns, traversal-phase splits,
+ * timeline sparklines and hottest-block tables.
  *
  * Usage:
- *   drs_profile BENCH_report.json [more.json ...] [--top N] [--trace T.json]
+ *   drs profile BENCH_report.json [more.json ...] [--top N] [--trace T.json]
  *
  * Reports without profiler sections (runs without DRS_SAMPLE) still list
- * their rows, so the tool doubles as a quick report inspector. Exits
+ * their rows, so the subcommand doubles as a quick report inspector and
+ * the one bench-report validator (obs::validateBenchReport). Exits
  * non-zero on unreadable/invalid input.
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "drs.h"
+#include "exec/env.h"
 #include "obs/json.h"
 #include "obs/report.h"
 #include "stats/table.h"
 
+namespace drs::tools {
+
 namespace {
 
-using drs::obs::Json;
+using obs::Json;
 
+/** loadJsonFile with "drs profile: ..." on stderr when it fails. */
 std::optional<Json>
-loadJson(const std::string &path, std::string *why)
+loadReportFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        *why = "cannot open " + path;
-        return std::nullopt;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string error;
-    std::optional<Json> doc = Json::parse(buffer.str(), &error);
-    if (!doc)
-        *why = path + ": " + error;
-    return doc;
+    JsonFile file = loadJsonFile(path);
+    if (!file.opened)
+        std::fprintf(stderr, "drs profile: cannot open %s\n", path.c_str());
+    else if (!file.doc)
+        std::fprintf(stderr, "drs profile: %s: %s\n", path.c_str(),
+                     file.error.c_str());
+    return std::move(file.doc);
 }
 
 std::string
@@ -102,12 +101,12 @@ const char *kPhaseOrder[] = {"fetch", "inner", "leaf", "none"};
 void
 printAttributionTables(const Json &results, std::size_t top_k)
 {
-    drs::stats::Table slots({"scene", "arch", "config", "bounce",
+    stats::Table slots({"scene", "arch", "config", "bounce",
                              "issued_full", "issued_partial",
                              "stalled_rdctrl", "stalled_memory",
                              "stalled_scoreboard", "no_ready_warp",
                              "drained"});
-    drs::stats::Table phases({"scene", "arch", "config", "bounce", "fetch",
+    stats::Table phases({"scene", "arch", "config", "bounce", "fetch",
                               "inner", "leaf", "none"});
     for (const Json &row : results.asArray()) {
         const Json *attribution = row.find("attribution");
@@ -123,7 +122,7 @@ printAttributionTables(const Json &results, std::size_t top_k)
             double count = 0.0;
             if (const Json *bucket = buckets->find(name))
                 count = numberField(*bucket, "total");
-            slot_row.push_back(drs::stats::formatPercent(count / total));
+            slot_row.push_back(stats::formatPercent(count / total));
         }
         slots.addRow(std::move(slot_row));
 
@@ -143,7 +142,7 @@ printAttributionTables(const Json &results, std::size_t top_k)
         }
         std::vector<std::string> phase_row = rowIdentity(row);
         for (const char *phase : kPhaseOrder)
-            phase_row.push_back(drs::stats::formatPercent(
+            phase_row.push_back(stats::formatPercent(
                 issued > 0.0 ? phase_slots[phase] / issued : 0.0));
         phases.addRow(std::move(phase_row));
     }
@@ -158,7 +157,7 @@ printAttributionTables(const Json &results, std::size_t top_k)
     phases.print(std::cout);
     std::cout << "\n";
 
-    drs::stats::Table blocks({"scene", "arch", "config", "bounce", "block",
+    stats::Table blocks({"scene", "arch", "config", "bounce", "block",
                               "issues", "avg active"});
     for (const Json &row : results.asArray()) {
         const Json *attribution = row.find("attribution");
@@ -175,7 +174,7 @@ printAttributionTables(const Json &results, std::size_t top_k)
             block_row.push_back(stringField(block, "name"));
             block_row.push_back(
                 std::to_string(static_cast<unsigned long long>(issues)));
-            block_row.push_back(drs::stats::formatDouble(
+            block_row.push_back(stats::formatDouble(
                 issues > 0.0 ? active / issues : 0.0, 1));
             blocks.addRow(std::move(block_row));
         }
@@ -232,15 +231,12 @@ printTimelines(const Json &results)
 int
 profileReport(const std::string &path, std::size_t top_k)
 {
-    std::string why;
-    std::optional<Json> doc = loadJson(path, &why);
-    if (!doc) {
-        std::fprintf(stderr, "drs_profile: %s\n", why.c_str());
+    std::optional<Json> doc = loadReportFile(path);
+    if (!doc)
         return 1;
-    }
-    if (std::string problem = drs::obs::validateBenchReport(*doc);
+    if (std::string problem = obs::validateBenchReport(*doc);
         !problem.empty()) {
-        std::fprintf(stderr, "drs_profile: %s: %s\n", path.c_str(),
+        std::fprintf(stderr, "drs profile: %s: %s\n", path.c_str(),
                      problem.c_str());
         return 1;
     }
@@ -268,15 +264,12 @@ profileReport(const std::string &path, std::size_t top_k)
 int
 summarizeTrace(const std::string &path)
 {
-    std::string why;
-    std::optional<Json> doc = loadJson(path, &why);
-    if (!doc) {
-        std::fprintf(stderr, "drs_profile: %s\n", why.c_str());
+    std::optional<Json> doc = loadReportFile(path);
+    if (!doc)
         return 1;
-    }
     const Json *events = doc->find("traceEvents");
     if (!events || !events->isArray()) {
-        std::fprintf(stderr, "drs_profile: %s: no traceEvents array\n",
+        std::fprintf(stderr, "drs profile: %s: no traceEvents array\n",
                      path.c_str());
         return 1;
     }
@@ -311,7 +304,7 @@ summarizeTrace(const std::string &path)
                      [](const auto &a, const auto &b) {
                          return a.second > b.second;
                      });
-    drs::stats::Table table({"span", "count"});
+    stats::Table table({"span", "count"});
     for (std::size_t i = 0; i < top.size() && i < 10; ++i)
         table.addRow({top[i].first, std::to_string(top[i].second)});
     if (table.numRows() != 0)
@@ -323,7 +316,7 @@ summarizeTrace(const std::string &path)
 } // namespace
 
 int
-main(int argc, char **argv)
+profileMain(int argc, char **argv)
 {
     std::vector<std::string> reports;
     std::vector<std::string> traces;
@@ -334,15 +327,13 @@ main(int argc, char **argv)
         if (arg == "--trace" && i + 1 < argc) {
             traces.push_back(argv[++i]);
         } else if (arg == "--top" && i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            if (v > 0)
-                top_k = static_cast<std::size_t>(v);
+            exec::parseNumber(argv[++i], 1, SIZE_MAX, top_k);
         } else if (arg == "--help" || arg == "-h") {
-            std::cout << "usage: drs_profile BENCH_report.json [...] "
+            std::cout << "usage: drs profile BENCH_report.json [...] "
                          "[--top N] [--trace trace.json]\n";
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "drs_profile: unknown option %s\n",
+            std::fprintf(stderr, "drs profile: unknown option %s\n",
                          arg.c_str());
             return 2;
         } else {
@@ -351,7 +342,7 @@ main(int argc, char **argv)
     }
     if (reports.empty() && traces.empty()) {
         std::fprintf(stderr,
-                     "usage: drs_profile BENCH_report.json [...] "
+                     "usage: drs profile BENCH_report.json [...] "
                      "[--top N] [--trace trace.json]\n");
         return 2;
     }
@@ -363,3 +354,5 @@ main(int argc, char **argv)
         status = std::max(status, summarizeTrace(path));
     return status;
 }
+
+} // namespace drs::tools

@@ -1,14 +1,14 @@
 /**
  * @file
- * Fleet trace stitcher. A fleet run under DRS_TRACE leaves one Chrome
- * trace shard per (worker, job) — obs::TraceCollector files named
- * <trace>.w<worker>.j<job> — plus the coordinator's own job-lifecycle
- * shard <trace>.coord (dispatch→result spans, kill/respawn/redispatch
- * instants). Each shard is internally consistent but uses its own pid
- * namespace (SMX index, or 0 for the coordinator), so loading them
- * together would splice unrelated tracks.
+ * `drs tracecat`: fleet trace stitcher. A fleet run under DRS_TRACE
+ * leaves one Chrome trace shard per (worker, job) — obs::TraceCollector
+ * files named <trace>.w<worker>.j<job> — plus the coordinator's own
+ * job-lifecycle shard <trace>.coord (dispatch→result spans,
+ * kill/respawn/redispatch instants). Each shard is internally
+ * consistent but uses its own pid namespace (SMX index, or 0 for the
+ * coordinator), so loading them together would splice unrelated tracks.
  *
- * This tool merges shards into one Perfetto-loadable document:
+ * This subcommand merges shards into one Perfetto-loadable document:
  *
  *   - every shard's pids are shifted onto a disjoint range, so no two
  *     shards share a track;
@@ -25,27 +25,28 @@
  * own timestamp_unit). The merge is for side-by-side inspection, not
  * cross-shard time alignment.
  *
- * Usage: drs_tracecat -o MERGED.json SHARD.json...
+ * Usage: drs tracecat -o MERGED.json SHARD.json...
  *
  * Exit status: 0 = merged (>= 1 readable shard), 1 = every shard was
  * unreadable, 2 = usage / cannot write the output.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "drs.h"
 #include "obs/json.h"
+
+namespace drs::tools {
 
 namespace {
 
 int
 usage()
 {
-    std::fprintf(stderr, "usage: drs_tracecat -o MERGED.json SHARD.json...\n");
+    std::fprintf(stderr, "usage: drs tracecat -o MERGED.json SHARD.json...\n");
     return 2;
 }
 
@@ -59,7 +60,7 @@ basenameOf(const std::string &path)
 } // namespace
 
 int
-main(int argc, char **argv)
+tracecatMain(int argc, char **argv)
 {
     std::string outPath;
     std::vector<std::string> inputs;
@@ -76,9 +77,9 @@ main(int argc, char **argv)
     if (outPath.empty() || inputs.empty())
         return usage();
 
-    drs::obs::Json merged = drs::obs::Json::object();
-    drs::obs::Json &events = merged["traceEvents"];
-    events = drs::obs::Json::array();
+    obs::Json merged = obs::Json::object();
+    obs::Json &events = merged["traceEvents"];
+    events = obs::Json::array();
 
     std::uint64_t pidBase = 0;
     std::uint64_t droppedTotal = 0;
@@ -87,63 +88,60 @@ main(int argc, char **argv)
     std::size_t eventCount = 0;
 
     for (const std::string &path : inputs) {
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
+        const JsonFile file = loadJsonFile(path);
+        if (!file.opened) {
             std::fprintf(stderr,
-                         "drs_tracecat: skipping %s (cannot open)\n",
+                         "drs tracecat: skipping %s (cannot open)\n",
                          path.c_str());
             ++shardsSkipped;
             continue;
         }
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        std::string parseError;
-        const auto shard = drs::obs::Json::parse(buffer.str(), &parseError);
+        const std::optional<obs::Json> &shard = file.doc;
         if (!shard || !shard->isObject()) {
             // Torn shard: a worker SIGKILLed mid-write. Expected under
             // chaos; the job was redispatched, its trace is just lost.
-            std::fprintf(stderr, "drs_tracecat: skipping torn shard %s (%s)\n",
+            std::fprintf(stderr, "drs tracecat: skipping torn shard %s (%s)\n",
                          path.c_str(),
-                         parseError.empty() ? "not an object"
-                                            : parseError.c_str());
+                         file.error.empty() ? "not an object"
+                                            : file.error.c_str());
             ++shardsSkipped;
             continue;
         }
-        const drs::obs::Json *shardEvents = shard->find("traceEvents");
+        const obs::Json *shardEvents = shard->find("traceEvents");
         if (shardEvents == nullptr || !shardEvents->isArray()) {
             std::fprintf(stderr,
-                         "drs_tracecat: skipping %s (no traceEvents array)\n",
+                         "drs tracecat: skipping %s (no traceEvents array)\n",
                          path.c_str());
             ++shardsSkipped;
             continue;
         }
-        if (const drs::obs::Json *other = shard->find("otherData"))
-            if (const drs::obs::Json *dropped = other->find("dropped_events");
+        if (const obs::Json *other = shard->find("otherData"))
+            if (const obs::Json *dropped = other->find("dropped_events");
                 dropped && dropped->isNumber())
                 droppedTotal += dropped->asUint();
 
         const std::string label = basenameOf(path);
         std::uint64_t maxPid = 0;
-        for (const drs::obs::Json &event : shardEvents->asArray()) {
+        for (const obs::Json &event : shardEvents->asArray()) {
             if (!event.isObject())
                 continue;
-            drs::obs::Json copy = event;
+            obs::Json copy = event;
             std::uint64_t pid = 0;
-            if (const drs::obs::Json *p = event.find("pid");
+            if (const obs::Json *p = event.find("pid");
                 p && p->isNumber())
                 pid = p->asUint();
             if (pid > maxPid)
                 maxPid = pid;
-            copy["pid"] = drs::obs::Json(pidBase + pid);
+            copy["pid"] = obs::Json(pidBase + pid);
             // Qualify process names with the shard so merged tracks
             // stay attributable ("...w1.j3: SMX 0" vs "...coord: ...").
-            if (const drs::obs::Json *name = event.find("name");
+            if (const obs::Json *name = event.find("name");
                 name && name->isString() &&
                 name->asString() == "process_name")
-                if (const drs::obs::Json *args = event.find("args"))
-                    if (const drs::obs::Json *pname = args->find("name");
+                if (const obs::Json *args = event.find("args"))
+                    if (const obs::Json *pname = args->find("name");
                         pname && pname->isString())
-                        copy["args"]["name"] = drs::obs::Json(
+                        copy["args"]["name"] = obs::Json(
                             label + ": " + pname->asString());
             events.push(std::move(copy));
             ++eventCount;
@@ -153,23 +151,23 @@ main(int argc, char **argv)
     }
 
     if (shardsMerged == 0) {
-        std::fprintf(stderr, "drs_tracecat: no readable shards\n");
+        std::fprintf(stderr, "drs tracecat: no readable shards\n");
         return 1;
     }
 
-    merged["displayTimeUnit"] = drs::obs::Json("ns");
-    drs::obs::Json &other = merged["otherData"];
-    other = drs::obs::Json::object();
-    other["timestamp_unit"] = drs::obs::Json("per shard (see sources)");
-    other["dropped_events"] = drs::obs::Json(droppedTotal);
+    merged["displayTimeUnit"] = obs::Json("ns");
+    obs::Json &other = merged["otherData"];
+    other = obs::Json::object();
+    other["timestamp_unit"] = obs::Json("per shard (see sources)");
+    other["dropped_events"] = obs::Json(droppedTotal);
     other["shards_merged"] =
-        drs::obs::Json(static_cast<std::uint64_t>(shardsMerged));
+        obs::Json(static_cast<std::uint64_t>(shardsMerged));
     other["shards_skipped"] =
-        drs::obs::Json(static_cast<std::uint64_t>(shardsSkipped));
+        obs::Json(static_cast<std::uint64_t>(shardsSkipped));
 
     std::ofstream out(outPath, std::ios::binary | std::ios::trunc);
     if (!out) {
-        std::fprintf(stderr, "drs_tracecat: cannot open %s for writing\n",
+        std::fprintf(stderr, "drs tracecat: cannot open %s for writing\n",
                      outPath.c_str());
         return 2;
     }
@@ -177,7 +175,7 @@ main(int argc, char **argv)
     out << "\n";
     out.flush();
     if (!out) {
-        std::fprintf(stderr, "drs_tracecat: write to %s failed\n",
+        std::fprintf(stderr, "drs tracecat: write to %s failed\n",
                      outPath.c_str());
         return 2;
     }
@@ -189,3 +187,5 @@ main(int argc, char **argv)
                 outPath.c_str());
     return 0;
 }
+
+} // namespace drs::tools

@@ -58,6 +58,10 @@ struct Options
      * observer — results and reports are identical either way.
      */
     bool progress = false;
+    /** Cycle-level tracing (DRS_TRACE / DRS_TRACE_CAPACITY). */
+    obs::TraceConfig trace;
+    /** Windowed sampling (DRS_SAMPLE / DRS_SAMPLE_CAPACITY). */
+    obs::SampleConfig sample;
 };
 
 /**
@@ -66,7 +70,9 @@ struct Options
  * fleet), --smx-threads N (default: DRS_SMX_THREADS or 1), --json
  * PATH, --journal PATH, --resume and --progress (default:
  * DRS_PROGRESS). Unknown arguments warn on stderr and are ignored,
- * keeping the binaries scriptable.
+ * keeping the binaries scriptable. The trace and sample knobs are read
+ * here too, so each variable is read (and a malformed one warns) once
+ * per process.
  */
 inline Options
 parseOptions(int argc, char **argv)
@@ -78,6 +84,8 @@ parseOptions(int argc, char **argv)
     exec::envKnob("DRS_SMX_THREADS", 1, kMaxSmxThreads, options.smxThreads);
     exec::envKnob("DRS_FLEET", 1, kMaxWorkers, options.fleetWorkers);
     exec::envKnob("DRS_PROGRESS", false, true, options.progress);
+    options.trace = obs::TraceConfig::fromEnvironment();
+    options.sample = obs::SampleConfig::fromEnvironment();
     // Same strict contract as the knobs: an empty path warns and is
     // ignored rather than silently producing no report or journal.
     auto path_flag = [](const char *flag, const char *v, std::string &out) {
@@ -169,9 +177,23 @@ makeRunConfig(const harness::ExperimentScale &scale, const Options &options)
     harness::RunConfig config;
     config.gpu.numSmx = scale.numSmx;
     config.smxThreads = options.smxThreads;
-    config.trace = obs::TraceConfig::fromEnvironment();
-    config.sample = obs::SampleConfig::fromEnvironment();
+    config.trace = options.trace;
+    config.sample = options.sample;
     return config;
+}
+
+/**
+ * The fleet configuration of a bench run: the fleet's own knobs from the
+ * environment, plus the worker count and trace path parseOptions read.
+ */
+inline fleet::FleetOptions
+makeFleetOptions(const Options &options)
+{
+    fleet::FleetOptions fleetOptions = fleet::FleetOptions::fromEnvironment();
+    fleetOptions.workers = options.fleetWorkers;
+    if (options.trace.enabled)
+        fleetOptions.tracePath = options.trace.path;
+    return fleetOptions;
 }
 
 /**
@@ -415,11 +437,10 @@ class JsonReport
  * Execute a bench's queued sweep, honouring --fleet: with
  * options.fleetWorkers > 0 the queued jobs are taken off the runner and
  * sharded across a supervised fleet of worker processes
- * (FleetOptions::fromEnvironment with --fleet overriding the worker
- * count); otherwise this is exactly runner.run(). Either way the
- * results come back in grid order with identical SimStats — the fleet's
- * bit-identity contract — and the sweep/fleet robustness summaries are
- * recorded on @p report when one is given.
+ * (makeFleetOptions); otherwise this is exactly runner.run(). Either
+ * way the results come back in grid order with identical SimStats —
+ * the fleet's bit-identity contract — and the sweep/fleet robustness
+ * summaries are recorded on @p report when one is given.
  */
 inline std::vector<harness::SweepResult>
 runSweep(harness::SweepRunner &runner, const Options &options,
@@ -431,10 +452,8 @@ runSweep(harness::SweepRunner &runner, const Options &options,
             report->noteSweep(results);
         return results;
     }
-    fleet::FleetOptions fleetOptions = fleet::FleetOptions::fromEnvironment();
-    fleetOptions.workers = options.fleetWorkers;
     fleet::FleetCoordinator coordinator(runner.scale(), runner.options(),
-                                        fleetOptions);
+                                        makeFleetOptions(options));
     std::vector<harness::SweepResult> results =
         coordinator.run(runner.takePending());
     if (report) {

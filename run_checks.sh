@@ -35,6 +35,12 @@
 #    trace shards must merge (`drs tracecat`) into a document that passes
 #    tests/check_trace.py, and logging must be a pure observer (report
 #    identical to a telemetry-off run, wall-clock aside).
+# 7. Model digests: one untimed perfbench sample of each of the three
+#    workloads (perfbench/run.py --seconds 0 --trace 0, its own Release
+#    build in .bench_build/) must check every job against its stored
+#    SimStats digest: the result line must say "correct": true with
+#    "failed": 0. A change to the simulator's speed must not change what
+#    it computes.
 #
 # Every build (regular and sanitizer) is configured with
 # -DDRS_WERROR=ON: a new compiler warning fails the gate.
@@ -225,5 +231,23 @@ build/tools/drs profile \
     "$json_dir/profiled/BENCH_fig2_aila_breakdown.json" >/dev/null
 echo "ok   drs profile renders the sampled report"
 bash tests/check_compare.sh python3 tools/bench_compare.py tests/fixtures
+
+echo; echo "######## perfbench: every job matches its stored digest ########"
+echo
+for workload in fig11-lineup survey-incoherent ci-fleet; do
+  result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds 0 --trace 0 | tail -n 1)
+  python3 - "$workload" "$result" <<'EOF'
+import json
+import sys
+
+workload, line = sys.argv[1:3]
+result = json.loads(line)
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("FAIL: perfbench %s: %s" % (workload, line))
+print("ok   perfbench %s: %d jobs match their stored digests"
+      % (workload, result["attempted"]))
+EOF
+done
 
 echo; echo "run_checks.sh: all checks passed"

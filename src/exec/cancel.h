@@ -5,7 +5,7 @@
  * Cooperative cancellation and deadlines for long-running work. A
  * CancelToken is shared between a controller (sweep runner, signal
  * handler, test) and the workers it governs: workers poll it at cheap
- * points (the cycle engines check once per simulated cycle) and throw
+ * points (the cycle engines check at every simulated event) and throw
  * Cancelled / DeadlineExceeded when asked to stop. Header-only and
  * std-only, so the simulator core can poll tokens without growing a
  * dependency.
@@ -100,9 +100,9 @@ class CancelToken
 
     /**
      * True once the deadline (own or a chained parent's) has passed.
-     * Reads the clock — amortize in hot loops (the engines check every
-     * 1024 cycles); cancelled() is a plain atomic load plus at most one
-     * pointer chase and can be checked every cycle.
+     * Reads the clock — amortize in hot loops (the engines check once
+     * per 1024 simulated cycles); cancelled() is a plain atomic load
+     * plus at most one pointer chase and can be checked every cycle.
      */
     bool deadlineExpired() const
     {

@@ -1093,7 +1093,6 @@ FleetOptions
 FleetOptions::fromEnvironment()
 {
     FleetOptions options;
-    exec::envKnob("DRS_FLEET", 1, kMaxWorkers, options.workers);
     exec::envKnob("DRS_FLEET_HEARTBEAT", 0.0, exec::kMaxKnobSeconds,
                   options.heartbeatSeconds);
     exec::envKnob("DRS_FLEET_HEARTBEAT_TIMEOUT", 0.0, exec::kMaxKnobSeconds,
@@ -1103,9 +1102,6 @@ FleetOptions::fromEnvironment()
                   options.quarantineDeaths, 0);
     exec::envKnob("DRS_FLEET_BACKOFF", 0.0, exec::kMaxKnobSeconds,
                   options.backoffSeconds);
-    const obs::TraceConfig trace = obs::TraceConfig::fromEnvironment();
-    if (trace.enabled)
-        options.tracePath = trace.path;
     options.chaos = ChaosConfig::fromEnvironment();
     return options;
 }

@@ -103,12 +103,13 @@ struct FleetOptions
     std::function<void()> onFleetReady;
 
     /**
-     * Populate from the environment: DRS_FLEET (workers),
-     * DRS_FLEET_HEARTBEAT / DRS_FLEET_HEARTBEAT_TIMEOUT (seconds),
-     * DRS_FLEET_RESPAWNS, DRS_FLEET_QUARANTINE (deaths),
-     * DRS_FLEET_BACKOFF (seconds), DRS_TRACE (tracePath), plus
+     * Populate from the environment: DRS_FLEET_HEARTBEAT /
+     * DRS_FLEET_HEARTBEAT_TIMEOUT (seconds), DRS_FLEET_RESPAWNS,
+     * DRS_FLEET_QUARANTINE (deaths), DRS_FLEET_BACKOFF (seconds), plus
      * ChaosConfig::fromEnvironment. Malformed values warn on stderr and
-     * keep the default.
+     * keep the default. workers and tracePath stay at their defaults:
+     * the bench that starts a fleet has parsed DRS_FLEET / --fleet and
+     * DRS_TRACE already, and passes them in (bench::makeFleetOptions).
      */
     static FleetOptions fromEnvironment();
 };

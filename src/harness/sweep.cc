@@ -49,7 +49,12 @@ backoffDelay(double base, int step, std::uint64_t seed, std::uint64_t salt,
                        static_cast<std::uint64_t>(draw));
     // Top 53 bits -> uniform double in [0, 1).
     const double unit = static_cast<double>(mixed >> 11) * 0x1.0p-53;
-    return base * std::ldexp(1.0, step - 1) * (0.5 + 0.5 * unit);
+    // 2^1023 is the largest finite power of two, so the product is never
+    // NaN (0 * inf); the clamp keeps the callers' conversion to 64-bit
+    // nanoseconds defined however many deaths or attempts came before.
+    const double delay =
+        base * std::ldexp(1.0, std::min(step, 1024) - 1) * (0.5 + 0.5 * unit);
+    return std::min(delay, exec::kMaxKnobSeconds);
 }
 
 // ------------------------------------------- Result <-> JSON records

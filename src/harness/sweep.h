@@ -238,7 +238,8 @@ inline constexpr std::uint64_t kRedispatchJitterSalt = 0x666c65656a697400ULL;
  * Seeded exponential backoff: @p base * 2^(@p step - 1) times a jitter
  * factor in [0.5, 1.0) drawn from (@p seed ^ @p salt, @p job, @p draw).
  * The same sweep always waits the same amount, while backoffs of
- * distinct jobs spread out instead of stampeding in lockstep.
+ * distinct jobs spread out instead of stampeding in lockstep. The delay
+ * is clamped at exec::kMaxKnobSeconds.
  */
 double backoffDelay(double base, int step, std::uint64_t seed,
                     std::uint64_t salt, std::size_t job, int draw);

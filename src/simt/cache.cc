@@ -2,6 +2,7 @@
 
 #include "fault/fault.h"
 
+#include <bit>
 #include <stdexcept>
 
 namespace drs::simt {
@@ -17,6 +18,9 @@ Cache::Cache(std::uint32_t size_bytes, std::uint32_t line_bytes,
     numSets_ = size_bytes / (line_bytes * ways);
     if (numSets_ == 0)
         numSets_ = 1;
+    lineShift_ = std::countr_zero(line_bytes);
+    if (std::has_single_bit(numSets_))
+        setShift_ = std::countr_zero(numSets_);
     lines_.resize(static_cast<std::size_t>(numSets_) * ways_);
 }
 
@@ -29,25 +33,35 @@ Cache::access(std::uint64_t address)
     ++stats_.accesses;
     ++useCounter_;
 
-    const std::uint64_t line_addr = address / lineBytes_;
-    const std::uint32_t set = static_cast<std::uint32_t>(line_addr % numSets_);
-    const std::uint64_t tag = line_addr / numSets_;
+    const std::uint64_t line_addr = address >> lineShift_;
+    std::uint32_t set;
+    std::uint64_t tag;
+    if (setShift_ >= 0) {
+        set = static_cast<std::uint32_t>(line_addr & (numSets_ - 1u));
+        tag = line_addr >> setShift_;
+    } else {
+        set = static_cast<std::uint32_t>(line_addr % numSets_);
+        tag = line_addr / numSets_;
+    }
 
     Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
-    Line *victim = base;
     for (std::uint32_t w = 0; w < ways_; ++w) {
         Line &line = base[w];
         if (line.valid && line.tag == tag) {
             line.lastUse = useCounter_;
             return true;
         }
-        if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
-            victim = &line;
-        }
     }
 
+    // Miss: fill the last invalid way, else the least recently used.
+    Line *victim = base;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        Line &line = base[w];
+        if (!line.valid)
+            victim = &line;
+        else if (victim->valid && line.lastUse < victim->lastUse)
+            victim = &line;
+    }
     ++stats_.misses;
     victim->valid = true;
     victim->tag = tag;

@@ -103,6 +103,13 @@ class Cache
     std::uint32_t lineBytes_;
     std::uint32_t ways_;
     std::uint32_t numSets_;
+    /** log2(lineBytes_): the line address is address >> lineShift_. */
+    int lineShift_ = 0;
+    /**
+     * log2(numSets_) when the set count is a power of two (every
+     * GpuConfig default is), else -1 and access() divides.
+     */
+    int setShift_ = -1;
     std::uint64_t useCounter_ = 0;
     std::vector<Line> lines_; // numSets_ * ways_, set-major
     CacheStats stats_;

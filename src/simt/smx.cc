@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -82,6 +83,13 @@ SmxExecutor::run(std::uint64_t max_cycles)
 }
 
 void
+SmxExecutor::skipTo(std::uint64_t target)
+{
+    if (target > nextEventCycle())
+        throw std::logic_error("SmxExecutor: skipTo past the next event");
+}
+
+void
 SmxExecutor::setFault(fault::FaultInjector *fault)
 {
     fault_ = fault;
@@ -143,6 +151,7 @@ Smx::Smx(const GpuConfig &config, Kernel &kernel, WarpController *controller,
          int num_warps, SharedMemorySide &shared)
     : SmxExecutor(config, kernel, shared),
       controller_(controller),
+      program_(kernel.program()),
       lastIssued_(static_cast<std::size_t>(config.schedulersPerSmx), -1),
       rdctrlIssued_(counters_.get("smx.rdctrl.issued")),
       rdctrlStalledIssues_(counters_.get("smx.rdctrl.stalled_issues")),
@@ -159,20 +168,14 @@ Smx::Smx(const GpuConfig &config, Kernel &kernel, WarpController *controller,
     if (num_warps < 1)
         throw std::invalid_argument("Smx: need at least one resident warp");
 
-    const Program &prog = kernel.program();
     const int entry = 0;
     warps_.reserve(static_cast<std::size_t>(num_warps));
-    for (int w = 0; w < num_warps; ++w)
-        warps_.emplace_back(w, w, entry, prog.exitBlock(), config.simdLanes);
-}
-
-bool
-Smx::done() const
-{
-    for (const auto &w : warps_)
-        if (!w.exited())
-            return false;
-    return true;
+    for (int w = 0; w < num_warps; ++w) {
+        warps_.emplace_back(w, w, entry, program_.exitBlock(),
+                            config.simdLanes);
+        if (!warps_.back().exited())
+            ++liveWarps_;
+    }
 }
 
 bool
@@ -233,11 +236,10 @@ Smx::issueFromWarp(Warp &warp, int max_issues)
     if (warp.exited() || warp.readyCycle > cycle_)
         return 0;
 
-    const Program &prog = kernel_.program();
+    const Block &block = program_.block(warp.pc());
 
     // Starting a fresh block: handle the rdctrl handshake first.
     if (warp.remainingInstructions == 0 && warp.overheadInstructions == 0) {
-        const Block &block = prog.block(warp.pc());
         if (block.specialOp == SpecialOp::Rdctrl && !warp.rdctrlResolved) {
             if (controller_ == nullptr)
                 throw std::logic_error(
@@ -251,47 +253,56 @@ Smx::issueFromWarp(Warp &warp, int max_issues)
         warp.blockStartCycle = cycle_;
     }
 
-    const Block &block = prog.block(warp.pc());
-    const int active = popcount(warp.activeMask());
-    int issued = 0;
-    while (issued < max_issues &&
-           (warp.overheadInstructions > 0 || warp.remainingInstructions > 0)) {
-        if (warp.overheadInstructions > 0) {
-            // DMK spawn data movement: full-warp instructions tagged SI.
-            histogram_.recordInstruction(config_.simdLanes, true);
-            --warp.overheadInstructions;
-            if (attribution_)
-                attribution_->record(obs::SlotBucket::IssuedFull,
-                                     obs::TravPhase::None);
-        } else {
-            histogram_.recordInstruction(active, block.spawnRelated);
-            auto &issue = blockIssue_[static_cast<std::size_t>(warp.pc())];
-            issue.first += 1;
-            issue.second += static_cast<std::uint64_t>(active);
-            --warp.remainingInstructions;
-            if (attribution_)
-                attribution_->record(active == config_.simdLanes
-                                         ? obs::SlotBucket::IssuedFull
-                                         : obs::SlotBucket::IssuedPartial,
-                                     block.phase);
-        }
-        normalRfAccesses_.add(kRfAccessesPerInstruction);
-        ++issued;
-        if (warp.overheadInstructions == 0 &&
-            warp.remainingInstructions == 0) {
-            completeBlock(warp);
-            break; // block boundary: stop dual issue across blocks
-        }
+    // Credit the whole issue width at once; a block that ends this cycle
+    // completes here, and dual issue stops at the block boundary.
+    const int pending = warp.overheadInstructions + warp.remainingInstructions;
+    const int issued = std::min(pending, max_issues);
+    creditIssue(warp, block, issued);
+    if (issued == pending) {
+        completeBlock(warp);
+        if (warp.exited())
+            --liveWarps_;
     }
     return issued;
 }
 
 void
+Smx::creditIssue(Warp &warp, const Block &block, int n)
+{
+    // DMK spawn data movement first: full-warp instructions tagged SI.
+    const int overhead = std::min(n, warp.overheadInstructions);
+    if (overhead > 0) {
+        const auto count = static_cast<std::uint64_t>(overhead);
+        histogram_.recordInstructions(config_.simdLanes, true, count);
+        warp.overheadInstructions -= overhead;
+        if (attribution_)
+            attribution_->record(obs::SlotBucket::IssuedFull,
+                                 obs::TravPhase::None, count);
+    }
+    const int body = n - overhead;
+    if (body > 0) {
+        const int active = popcount(warp.activeMask());
+        const auto count = static_cast<std::uint64_t>(body);
+        histogram_.recordInstructions(active, block.spawnRelated, count);
+        auto &issue = blockIssue_[static_cast<std::size_t>(warp.pc())];
+        issue.first += count;
+        issue.second += static_cast<std::uint64_t>(active) * count;
+        warp.remainingInstructions -= body;
+        if (attribution_)
+            attribution_->record(active == config_.simdLanes
+                                     ? obs::SlotBucket::IssuedFull
+                                     : obs::SlotBucket::IssuedPartial,
+                                 block.phase, count);
+    }
+    normalRfAccesses_.add(kRfAccessesPerInstruction *
+                          static_cast<std::uint64_t>(n));
+}
+
+void
 Smx::completeBlock(Warp &warp)
 {
-    const Program &prog = kernel_.program();
     const int pc = warp.pc();
-    const Block &block = prog.block(pc);
+    const Block &block = program_.block(pc);
 
     if (tracer_ && tracer_->enabled())
         tracer_->record(obs::TraceEventKind::Block, warp.id(),
@@ -314,7 +325,7 @@ Smx::completeBlock(Warp &warp)
             warp.pushUniformBody(warp.pendingBody, warp.pendingMask, pc);
         }
         if (check_)
-            check_->checkWarp(warp, prog);
+            check_->checkWarp(warp, program_);
         return;
     }
 
@@ -339,9 +350,9 @@ Smx::completeBlock(Warp &warp)
         warp.waitReason = WarpWait::Memory;
     }
 
-    warp.applySuccessors(nextBlocks_, prog);
+    warp.applySuccessors(nextBlocks_, program_);
     if (check_)
-        check_->checkWarp(warp, prog);
+        check_->checkWarp(warp, program_);
 }
 
 void
@@ -353,6 +364,11 @@ Smx::verifyInvariants() const
     if (static_cast<std::uint64_t>(stalled) != stalledWarps_)
         throw std::logic_error(
             "Smx: stalled-warp count disagrees with the warps");
+    const auto live = std::count_if(
+        warps_.begin(), warps_.end(),
+        [](const Warp &warp) { return !warp.exited(); });
+    if (static_cast<std::size_t>(live) != liveWarps_)
+        throw std::logic_error("Smx: live-warp count disagrees with the warps");
     if (controller_ != nullptr)
         controller_->verifyInvariants();
 }
@@ -402,6 +418,95 @@ Smx::issue()
 
     if (controller_ != nullptr)
         controller_->cycle(issued_total);
+
+    horizon_ = eventHorizon();
+}
+
+std::uint64_t
+Smx::eventHorizon() const
+{
+    // Called before cycle_ advances: the next step() would run at next.
+    const std::uint64_t next = cycle_ + 1;
+    // The attribution ledger and the sampler observe every cycle.
+    if (attribution_ || sampler_)
+        return next;
+    std::uint64_t horizon = std::numeric_limits<std::uint64_t>::max();
+    // The periodic deep checks run at every multiple of 1024.
+    if (check_)
+        horizon = (next + 1023u) & ~std::uint64_t{1023u};
+
+    const int per_scheduler = config_.issuesPerScheduler();
+    const auto schedulers =
+        static_cast<std::size_t>(config_.schedulersPerSmx);
+    for (std::size_t s = 0; s < schedulers; ++s) {
+        // A scheduler counting down its greedy warp's block issues from
+        // no other warp until the cycle the block's last instruction
+        // issues.
+        const int last = lastIssued_[s];
+        if (last >= 0) {
+            const Warp &warp = warps_[static_cast<std::size_t>(last)];
+            if (midBlock(warp, next)) {
+                const auto pending = static_cast<std::uint64_t>(
+                    warp.overheadInstructions + warp.remainingInstructions);
+                const auto width = static_cast<std::uint64_t>(per_scheduler);
+                horizon = std::min(horizon,
+                                   cycle_ + (pending + width - 1) / width);
+                continue;
+            }
+        }
+        // A free scheduler acts next cycle if a warp of its partition may
+        // issue (or retry rdctrl, as a stalled warp does every cycle);
+        // otherwise once the first waiting warp wakes. A warp whose
+        // access this cycle buffered still shows its old readyCycle,
+        // which only makes the horizon earlier.
+        for (std::size_t w = s; w < warps_.size(); w += schedulers) {
+            const Warp &warp = warps_[w];
+            if (warp.exited())
+                continue;
+            if (warp.stalledOnRdctrl || warp.readyCycle <= next)
+                return next;
+            horizon = std::min(horizon, warp.readyCycle);
+        }
+    }
+    return horizon;
+}
+
+void
+Smx::skipTo(std::uint64_t target)
+{
+    if (target > horizon_)
+        throw std::logic_error("Smx: skipTo past the next event");
+    if (target <= cycle_)
+        return;
+
+    // Between events each busy scheduler issues its full width from its
+    // greedy warp, every free one issues nothing, and no warp starts,
+    // completes or retries anything (see eventHorizon()).
+    const std::uint64_t cycles = target - cycle_;
+    const int per_scheduler = config_.issuesPerScheduler();
+    int issued_per_cycle = 0;
+    for (const int last : lastIssued_) {
+        if (last < 0)
+            continue;
+        Warp &warp = warps_[static_cast<std::size_t>(last)];
+        if (!midBlock(warp, cycle_))
+            continue;
+        // Fewer than the block's remaining instructions, by the horizon.
+        creditIssue(warp, program_.block(warp.pc()),
+                    static_cast<int>(cycles) * per_scheduler);
+        issued_per_cycle += per_scheduler;
+    }
+    rdctrlStallCycles_.add(stalledWarps_ * cycles);
+    if (issued_per_cycle == 0)
+        issueIdleCycles_.add(cycles);
+    if (controller_ == nullptr) {
+        cycle_ = target;
+        return;
+    }
+    // The swap engine's port budget depends on each cycle's issue count,
+    // and its trace events carry the cycle.
+    for (; cycle_ < target; ++cycle_)
+        controller_->cycle(issued_per_cycle);
 }
 
 void
@@ -461,7 +566,7 @@ Smx::attributeUnissued(int scheduler, int slots)
         blame = live;
     }
     const obs::TravPhase phase =
-        blame != nullptr ? kernel_.program().block(blame->pc()).phase
+        blame != nullptr ? program_.block(blame->pc()).phase
                          : obs::TravPhase::None;
     attribution_->record(bucket, phase, static_cast<std::uint64_t>(slots));
 }
@@ -477,11 +582,7 @@ Smx::setFault(fault::FaultInjector *fault)
 std::uint64_t
 Smx::progressCount() const
 {
-    std::uint64_t exited = 0;
-    for (const auto &w : warps_)
-        if (w.exited())
-            ++exited;
-    return kernel_.raysCompleted() + exited;
+    return kernel_.raysCompleted() + (warps_.size() - liveWarps_);
 }
 
 void

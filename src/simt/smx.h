@@ -63,6 +63,22 @@ class SmxExecutor
     std::uint64_t cycle() const { return cycle_; }
 
     /**
+     * The earliest cycle at which step() may do more than count down:
+     * start or complete a block, retry a stalled warp, run the periodic
+     * checks or feed an observer. runEngine's sequential loop credits
+     * the cycles before it with skipTo() instead of stepping them. The
+     * default, cycle(), steps every cycle.
+     */
+    virtual std::uint64_t nextEventCycle() const { return cycle_; }
+
+    /**
+     * Credit the cycles [cycle(), @p target) in bulk, with exactly the
+     * effects step() has in them; afterwards cycle() == @p target.
+     * @throws std::logic_error when @p target lies past nextEventCycle()
+     */
+    virtual void skipTo(std::uint64_t target);
+
+    /**
      * Run this SMX alone to completion (runEngine with one SMX).
      * @throws std::runtime_error when it is not done after max_cycles
      */
@@ -208,7 +224,10 @@ class Smx : public SmxExecutor
     Smx(const GpuConfig &config, Kernel &kernel, WarpController *controller,
         int num_warps, SharedMemorySide &shared);
 
-    bool done() const override;
+    bool done() const override { return liveWarps_ == 0; }
+
+    std::uint64_t nextEventCycle() const override { return horizon_; }
+    void skipTo(std::uint64_t target) override;
 
     /** Shuffle-side RF access/swap counters, added by the controller. */
     void addShuffleRfAccesses(std::uint64_t n) { shuffleRfAccesses_.add(n); }
@@ -254,6 +273,25 @@ class Smx : public SmxExecutor
     /** Try to issue up to the dual-issue width from warp @p w. */
     int issueFromWarp(Warp &warp, int max_issues);
 
+    /**
+     * Issue @p n of @p warp's pending instructions: its spawn overhead
+     * first, then @p block's own. Completing the block is the caller's.
+     */
+    void creditIssue(Warp &warp, const Block &block, int n);
+
+    /**
+     * True when @p warp is mid-block and may issue at @p cycle, so a
+     * scheduler whose greedy warp it is issues from nothing else.
+     */
+    bool midBlock(const Warp &warp, std::uint64_t cycle) const
+    {
+        return !warp.exited() && warp.readyCycle <= cycle &&
+               warp.overheadInstructions + warp.remainingInstructions > 0;
+    }
+
+    /** nextEventCycle() as of the end of this cycle's issue. */
+    std::uint64_t eventHorizon() const;
+
     /** A block's instructions finished issuing: run semantics. */
     void completeBlock(Warp &warp);
 
@@ -270,11 +308,17 @@ class Smx : public SmxExecutor
     void attributeUnissued(int scheduler, int slots);
 
     WarpController *controller_;
+    /** The kernel's program (fixed for the kernel's lifetime). */
+    const Program &program_;
     std::vector<Warp> warps_;
     /** Last warp each scheduler issued from (greedy policy). */
     std::vector<int> lastIssued_;
     /** Warps with stalledOnRdctrl set (none of them has exited). */
     std::uint64_t stalledWarps_ = 0;
+    /** Warps that have not exited. */
+    std::size_t liveWarps_ = 0;
+    /** nextEventCycle(), set by every issue(). */
+    std::uint64_t horizon_ = 0;
 
     obs::Counter &rdctrlIssued_;
     obs::Counter &rdctrlStalledIssues_;

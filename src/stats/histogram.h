@@ -8,6 +8,7 @@
  */
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -41,7 +42,28 @@ class ActiveThreadHistogram
     static constexpr int kNumBuckets = 4;
 
     /** Record one issued warp instruction with @p active threads enabled. */
-    void recordInstruction(int active, bool spawn_related = false);
+    void recordInstruction(int active, bool spawn_related = false)
+    {
+        recordInstructions(active, spawn_related, 1);
+    }
+
+    /**
+     * Record @p n issued warp instructions with @p active threads each:
+     * the same tallies as @p n calls of recordInstruction().
+     */
+    void recordInstructions(int active, bool spawn_related, std::uint64_t n)
+    {
+        assert(active >= 0 && active <= kWarpSize);
+        instructions_ += n;
+        activeThreads_ += static_cast<std::uint64_t>(active) * n;
+        exact_[static_cast<std::size_t>(active)] += n;
+        if (spawn_related) {
+            spawnInstructions_ += n;
+            return;
+        }
+        if (active > 0)
+            buckets_[static_cast<std::size_t>((active - 1) / 8)] += n;
+    }
 
     /** Number of warp instructions issued (including spawn-related). */
     std::uint64_t instructions() const { return instructions_; }

@@ -7,12 +7,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -275,8 +277,6 @@ const KnobCase kKnobs[] = {
      [](const char *) { return sweep().retryDeadlineSeconds; }},
     {"DRS_CRASH_AFTER", true, kPastInt, "3 ", 3, false,
      [](const char *) { return double(sweep().crashAfter); }},
-    {"DRS_FLEET", true, "1025", "5 ", 5, false,
-     [](const char *) { return double(fleetOptions().workers); }},
     {"DRS_FLEET_HEARTBEAT", false, kPastSeconds, "0.5 ", 0.5, false,
      [](const char *) { return fleetOptions().heartbeatSeconds; }},
     {"DRS_FLEET_HEARTBEAT_TIMEOUT", false, kPastSeconds, "3.5 ", 3.5, false,
@@ -295,7 +295,7 @@ const KnobCase kKnobs[] = {
      [](const char *) {
          return double(fleetOptions().chaos.maxKillDispatches);
      }},
-    // The bench binaries read DRS_FLEET again, into the same range.
+    // The bench binaries read DRS_FLEET and pass it to the fleet.
     {"DRS_FLEET", true, "1025", "5 ", 5, false,
      [](const char *) { return double(benchOptions().fleetWorkers); }},
     {"DRS_SMX_THREADS", true, "1000001", "4 ", 4, false,
@@ -370,6 +370,70 @@ TEST(Knobs, EveryNumericKnobAndFlagParsesStrictly)
         EXPECT_EQ(readKnob(knob, knob.spaced), knob.spacedValue)
             << knob.name << "='" << knob.spaced << "'";
     }
+}
+
+TEST(Knobs, BenchFleetRunReadsEachKnobOnce)
+{
+    // A fleet bench run parses its options, builds run configs, then the
+    // fleet's options: DRS_FLEET and the trace knobs must warn once.
+    const char *names[] = {"DRS_FLEET", "DRS_TRACE", "DRS_TRACE_CAPACITY",
+                           "DRS_SAMPLE"};
+    std::vector<std::pair<std::string, bool>> saved;
+    for (const char *name : names) {
+        const char *outer = std::getenv(name);
+        saved.emplace_back(outer != nullptr ? outer : "", outer != nullptr);
+    }
+    setenv("DRS_FLEET", "abc", 1);
+    setenv("DRS_TRACE", "coord-trace", 1);
+    setenv("DRS_TRACE_CAPACITY", "abc", 1);
+    setenv("DRS_SAMPLE", "abc", 1);
+
+    testing::internal::CaptureStderr();
+    const bench::Options options = benchOptions("--fleet", "2");
+    harness::ExperimentScale scale;
+    for (int job = 0; job < 3; ++job)
+        (void)bench::makeRunConfig(scale, options);
+    const fleet::FleetOptions fleet = bench::makeFleetOptions(options);
+    const std::string printed = testing::internal::GetCapturedStderr();
+
+    for (std::size_t i = 0; i < std::size(names); ++i) {
+        if (saved[i].second)
+            setenv(names[i], saved[i].first.c_str(), 1);
+        else
+            unsetenv(names[i]);
+    }
+
+    const auto count = [&](const std::string &needle) {
+        std::size_t n = 0;
+        for (std::size_t at = printed.find(needle); at != std::string::npos;
+             at = printed.find(needle, at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(count("malformed DRS_FLEET='abc'"), 1u) << printed;
+    EXPECT_EQ(count("malformed DRS_TRACE_CAPACITY='abc'"), 1u) << printed;
+    EXPECT_EQ(count("malformed DRS_SAMPLE='abc'"), 1u) << printed;
+    EXPECT_EQ(fleet.workers, 2);
+    EXPECT_EQ(fleet.tracePath, "coord-trace");
+}
+
+TEST(Backoff, DelayIsClampedAndFinite)
+{
+    // A job that died a million times at the largest base: the callers
+    // convert the delay to 64-bit nanoseconds, which must stay defined.
+    for (const double base : {1e9, 0.05, 0.0}) {
+        const double delay =
+            harness::backoffDelay(base, 1'000'000, 7, 11, 3, 1'000'000);
+        EXPECT_TRUE(std::isfinite(delay)) << base;
+        EXPECT_GE(delay, 0.0) << base;
+        EXPECT_LE(delay, kMaxKnobSeconds) << base;
+    }
+    EXPECT_EQ(harness::backoffDelay(1e9, 1'000'000, 7, 11, 3, 1),
+              kMaxKnobSeconds);
+    // Small delays are unchanged: base * 2^(step-1) * jitter in [0.5, 1).
+    const double third = harness::backoffDelay(0.05, 3, 7, 11, 3, 1);
+    EXPECT_GE(third, 0.1);
+    EXPECT_LT(third, 0.2);
 }
 
 } // namespace

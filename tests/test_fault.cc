@@ -184,15 +184,16 @@ TEST(Watchdog, CyclesFromEnvironment)
  * successor (Program validation requires exit to be reachable) but
  * every thread always loops back to the head. Forward progress is
  * permanently zero, which is exactly what the watchdog must convert
- * into a clean diagnostic failure instead of an hours-long hang.
+ * into a clean diagnostic failure instead of an hours-long hang. A long
+ * @p spin block makes the event-driven engine jump far between events.
  */
 class LivelockKernel : public simt::Kernel
 {
   public:
-    LivelockKernel()
+    explicit LivelockKernel(int spin = 1)
     {
         std::vector<simt::Block> blocks(2);
-        blocks[0] = {"spin", 1, {0, 1}, simt::MemSpace::None,
+        blocks[0] = {"spin", spin, {0, 1}, simt::MemSpace::None,
                      simt::SpecialOp::None, false};
         blocks[1] = {"exit", 1, {}, simt::MemSpace::None,
                      simt::SpecialOp::None, false};
@@ -240,6 +241,57 @@ TEST(EngineWatchdog, LivelockBecomesWatchdogTimeout)
     }
 }
 
+TEST(EngineWatchdog, LongBlocksFireAtThePerCycleCycle)
+{
+    simt::GpuConfig config;
+    fault::Watchdog reference_watchdog(200);
+    std::uint64_t reference_cycle = 0;
+    std::string reference_dump;
+    {
+        // The per-cycle reference: step, commit and observe every cycle.
+        simt::SharedMemorySide shared(config.memory);
+        LivelockKernel kernel_a(100);
+        LivelockKernel kernel_b(100);
+        simt::Smx smx_a(config, kernel_a, nullptr, 2, shared);
+        simt::Smx smx_b(config, kernel_b, nullptr, 3, shared);
+        std::vector<simt::Smx *> smxs{&smx_a, &smx_b};
+        for (std::uint64_t cycle = 1; reference_cycle == 0; ++cycle) {
+            ASSERT_LT(cycle, 10'000u);
+            for (simt::Smx *smx : smxs)
+                smx->step();
+            for (simt::Smx *smx : smxs)
+                smx->commitMemory();
+            if (reference_watchdog.observe(
+                    cycle, smx_a.progressCount() + smx_b.progressCount())) {
+                reference_cycle = cycle;
+                reference_dump = simt::describeEngineState(smxs);
+            }
+        }
+    }
+    EXPECT_EQ(reference_cycle, 202u);
+
+    simt::SharedMemorySide shared(config.memory);
+    LivelockKernel kernel_a(100);
+    LivelockKernel kernel_b(100);
+    simt::Smx smx_a(config, kernel_a, nullptr, 2, shared);
+    simt::Smx smx_b(config, kernel_b, nullptr, 3, shared);
+    std::vector<simt::Smx *> smxs{&smx_a, &smx_b};
+    fault::Watchdog watchdog(200);
+    try {
+        simt::runEngine(smxs, 1'000'000, 1, &watchdog);
+        FAIL() << "livelock must trip the watchdog";
+    } catch (const fault::WatchdogTimeout &timeout) {
+        EXPECT_EQ(timeout.cycle(), reference_cycle);
+        // Every SMX was brought up to the firing cycle: the dump lists
+        // every warp exactly as the per-cycle engine leaves it.
+        EXPECT_EQ(timeout.dump(), reference_dump);
+        for (const char *warp : {"warp 0", "warp 1", "warp 2"})
+            EXPECT_NE(timeout.dump().find(warp), std::string::npos) << warp;
+    }
+    EXPECT_EQ(smx_a.cycle(), reference_cycle);
+    EXPECT_EQ(smx_b.cycle(), reference_cycle);
+}
+
 TEST(EngineWatchdog, ParallelDriverAlsoFires)
 {
     simt::GpuConfig config;
@@ -267,6 +319,24 @@ TEST(EngineCancel, CancelledTokenStopsTheRun)
     token.requestCancel();
     EXPECT_THROW(simt::runEngine(smxs, 1'000'000, 1, nullptr, &token),
                  exec::Cancelled);
+}
+
+TEST(EngineCancel, ExpiredDeadlineStopsLongBlocks)
+{
+    // The event-driven engine jumps 50 cycles at a time here, so it polls
+    // the deadline whenever a jump crosses a multiple of 1024 cycles.
+    simt::GpuConfig config;
+    simt::SharedMemorySide shared(config.memory);
+    LivelockKernel kernel(100);
+    simt::Smx smx(config, kernel, nullptr, 2, shared);
+    std::vector<simt::Smx *> smxs{&smx};
+
+    exec::CancelToken token;
+    token.setDeadline(std::chrono::steady_clock::now() -
+                      std::chrono::seconds(1));
+    EXPECT_THROW(simt::runEngine(smxs, 1'000'000, 1, nullptr, &token),
+                 exec::DeadlineExceeded);
+    EXPECT_LE(smx.cycle(), 1024u + 50u);
 }
 
 TEST(EngineCancel, ExpiredDeadlineStopsTheRun)

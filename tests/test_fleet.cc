@@ -245,17 +245,16 @@ TEST(FleetOptionsEnv, ParsesAndRejectsKnobs)
     ::setenv("DRS_FLEET_CHAOS", "0xbeef", 1);
     ::setenv("DRS_FLEET_CHAOS_RATE", "0.25", 1);
     FleetOptions options = FleetOptions::fromEnvironment();
-    EXPECT_EQ(options.workers, 5);
+    // The worker count is the bench's to pass in (bench::makeFleetOptions).
+    EXPECT_EQ(options.workers, FleetOptions{}.workers);
     EXPECT_DOUBLE_EQ(options.heartbeatTimeoutSeconds, 3.5);
     EXPECT_EQ(options.maxRespawns, 12);
     EXPECT_EQ(options.quarantineDeaths, 4);
     EXPECT_EQ(options.chaos.seed, 0xbeefULL);
     EXPECT_DOUBLE_EQ(options.chaos.killRate, 0.25);
 
-    ::setenv("DRS_FLEET", "zero", 1);
     ::setenv("DRS_FLEET_CHAOS_RATE", "1.5", 1);
     options = FleetOptions::fromEnvironment();
-    EXPECT_EQ(options.workers, FleetOptions{}.workers) << "malformed ignored";
     EXPECT_DOUBLE_EQ(options.chaos.killRate, ChaosConfig{}.killRate);
 
     ::unsetenv("DRS_FLEET");

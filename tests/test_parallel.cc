@@ -1,21 +1,33 @@
 /**
  * @file
- * Determinism regression tests for the parallel execution engine: for
- * every architecture, running the simulator with concurrent SMX stepping
- * (RunConfig::smxThreads > 1) or running sweeps on a thread pool
- * (SweepRunner jobs > 1) must produce SimStats that are field-for-field
- * identical to the sequential engine. The guarantee rests on the
- * cycle-barrier commit of shared-side memory requests in SMX-index order
+ * Determinism regression tests for the execution engines: the
+ * event-driven sequential engine must match stepping every SMX every
+ * cycle by hand; for every architecture, running the simulator with
+ * concurrent SMX stepping (RunConfig::smxThreads > 1) or running sweeps
+ * on a thread pool (SweepRunner jobs > 1) must produce SimStats that are
+ * field-for-field identical to the sequential engine. The guarantee
+ * rests on the commit of shared-side memory requests in SMX-index order
  * (see DESIGN.md, "Parallel execution model").
  */
 
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/dmk_control.h"
+#include "baselines/ser_control.h"
+#include "check/check.h"
+#include "core/drs_control.h"
 #include "harness/harness.h"
 #include "harness/sweep.h"
+#include "kernels/aila_kernel.h"
+#include "kernels/drs_kernel.h"
+#include "kernels/pathpred_kernel.h"
+#include "kernels/ser_kernel.h"
+#include "simt/engine.h"
 
 namespace drs::harness {
 namespace {
@@ -86,6 +98,144 @@ TEST_F(ParallelFixture, SmxParallelismIsBitIdentical)
                 << archName(arch) << " bounce " << bounce
                 << ": smxThreads=4 diverged from the sequential engine";
             EXPECT_GT(parallel.raysTraced, 0u);
+        }
+    }
+}
+
+/**
+ * One SMX's kernel and controller for @p arch over @p stripe, built as
+ * the arch's plugin builds them (arch_builtin.cc, arch_survey.cc).
+ */
+simt::SmxSetup
+handBuiltSetup(const std::string &arch, const render::PathTracer &tracer,
+               std::span<const geom::Ray> stripe, std::size_t first,
+               const RunConfig &config)
+{
+    simt::SmxSetup setup;
+    if (arch == "aila") {
+        setup.kernel = std::make_unique<kernels::AilaKernel>(
+            tracer.bvh(), tracer.sceneTriangles(), stripe, first,
+            config.aila);
+        setup.numWarps = config.aila.numWarps;
+    } else if (arch == "pathpred") {
+        setup.kernel = std::make_unique<kernels::PathPredKernel>(
+            tracer.bvh(), tracer.sceneTriangles(), stripe, first,
+            config.pathpred);
+        setup.numWarps = config.pathpred.numWarps;
+    } else if (arch == "drs" || arch == "dmk") {
+        kernels::DrsKernelConfig kernel_config;
+        kernel_config.numWarps = arch == "drs" ? config.drs.spawnableWarps()
+                                               : config.dmk.numWarps;
+        kernel_config.backupRows = arch == "drs" ? config.drs.backupRows : 0;
+        auto kernel = std::make_unique<kernels::DrsKernel>(
+            tracer.bvh(), tracer.sceneTriangles(), stripe, first,
+            kernel_config);
+        setup.numWarps = kernel_config.numWarps;
+        if (arch == "drs")
+            setup.controller = std::make_unique<core::DrsControl>(
+                config.drs, kernel->workspace(), kernel_config.numWarps);
+        else
+            setup.controller = std::make_unique<baselines::DmkControl>(
+                config.dmk, kernel->travWorkspace());
+        setup.kernel = std::move(kernel);
+    } else if (arch == "ser") {
+        kernels::SerKernelConfig kernel_config;
+        kernel_config.numWarps = config.ser.numWarps;
+        kernel_config.cutSize = config.ser.cutSize;
+        auto kernel = std::make_unique<kernels::SerKernel>(
+            tracer.bvh(), tracer.sceneTriangles(), stripe, first,
+            kernel_config);
+        setup.numWarps = kernel_config.numWarps;
+        setup.controller =
+            std::make_unique<baselines::SerControl>(config.ser, *kernel);
+        setup.kernel = std::move(kernel);
+    }
+    return setup;
+}
+
+/**
+ * Run @p arch over @p rays on two Smx sharing one L2: through runEngine's
+ * event-driven loop, or (@p per_cycle) by stepping every live SMX and
+ * then committing all of them, every cycle. Returns each SMX's SimStats
+ * and, last, the L2's.
+ */
+std::vector<simt::SimStats>
+runTwoSmx(const std::string &arch, const render::PathTracer &tracer,
+          std::span<const geom::Ray> rays, bool per_cycle,
+          const simt::CheckContext *check)
+{
+    constexpr int kSmx = 2;
+    RunConfig config;
+    config.gpu.numSmx = kSmx;
+    simt::SharedMemorySide shared(config.gpu.memory);
+    std::vector<simt::SmxSetup> setups;
+    std::vector<std::unique_ptr<simt::Smx>> owned;
+    std::vector<simt::Smx *> smxs;
+    for (int i = 0; i < kSmx; ++i) {
+        const auto [first, count] =
+            simt::rayStripe(rays.size(), kSmx, i, config.gpu.simdLanes);
+        setups.push_back(handBuiltSetup(arch, tracer,
+                                        rays.subspan(first, count), first,
+                                        config));
+        simt::SmxSetup &setup = setups.back();
+        owned.push_back(std::make_unique<simt::Smx>(
+            config.gpu, *setup.kernel, setup.controller.get(),
+            setup.numWarps, shared));
+        if (setup.controller)
+            setup.controller->attach(*owned.back());
+        owned.back()->setCheck(check);
+        smxs.push_back(owned.back().get());
+    }
+
+    if (per_cycle) {
+        for (std::uint64_t cycle = 0;; ++cycle) {
+            if (cycle >= config.maxCycles)
+                throw std::runtime_error("per-cycle reference ran away");
+            bool live = false;
+            for (simt::Smx *smx : smxs) {
+                if (!smx->done()) {
+                    smx->step();
+                    live = true;
+                }
+            }
+            if (!live)
+                break;
+            for (simt::Smx *smx : smxs)
+                smx->commitMemory();
+        }
+    } else {
+        simt::runEngine(smxs, config.maxCycles, 1);
+    }
+
+    std::vector<simt::SimStats> stats;
+    for (simt::Smx *smx : smxs)
+        stats.push_back(smx->collectStats());
+    stats.emplace_back().l2 = shared.l2Stats();
+    return stats;
+}
+
+TEST_F(ParallelFixture, EventEngineMatchesPerCycleStepping)
+{
+    // The incoherent second bounce exercises the memory system (and the
+    // DRS shuffle machinery) much harder than primaries do.
+    const auto rays = bounceRays(2);
+    const check::Checker checker;
+    for (const std::string arch : {"aila", "dmk", "drs", "ser", "pathpred"}) {
+        for (const simt::CheckContext *check :
+             {static_cast<const simt::CheckContext *>(nullptr),
+              static_cast<const simt::CheckContext *>(&checker)}) {
+            const auto reference =
+                runTwoSmx(arch, *prepared_->tracer, rays, true, check);
+            const auto events =
+                runTwoSmx(arch, *prepared_->tracer, rays, false, check);
+            ASSERT_EQ(reference.size(), events.size());
+            for (std::size_t i = 0; i < reference.size(); ++i)
+                EXPECT_EQ(reference[i], events[i])
+                    << arch << (check ? " checked" : "") << ", stats " << i
+                    << ": the event engine diverged from per-cycle "
+                       "stepping";
+            EXPECT_GT(reference[0].raysTraced, 0u) << arch;
+            EXPECT_GT(reference[0].cycles, 0u) << arch;
         }
     }
 }

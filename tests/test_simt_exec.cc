@@ -44,6 +44,27 @@ TEST(Cache, LruEviction)
     EXPECT_FALSE(cache.access(2 * 64)); // 2 was evicted
 }
 
+TEST(Cache, NonPowerOfTwoSetCountIndexesByDivision)
+{
+    // 2-way, 3 sets, 128B lines: line L maps to set L % 3 with tag L / 3,
+    // so lines 0, 3, 6 share set 0 and line 1 sits in set 1. Masking by
+    // numSets - 1 would put 3 and 6 in set 2 and keep line 3 resident.
+    Cache cache(768, 128, 2);
+    EXPECT_EQ(cache.numSets(), 3u);
+    EXPECT_FALSE(cache.access(0 * 128));
+    EXPECT_FALSE(cache.access(3 * 128));
+    EXPECT_FALSE(cache.access(1 * 128)); // set 1: evicts nothing in set 0
+    EXPECT_TRUE(cache.access(0 * 128));  // 0 now MRU in set 0
+    EXPECT_FALSE(cache.access(6 * 128)); // evicts 3 (LRU of set 0)
+    EXPECT_TRUE(cache.access(0 * 128));
+    EXPECT_TRUE(cache.access(6 * 128));
+    EXPECT_TRUE(cache.access(1 * 128));
+    EXPECT_FALSE(cache.access(3 * 128)); // 3 was evicted
+    EXPECT_EQ(cache.stats().accesses, 9u);
+    EXPECT_EQ(cache.stats().misses, 5u);
+    cache.verifyInvariants();
+}
+
 TEST(Cache, FlushInvalidates)
 {
     Cache cache(1024, 64, 2);

@@ -53,6 +53,25 @@ TEST(ActiveThreadHistogram, BucketBoundaries)
         EXPECT_DOUBLE_EQ(h.bucketFraction(b), 2.0 / 8.0) << b;
 }
 
+TEST(ActiveThreadHistogram, BulkRecordEqualsRepeatedRecord)
+{
+    for (const bool spawn : {false, true}) {
+        for (const int active : {0, 1, 8, 9, 17, 25, 32}) {
+            for (const std::uint64_t n : {0u, 1u, 2u, 37u}) {
+                ActiveThreadHistogram bulk;
+                ActiveThreadHistogram repeated;
+                bulk.recordInstruction(5); // prior tallies add up too
+                repeated.recordInstruction(5);
+                bulk.recordInstructions(active, spawn, n);
+                for (std::uint64_t i = 0; i < n; ++i)
+                    repeated.recordInstruction(active, spawn);
+                EXPECT_EQ(bulk, repeated) << "active " << active << " spawn "
+                                          << spawn << " n " << n;
+            }
+        }
+    }
+}
+
 TEST(ActiveThreadHistogram, SpawnCategorySeparate)
 {
     ActiveThreadHistogram h;

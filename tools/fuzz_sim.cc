@@ -14,14 +14,15 @@
  * Usage:
  *   fuzz_sim [--configs N] [--seed MASTER] [--jobs N] [--replay SEED]
  *
- * Exit code 0 = every configuration passed, 1 = at least one violation.
+ * --configs is in [1, 1000000] and --jobs in [1, 1024] (decimal); the
+ * seeds take any 64-bit value, decimal or 0x hex. Exit code 0 = every
+ * configuration passed, 1 = at least one violation, 2 = bad arguments.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "check/check.h"
+#include "exec/env.h"
 #include "geom/rng.h"
 #include "harness/arch_plugin.h"
 #include "harness/harness.h"
@@ -222,16 +224,12 @@ runCase(const FuzzCase &c, drs::harness::PreparedSceneCache &cache)
     }
 }
 
-std::uint64_t
-parseU64(const char *text)
+int
+usage()
 {
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "fuzz_sim: not a number: %s\n", text);
-        std::exit(2);
-    }
-    return value;
+    std::fprintf(stderr, "usage: fuzz_sim [--configs N] [--seed MASTER] "
+                         "[--jobs N] [--replay SEED]\n");
+    return 2;
 }
 
 } // namespace
@@ -245,23 +243,29 @@ main(int argc, char **argv)
     bool replay = false;
     std::uint64_t replay_seed = 0;
 
+    constexpr int kMaxConfigs = 1'000'000;
+    constexpr int kMaxJobs = 1024;
+    constexpr std::uint64_t kAnySeed = ~std::uint64_t{0};
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (arg == "--configs" && has_value) {
-            configs = static_cast<int>(parseU64(argv[++i]));
-        } else if (arg == "--seed" && has_value) {
-            master_seed = parseU64(argv[++i]);
-        } else if (arg == "--jobs" && has_value) {
-            jobs = static_cast<int>(parseU64(argv[++i]));
-        } else if (arg == "--replay" && has_value) {
+        if (i + 1 >= argc)
+            return usage();
+        const char *value = argv[++i];
+        bool ok = false;
+        if (arg == "--configs") {
+            ok = drs::exec::parseNumber(value, 1, kMaxConfigs, configs);
+        } else if (arg == "--seed") {
+            ok = drs::exec::parseNumber(value, 0, kAnySeed, master_seed, 0);
+        } else if (arg == "--jobs") {
+            ok = drs::exec::parseNumber(value, 1, kMaxJobs, jobs);
+        } else if (arg == "--replay") {
             replay = true;
-            replay_seed = parseU64(argv[++i]);
-        } else {
-            std::fprintf(stderr,
-                         "usage: fuzz_sim [--configs N] [--seed MASTER] "
-                         "[--jobs N] [--replay SEED]\n");
-            return 2;
+            ok = drs::exec::parseNumber(value, 0, kAnySeed, replay_seed, 0);
+        }
+        if (!ok) {
+            std::fprintf(stderr, "fuzz_sim: bad argument %s '%s'\n",
+                         arg.c_str(), value);
+            return usage();
         }
     }
 
@@ -299,11 +303,13 @@ main(int argc, char **argv)
         }
     };
 
-    if (jobs <= 1) {
+    const std::size_t threads_wanted =
+        std::min(static_cast<std::size_t>(jobs), seeds.size());
+    if (threads_wanted <= 1) {
         worker();
     } else {
         std::vector<std::thread> threads;
-        for (int t = 0; t < jobs; ++t)
+        for (std::size_t t = 0; t < threads_wanted; ++t)
             threads.emplace_back(worker);
         for (auto &thread : threads)
             thread.join();

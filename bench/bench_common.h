@@ -36,8 +36,6 @@ struct Options
 {
     /** Concurrent simulations (--jobs N / DRS_JOBS). */
     int jobs = 1;
-    /** Worker threads inside each simulation (--smx-threads N). */
-    int smxThreads = 1;
     /** Structured report destination (--json PATH); empty = no report. */
     std::string jsonPath;
     /** Completed-job journal for crash recovery (--journal PATH). */
@@ -67,21 +65,18 @@ struct Options
 /**
  * Parse the shared bench flags: --jobs N (default: DRS_JOBS or the
  * hardware concurrency), --fleet N (default: DRS_FLEET or 0 = no
- * fleet), --smx-threads N (default: DRS_SMX_THREADS or 1), --json
- * PATH, --journal PATH, --resume and --progress (default:
- * DRS_PROGRESS). Unknown arguments warn on stderr and are ignored,
- * keeping the binaries scriptable. The trace and sample knobs are read
- * here too, so each variable is read (and a malformed one warns) once
- * per process.
+ * fleet), --json PATH, --journal PATH, --resume and --progress
+ * (default: DRS_PROGRESS). Unknown arguments warn on stderr and are
+ * ignored, keeping the binaries scriptable. The trace and sample knobs
+ * are read here too, so each variable is read (and a malformed one
+ * warns) once per process.
  */
 inline Options
 parseOptions(int argc, char **argv)
 {
     constexpr int kMaxWorkers = fleet::FleetOptions::kMaxWorkers;
-    constexpr int kMaxSmxThreads = 1'000'000;
     Options options;
     options.jobs = exec::defaultConcurrency();
-    exec::envKnob("DRS_SMX_THREADS", 1, kMaxSmxThreads, options.smxThreads);
     exec::envKnob("DRS_FLEET", 1, kMaxWorkers, options.fleetWorkers);
     exec::envKnob("DRS_PROGRESS", false, true, options.progress);
     options.trace = obs::TraceConfig::fromEnvironment();
@@ -112,9 +107,6 @@ parseOptions(int argc, char **argv)
         else if (const char *v = value_of("--fleet"))
             exec::parseKnob("--fleet", v, 1, kMaxWorkers,
                             options.fleetWorkers);
-        else if (const char *v = value_of("--smx-threads"))
-            exec::parseKnob("--smx-threads", v, 1, kMaxSmxThreads,
-                            options.smxThreads);
         else if (const char *v = value_of("--json"))
             path_flag("--json", v, options.jsonPath);
         else if (const char *v = value_of("--journal"))
@@ -164,8 +156,6 @@ printBanner(const std::string &title, const harness::ExperimentScale &scale,
     if (options.fleetWorkers > 0)
         std::cout << " across a fleet of " << options.fleetWorkers
                   << " worker processes (--fleet N / DRS_FLEET)";
-    if (options.smxThreads > 1)
-        std::cout << ", " << options.smxThreads << " SMX threads each";
     std::cout << "\n\n";
     std::cout.flush();
 }
@@ -176,7 +166,6 @@ makeRunConfig(const harness::ExperimentScale &scale, const Options &options)
 {
     harness::RunConfig config;
     config.gpu.numSmx = scale.numSmx;
-    config.smxThreads = options.smxThreads;
     config.trace = options.trace;
     config.sample = options.sample;
     return config;
@@ -312,7 +301,6 @@ class JsonReport
     {
         report_.scale() = harness::scaleJson(scale);
         report_.options()["jobs"] = options.jobs;
-        report_.options()["smx_threads"] = options.smxThreads;
         report_.options()["fleet"] = options.fleetWorkers;
     }
 

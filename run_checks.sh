@@ -4,7 +4,7 @@
 # 1. Builds the tree under -DDRS_SANITIZE=address, =thread and
 #    =undefined and runs the `check`-labelled suites (plus the registry,
 #    fuzz-smoke and `sanitize` legs -- the last holds the concurrency
-#    suites: parallelFor, SMX threads, counters -- and the ray-trace
+#    suites: parallelFor, concurrent sweeps, counters -- and the ray-trace
 #    parser and path tracer suite) under each sanitizer with DRS_CHECK=1:
 #    test_check plus fuzz_smoke, the seeded randomized lockstep
 #    cross-check (fixed master seed 0x5eed -> deterministic configs,

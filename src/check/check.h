@@ -65,7 +65,7 @@ void verifyStatsLockstep(const simt::SimStats &stats);
 
 /**
  * The checker the SMX (and the TBC executor) calls under DRS_CHECK.
- * Stateless and const: one instance can serve concurrently-stepped SMXs.
+ * Stateless and const: one instance can serve every SMX of a run.
  */
 class Checker : public simt::CheckContext
 {

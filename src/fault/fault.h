@@ -15,9 +15,9 @@
  *    injector per simulated unit (SMX or the shared L2/DRAM side),
  *    seeded from (master seed, unit id), so the injected fault sequence
  *    is a pure function of the seed — independent of host thread count
- *    or scheduling (each unit steps on exactly one worker and the
- *    shared side is only touched at the cycle barrier in SMX-index
- *    order; see DESIGN.md, "Parallel execution model").
+ *    or scheduling (each simulation runs on one host thread and the
+ *    shared side is only touched when the engine commits the SMXs in
+ *    index order; see DESIGN.md, "Parallel execution model").
  *  - Watchdog: forward-progress monitor for the cycle engines. When no
  *    unit makes progress (no ray completes, no warp retires) within a
  *    cycle budget, the engine aborts with a WatchdogTimeout carrying a
@@ -100,8 +100,8 @@ struct FaultCounters
 
 /**
  * One unit's deterministic fault source. Not thread-safe: owned and
- * advanced by exactly one simulated unit (the unit-per-worker contract
- * of the parallel engine makes that race-free).
+ * advanced by exactly one simulated unit of one simulation, which runs
+ * on one host thread.
  */
 class FaultInjector
 {

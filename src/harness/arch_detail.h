@@ -82,7 +82,6 @@ runStriped(std::span<const geom::Ray> rays, const RunConfig &config,
 {
     simt::GpuRunOptions options;
     options.maxCycles = config.maxCycles;
-    options.smxThreads = config.smxThreads;
     options.trace = observers.trace;
     options.attribution = observers.attribution;
     options.sampler = observers.sampler;

@@ -77,10 +77,11 @@ struct RunConfig
     kernels::PathPredConfig pathpred{};
     std::uint64_t maxCycles = 2'000'000'000ULL;
     /**
-     * Worker threads stepping SMXs concurrently inside one simulation
-     * (simt::GpuRunOptions::smxThreads). <= 1 = sequential engine. Any
-     * value produces bit-identical SimStats (see DESIGN.md, "Parallel
-     * execution model").
+     * Unread: one engine on one host thread runs every simulation. The
+     * member stays only because perfbench assigns it and stores it
+     * beside every stored SimStats digest, and only a benchmark change
+     * may edit perfbench/. The benchmark change of ROADMAP item 2
+     * deletes it together with perfbench's smx_threads key.
      */
     int smxThreads = 1;
     /**
@@ -132,7 +133,7 @@ struct RunConfig
      * With a seed, deterministic faults (ray bit flips at swap
      * boundaries, cache tag corruption, delayed/dropped DRAM responses)
      * are injected — same seed, same faults, same SimStats, at any
-     * smxThreads. Usually populated from DRS_FAULT_SEED via
+     * --jobs. Usually populated from DRS_FAULT_SEED via
      * fault::FaultConfig::fromEnvironment().
      */
     fault::FaultConfig fault{};

@@ -13,8 +13,9 @@
  *  - IssuedPartial    instruction issued under divergence (< all lanes)
  *  - StalledRdctrl    slot lost waiting on the ray-dispatch controller
  *  - StalledMemory    slot lost waiting on an outstanding memory access
- *  - StalledScoreboard slot lost on an in-core hazard (spawn-overhead
- *                     wait, TBC barrier synchronization)
+ *  - StalledScoreboard slot lost on an in-core hazard; only the TBC
+ *                     divergence barrier charges it (DMK replays its
+ *                     spawn bank conflicts as issued instructions)
  *  - NoReadyWarp      no eligible warp (includes dual-issue width lost
  *                     at block boundaries)
  *  - Drained          every warp of the scheduler's partition exited

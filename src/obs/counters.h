@@ -9,11 +9,11 @@
  *
  * Concurrency/determinism contract (see DESIGN.md, "Observability"):
  * each registry belongs to exactly one simulated unit (one Smx, one
- * controller), and the parallel engine steps a unit on a single worker
- * per cycle — so increments are plain adds, never contended, and counter
- * values are bit-identical for any thread count, exactly like the rest of
- * SimStats. Registration appends; handles stay valid for the registry's
- * lifetime (deque storage), so hot code touches no lock and no lookup.
+ * controller), and a simulation runs on one host thread — so increments
+ * are plain adds, never contended, and counter values are bit-identical
+ * at any --jobs, exactly like the rest of SimStats. Registration
+ * appends; handles stay valid for the registry's lifetime (deque
+ * storage), so hot code touches no lock and no lookup.
  */
 
 #include <cstdint>
@@ -84,7 +84,7 @@ class CounterSnapshot
  * path holds the reference and increments without any registry access.
  * Registration itself is guarded by a mutex so a registry can be built
  * from helper objects without ceremony, but per the contract above all
- * increments happen from the unit's single stepping worker.
+ * increments happen on the simulation's one host thread.
  */
 class Counters
 {

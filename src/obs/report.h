@@ -16,7 +16,7 @@
  *     "degraded": <bool>,         // true when any sweep job was
  *                                 // quarantined (results incomplete)
  *     "scale": { ... },           // ExperimentScale knobs
- *     "options": { ... },         // jobs, smx_threads, ...
+ *     "options": { ... },         // jobs, fleet, ...
  *     "wall_seconds": <number>,   // whole-bench wall clock
  *     "results": [ { ... }, ... ],// one object per table row/cell group
  *     "summary": { ... }          // bench-specific aggregates (may be
@@ -56,7 +56,7 @@ class BenchReport
 
     /** The "scale" object (fill with experiment-scale knobs). */
     Json &scale() { return document_["scale"]; }
-    /** The "options" object (jobs, smx_threads, ...). */
+    /** The "options" object (jobs, fleet, ...). */
     Json &options() { return document_["options"]; }
     /** Optional bench-specific aggregate object. */
     Json &summary() { return document_["summary"]; }

@@ -12,7 +12,7 @@
  * fills, adjacent frames coalesce pairwise and the interval doubles —
  * so an arbitrarily long run always fits in bounded memory with a
  * uniform window size, and the result is a pure function of the
- * simulated cycles (deterministic at any --jobs/--smx-threads).
+ * simulated cycles (deterministic at any --jobs/--fleet).
  *
  * Enabled with DRS_SAMPLE=<cycles> (or RunConfig::sample); exported as
  * the `timeline` section of bench JSON (schema v3+) and as Chrome

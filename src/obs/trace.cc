@@ -18,7 +18,6 @@ traceEventKindName(TraceEventKind kind)
       case TraceEventKind::Block: return "block";
       case TraceEventKind::RdctrlStall: return "rdctrl_stall";
       case TraceEventKind::RaySwap: return "ray_swap";
-      case TraceEventKind::SpawnOverhead: return "spawn_overhead";
     }
     return "unknown";
 }

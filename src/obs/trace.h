@@ -30,7 +30,6 @@ enum class TraceEventKind : std::uint8_t
     Block = 0,         ///< one basic block issued by a warp (aux = block id)
     RdctrlStall = 1,   ///< a warp sat stalled on rdctrl
     RaySwap = 2,       ///< one completed shuffle operation (move/exchange)
-    SpawnOverhead = 3, ///< DMK spawn stall (aux = overhead instructions)
 };
 
 /** Human-readable event name ("block", "rdctrl_stall", ...). */

@@ -176,8 +176,6 @@ struct RdctrlResult
      * DMK's data dump/load instructions; 0 for DRS).
      */
     int overheadInstructions = 0;
-    /** Unhidden stall cycles charged with the overhead (bank conflicts). */
-    std::uint32_t overheadStallCycles = 0;
 };
 
 class Smx; // forward declaration (simt/smx.h)

@@ -4,28 +4,24 @@
  * @file
  * The cycle engine behind simt::runGpu, which drives every
  * architecture's SMXs through simt::SmxExecutor, and behind the
- * standalone SmxExecutor::run: an event-driven sequential loop and a
- * barrier-threaded loop that steps every cycle, over any SMX-like type
- * exposing done()/step()/commitMemory()/nextEventCycle()/skipTo().
+ * standalone SmxExecutor::run: one event-driven sequential loop over any
+ * SMX-like type exposing done()/step()/commitMemory()/nextEventCycle()/
+ * skipTo().
  *
  * SMXs buffer shared-side (L2/DRAM) requests during a cycle's step
- * phase; both loops commit them afterwards in SMX-index order, so the L2
- * observes one canonical access interleaving no matter how many worker
- * threads step the SMXs or which cycles an SMX skips. This is what makes
- * the two engines' SimStats bit-identical (see DESIGN.md, "Parallel
- * execution model").
+ * phase; the loop commits them afterwards in SMX-index order, so the L2
+ * observes one canonical access interleaving no matter which cycles an
+ * SMX skips. This is what keeps the event-driven loop's SimStats
+ * bit-identical to stepping every SMX every cycle (see DESIGN.md,
+ * "Parallel execution model").
  */
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
 #include <cstdint>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "exec/cancel.h"
@@ -51,10 +47,8 @@ describeEngineState(const std::vector<SmxLike *> &smxs)
 
 /**
  * Engine policing after the clock advanced from @p from to @p cycle:
- * forward-progress watchdog and cooperative cancellation. Shared by the
- * sequential driver (called at every event) and the parallel driver
- * (called from the barrier completion step, one cycle at a time).
- * Throws fault::WatchdogTimeout / exec::Cancelled /
+ * forward-progress watchdog and cooperative cancellation, called after
+ * every event. Throws fault::WatchdogTimeout / exec::Cancelled /
  * exec::DeadlineExceeded. The deadline check reads the clock, so it is
  * amortized: it runs when the advance crosses a multiple of 1024;
  * cancellation is a plain atomic load checked every time. Before the
@@ -87,19 +81,33 @@ policeCycle(const std::vector<SmxLike *> &smxs, std::uint64_t from,
 }
 
 /**
- * The sequential driver. It jumps straight to the earliest cycle at
- * which some SMX has an event (SmxLike::nextEventCycle()), brings the
- * SMXs due then up to it (skipTo) and steps them in index order, then
- * commits them in index order. An SMX that is not due has nothing to
- * commit, so the L2 sees the same (cycle, SMX, issue order) sequence as
- * a loop that steps every SMX every cycle. The jump never passes the
- * cycle at which the watchdog would fire, nor max_cycles.
+ * Run @p smxs until all are done. The loop jumps straight to the
+ * earliest cycle at which some SMX has an event
+ * (SmxLike::nextEventCycle()), brings the SMXs due then up to it
+ * (skipTo) and steps them in index order, then commits them in index
+ * order. An SMX that is not due has nothing to commit, so the L2 sees the
+ * same (cycle, SMX, issue order) sequence as a loop that steps every SMX
+ * every cycle. The jump never passes the cycle at which the watchdog
+ * would fire, nor max_cycles.
+ *
+ * @param smxs SMXs in commit order (index order defines L2 ordering)
+ * @param max_cycles safety bound; throws std::runtime_error when exceeded
+ * @param watchdog optional forward-progress watchdog; when it fires the
+ *        engine throws fault::WatchdogTimeout carrying a diagnostic dump
+ *        of every SMX (IPDOM stacks, row ownership, pending memory ops)
+ * @param cancel optional cooperative stop/deadline token
  */
 template <typename SmxLike>
 void
-runEventLoop(const std::vector<SmxLike *> &smxs, std::uint64_t max_cycles,
-             fault::Watchdog *watchdog, const exec::CancelToken *cancel)
+runEngine(const std::vector<SmxLike *> &smxs, std::uint64_t max_cycles,
+          fault::Watchdog *watchdog = nullptr,
+          const exec::CancelToken *cancel = nullptr)
 {
+    bool all_done = true;
+    for (SmxLike *smx : smxs)
+        all_done = all_done && smx->done();
+    if (all_done)
+        return;
     if (max_cycles == 0)
         throw std::runtime_error("GPU simulation exceeded max_cycles");
 
@@ -141,109 +149,6 @@ runEventLoop(const std::vector<SmxLike *> &smxs, std::uint64_t max_cycles,
         if (cycle >= max_cycles)
             throw std::runtime_error("GPU simulation exceeded max_cycles");
     }
-}
-
-/**
- * Run @p smxs until all are done.
- *
- * @param smxs SMXs in commit order (index order defines L2 ordering)
- * @param max_cycles safety bound; throws std::runtime_error when exceeded
- * @param threads worker threads; <= 1 runs the event-driven sequential
- *        driver, more run the barrier-threaded one, which steps every
- *        SMX every cycle
- * @param watchdog optional forward-progress watchdog; when it fires the
- *        engine throws fault::WatchdogTimeout carrying a diagnostic dump
- *        of every SMX (IPDOM stacks, row ownership, pending memory ops)
- * @param cancel optional cooperative stop/deadline token
- */
-template <typename SmxLike>
-void
-runEngine(const std::vector<SmxLike *> &smxs, std::uint64_t max_cycles,
-          int threads, fault::Watchdog *watchdog = nullptr,
-          const exec::CancelToken *cancel = nullptr)
-{
-    bool all_done = true;
-    for (SmxLike *smx : smxs)
-        all_done = all_done && smx->done();
-    if (all_done)
-        return;
-
-    if (threads <= 1 || smxs.size() <= 1) {
-        runEventLoop(smxs, max_cycles, watchdog, cancel);
-        return;
-    }
-
-    const int workers = std::min<int>(threads, static_cast<int>(smxs.size()));
-
-    std::atomic<bool> stop{false};
-    std::atomic<bool> timed_out{false};
-    std::mutex error_mutex;
-    std::exception_ptr error;
-
-    // The completion step runs exactly once per cycle, by whichever
-    // worker arrives last, strictly between two step phases.
-    std::uint64_t cycle = 0;
-    auto on_cycle_complete = [&]() noexcept {
-        bool done_now = true;
-        for (SmxLike *smx : smxs) {
-            smx->commitMemory();
-            done_now = done_now && smx->done();
-        }
-        ++cycle;
-        if (!done_now && !error) {
-            // The completion step is noexcept (a throw through a barrier
-            // terminates), so policing failures become the stored engine
-            // error like a step() failure would.
-            try {
-                policeCycle(smxs, cycle - 1, cycle, watchdog, cancel);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!error)
-                    error = std::current_exception();
-            }
-        }
-        if (done_now || error)
-            stop.store(true, std::memory_order_release);
-        else if (cycle >= max_cycles) {
-            timed_out.store(true, std::memory_order_relaxed);
-            stop.store(true, std::memory_order_release);
-        }
-    };
-    std::barrier sync(workers, on_cycle_complete);
-
-    auto worker = [&](int index) {
-        while (!stop.load(std::memory_order_acquire)) {
-            for (std::size_t i = static_cast<std::size_t>(index);
-                 i < smxs.size(); i += static_cast<std::size_t>(workers)) {
-                SmxLike *smx = smxs[i];
-                if (smx->done())
-                    continue;
-                try {
-                    smx->step();
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!error)
-                        error = std::current_exception();
-                }
-            }
-            // Workers always reach the barrier, even on error, so nobody
-            // deadlocks; the completion step turns the error into a stop.
-            sync.arrive_and_wait();
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers - 1));
-    for (int t = 1; t < workers; ++t)
-        pool.emplace_back(worker, t);
-    worker(0);
-    for (auto &t : pool)
-        t.join();
-
-    if (error)
-        std::rethrow_exception(error);
-    if (timed_out.load())
-        throw std::runtime_error("GPU simulation exceeded max_cycles");
 }
 
 } // namespace drs::simt

@@ -32,8 +32,8 @@ runGpu(const GpuConfig &config, const SmxFactory &factory,
 
     // One private injector per SMX plus one for the shared side. The
     // shared injector's RNG only advances from accessLine calls, which
-    // the engines issue at the commit barrier in SMX-index order, so its
-    // fault sequence is thread-count-invariant like everything else.
+    // the engine issues when it commits the SMXs in index order, so its
+    // fault sequence does not depend on which cycles an SMX skips.
     std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
     std::unique_ptr<fault::FaultInjector> sharedInjector;
     if (options.fault.enabled()) {
@@ -109,7 +109,7 @@ runGpu(const GpuConfig &config, const SmxFactory &factory,
     for (auto &unit : units)
         smxs.push_back(unit.smx.get());
     fault::Watchdog watchdog(options.watchdogCycles);
-    runEngine(smxs, options.maxCycles, options.smxThreads,
+    runEngine(smxs, options.maxCycles,
               watchdog.enabled() ? &watchdog : nullptr, options.cancel);
 
     SimStats total;

@@ -56,15 +56,6 @@ struct GpuRunOptions
     /** Safety bound; stats.cycles < maxCycles on success. */
     std::uint64_t maxCycles = 2'000'000'000ULL;
     /**
-     * Worker threads stepping SMXs concurrently; <= 1 selects the
-     * sequential engine. The parallel engine is deterministic: every SMX
-     * steps one cycle on its worker with shared-side (L2/DRAM) requests
-     * buffered, then a per-cycle barrier commits them in SMX-index order —
-     * exactly the interleaving the sequential engine produces — so
-     * SimStats are bit-identical for any thread count.
-     */
-    int smxThreads = 1;
-    /**
      * Optional cycle-level event tracing: when set, SMX i records into
      * collector tracer i (the collector must hold >= numSmx tracers).
      * Pure observation — SimStats are identical with tracing on or off.
@@ -109,10 +100,10 @@ struct GpuRunOptions
      * When enabled, every SMX gets a private deterministic injector
      * (stream derived from seed and SMX index) arming L1 tag corruption
      * and swap-boundary ray bit flips, and the shared L2/DRAM side gets
-     * its own injector whose RNG only advances at the commit barrier —
-     * so fault sequences are identical at any smxThreads. Disabled, no
-     * injector exists and execution is bit-identical to a build without
-     * the fault layer.
+     * its own injector whose RNG only advances when buffered requests
+     * commit in SMX-index order — so fault sequences do not depend on
+     * which cycles an SMX skips. Disabled, no injector exists and
+     * execution is bit-identical to a build without the fault layer.
      */
     fault::FaultConfig fault{};
     /**
@@ -121,7 +112,7 @@ struct GpuRunOptions
      * fault::WatchdogTimeout with a diagnostic dump of every SMX.
      */
     std::uint64_t watchdogCycles = 0;
-    /** Cooperative stop/deadline token polled every cycle (may be null). */
+    /** Cooperative stop/deadline token polled at every event (may be null). */
     const exec::CancelToken *cancel = nullptr;
 };
 
@@ -131,13 +122,13 @@ struct GpuRunOptions
  *
  * @param config GPU parameters (Table 1 defaults)
  * @param factory per-SMX kernel/controller factory
- * @param options engine options (cycle bound, SMX-level parallelism)
+ * @param options engine options (cycle bound, observers, watchdog)
  * @return aggregated statistics (cycles = slowest SMX)
  */
 SimStats runGpu(const GpuConfig &config, const SmxFactory &factory,
                 const GpuRunOptions &options);
 
-/** Convenience overload: sequential engine with a cycle bound. */
+/** Convenience overload: default options with a cycle bound. */
 SimStats runGpu(const GpuConfig &config, const SmxFactory &factory,
                 std::uint64_t max_cycles = 2'000'000'000ULL);
 

@@ -38,9 +38,8 @@ class SharedMemorySide
      * Attach a fault injector (nullptr detaches). Arms L2 tag corruption
      * plus delayed/dropped DRAM responses: a delayed response adds extra
      * cycles to the line latency, a dropped one charges a full retry
-     * penalty. Callers in the parallel engine must only reach this object
-     * from the cycle barrier (SMX-index order) so the injector's RNG
-     * stream stays deterministic.
+     * penalty. Only the engine's commit, in SMX-index order, reaches this
+     * object, so the injector's RNG stream stays deterministic.
      */
     void setFault(fault::FaultInjector *fault)
     {
@@ -58,7 +57,7 @@ class SharedMemorySide
  * One warp access with its private (L1) half resolved and its shared (L2)
  * half still pending. Every SMX buffers these while it steps and commits
  * them to the SharedMemorySide after the cycle in SMX-index order, so the
- * L2 sees one access interleaving at any number of stepping threads.
+ * L2 sees one access interleaving whichever cycles an SMX skips.
  */
 struct PendingWarpAccess
 {

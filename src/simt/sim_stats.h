@@ -123,9 +123,9 @@ struct SimStats
     }
 
     /**
-     * Field-for-field equality. The parallel engines promise bit-identical
-     * statistics for any thread count; the determinism regression tests
-     * check exactly this.
+     * Field-for-field equality. Sweeps promise bit-identical statistics
+     * at any --jobs, and observers promise them on or off; the
+     * determinism regression tests check exactly this.
      */
     bool operator==(const SimStats &) const = default;
 };

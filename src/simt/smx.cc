@@ -79,7 +79,7 @@ SmxExecutor::commitMemory()
 void
 SmxExecutor::run(std::uint64_t max_cycles)
 {
-    runEngine(std::vector<SmxExecutor *>{this}, max_cycles, 1);
+    runEngine(std::vector<SmxExecutor *>{this}, max_cycles);
 }
 
 void
@@ -218,15 +218,6 @@ Smx::resolveRdctrl(Warp &warp)
     if (result.row >= 0)
         warp.bindRow(result.row);
     warp.overheadInstructions = result.overheadInstructions;
-    if (result.overheadStallCycles > 0) {
-        warp.readyCycle = cycle_ + result.overheadStallCycles;
-        warp.waitReason = WarpWait::SpawnOverhead;
-        spawnConflictCycles_.add(result.overheadStallCycles);
-        if (tracer_ && tracer_->enabled())
-            tracer_->record(obs::TraceEventKind::SpawnOverhead, warp.id(),
-                            cycle_, cycle_ + result.overheadStallCycles,
-                            result.overheadInstructions);
-    }
     return true;
 }
 
@@ -246,8 +237,6 @@ Smx::issueFromWarp(Warp &warp, int max_issues)
                     "rdctrl kernel running without a controller");
             if (!resolveRdctrl(warp))
                 return 0;
-            if (warp.readyCycle > cycle_)
-                return 0; // spawn-overhead stall charged by the controller
         }
         warp.remainingInstructions = block.instructionCount;
         warp.blockStartCycle = cycle_;
@@ -343,12 +332,8 @@ Smx::completeBlock(Warp &warp)
         }
     }
 
-    if (!memAddresses_.empty()) {
-        // The reason is only read once readyCycle lies in the future,
-        // which the commit after this cycle makes true.
+    if (!memAddresses_.empty())
         deferAccess(warp.readyCycle, block.memSpace, memAddresses_, bytes);
-        warp.waitReason = WarpWait::Memory;
-    }
 
     warp.applySuccessors(nextBlocks_, program_);
     if (check_)
@@ -518,11 +503,10 @@ Smx::attributeUnissued(int scheduler, int slots)
     // Blame the oldest culprit warp of this scheduler's partition (the
     // first in index order), with the same priority the taxonomy lists:
     // a warp parked by the ray hardware outranks a memory wait, which
-    // outranks an in-core hazard, which outranks plain "nothing
-    // eligible".
+    // outranks plain "nothing eligible". Every future readyCycle here is
+    // a memory wait.
     const Warp *rdctrl = nullptr;
     const Warp *memory = nullptr;
-    const Warp *hazard = nullptr;
     const Warp *live = nullptr;
     const auto keep_oldest = [](const Warp *&oldest, const Warp &warp) {
         if (oldest == nullptr)
@@ -537,12 +521,8 @@ Smx::attributeUnissued(int scheduler, int slots)
         keep_oldest(live, warp);
         if (warp.stalledOnRdctrl)
             keep_oldest(rdctrl, warp);
-        else if (warp.readyCycle > cycle_) {
-            if (warp.waitReason == WarpWait::SpawnOverhead)
-                keep_oldest(hazard, warp);
-            else
-                keep_oldest(memory, warp);
-        }
+        else if (warp.readyCycle > cycle_)
+            keep_oldest(memory, warp);
     }
 
     obs::SlotBucket bucket = obs::SlotBucket::Drained;
@@ -555,9 +535,6 @@ Smx::attributeUnissued(int scheduler, int slots)
     } else if (memory != nullptr) {
         bucket = obs::SlotBucket::StalledMemory;
         blame = memory;
-    } else if (hazard != nullptr) {
-        bucket = obs::SlotBucket::StalledScoreboard;
-        blame = hazard;
     } else {
         // Every live warp is nominally ready yet the scheduler came up
         // short — no eligible warp, or dual-issue width lost at a block

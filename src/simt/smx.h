@@ -41,7 +41,7 @@ namespace drs::simt {
  * GPU — to play them against the L2 and release the waiting warps. A
  * warp never observes its own memory latency within the cycle that
  * issued the access, so the commit order alone fixes the L2's access
- * interleaving, for any number of stepping threads.
+ * interleaving, whichever cycles an SMX skips.
  */
 class SmxExecutor
 {
@@ -90,7 +90,7 @@ class SmxExecutor
     /**
      * This SMX's observability counter registry ("smx.*" names). The
      * executor, its controller and tests may register counters; see
-     * obs::Counters for the single-stepping-worker contract.
+     * obs::Counters for the one-host-thread contract.
      */
     obs::Counters &counters() { return counters_; }
 
@@ -124,7 +124,7 @@ class SmxExecutor
      * SMX's private fault sites (L1 tag corruption; Smx also forwards it
      * to its controller for swap-boundary ray bit flips). Shared-side
      * (L2/DRAM) faults are armed separately on the SharedMemorySide so
-     * their RNG stream is only advanced at the commit barrier.
+     * their RNG stream is only advanced by the in-order commit.
      */
     virtual void setFault(fault::FaultInjector *fault);
 
@@ -166,8 +166,7 @@ class SmxExecutor
 
     /**
      * Scratch for the lane addresses of one warp instruction, filled by
-     * the executor and passed to deferAccess(). Per SMX: the SMX-threaded
-     * engine steps SMXs concurrently.
+     * the executor and passed to deferAccess().
      */
     std::vector<std::uint64_t> memAddresses_;
 

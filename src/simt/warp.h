@@ -13,19 +13,6 @@
 
 namespace drs::simt {
 
-/**
- * Why a warp's readyCycle lies in the future. Attribution bookkeeping
- * only — the scheduler never reads it, so it cannot alter simulation
- * results; it lets the cycle-attribution profiler split wait slots into
- * stalled-memory vs. stalled-scoreboard (spawn-overhead) buckets.
- */
-enum class WarpWait : std::uint8_t
-{
-    None,
-    Memory,
-    SpawnOverhead,
-};
-
 /** One reconvergence-stack entry. */
 struct StackEntry
 {
@@ -124,10 +111,8 @@ class Warp
     int remainingInstructions = 0;
     /** Extra spawn-overhead instructions to issue before the block. */
     int overheadInstructions = 0;
-    /** Warp is blocked until this cycle (memory or overhead stalls). */
+    /** Warp is blocked until this cycle (its memory access returns). */
     std::uint64_t readyCycle = 0;
-    /** What readyCycle waits on (attribution bookkeeping only). */
-    WarpWait waitReason = WarpWait::None;
     /** Set while the warp is stalled on rdctrl. */
     bool stalledOnRdctrl = false;
     /** Cycle the current rdctrl stall began (tracer bookkeeping). */

@@ -3,9 +3,8 @@
  * Cycle-attribution profiler tests: the issue-slot ledger's conservation
  * invariant (unit-level and end-to-end on real runs of every
  * architecture), the pure-observer contract (SimStats bit-identical with
- * sampling/attribution on or off, at any thread count), and the windowed
- * sampler's deterministic bounded timeline (pairwise coalescing,
- * thread-count-invariant frames).
+ * sampling/attribution on or off), and the windowed sampler's bounded
+ * timeline (pairwise coalescing, frames that tile the run).
  */
 
 #include <cstdint>
@@ -165,18 +164,16 @@ class AttributionFixture : public ::testing::Test
         prepared_ = nullptr;
     }
 
-    static RunConfig makeConfig(int smx_threads)
+    static RunConfig makeConfig()
     {
         RunConfig config;
         config.gpu.numSmx = testScale().numSmx;
-        config.smxThreads = smx_threads;
         return config;
     }
 
-    static RunConfig sampledConfig(int smx_threads,
-                                            RunObservations *out)
+    static RunConfig sampledConfig(RunObservations *out)
     {
-        RunConfig config = makeConfig(smx_threads);
+        RunConfig config = makeConfig();
         config.sample.enabled = true;
         config.sample.interval = 64;
         config.observationsOut = out;
@@ -200,7 +197,7 @@ TEST_F(AttributionFixture, ConservationHoldsOnEveryArch)
     // every SMX's collectStats.
     for (const Arch &arch : kAllArchs) {
         RunObservations observations;
-        RunConfig config = sampledConfig(1, &observations);
+        RunConfig config = sampledConfig(&observations);
         config.check = 1;
         const auto stats = runBatch(arch, *prepared_->tracer,
                                              bounceRays(2), config);
@@ -227,45 +224,15 @@ TEST_F(AttributionFixture, ConservationHoldsOnEveryArch)
 TEST_F(AttributionFixture, SamplingIsPureObserver)
 {
     for (const Arch &arch : kAllArchs) {
-        const auto baseline = runBatch(
-            arch, *prepared_->tracer, bounceRays(2), makeConfig(1));
-        for (const int smx_threads : {1, 4}) {
-            RunObservations observations;
-            const auto sampled = runBatch(
-                arch, *prepared_->tracer, bounceRays(2),
-                sampledConfig(smx_threads, &observations));
-            EXPECT_EQ(baseline, sampled)
-                << archName(arch) << " smxThreads=" << smx_threads
-                << ": sampling changed the simulation";
-            EXPECT_NE(observations.sampler, nullptr);
-        }
-    }
-}
-
-TEST_F(AttributionFixture, TimelineIsThreadCountInvariant)
-{
-    for (const Arch &arch :
-         {Arch::Drs, Arch::Tbc}) {
-        RunObservations sequential, threaded;
-        runBatch(arch, *prepared_->tracer, bounceRays(2),
-                          sampledConfig(1, &sequential));
-        runBatch(arch, *prepared_->tracer, bounceRays(2),
-                          sampledConfig(4, &threaded));
-        ASSERT_NE(sequential.sampler, nullptr);
-        ASSERT_NE(threaded.sampler, nullptr);
-
-        const auto a = sequential.sampler->mergedFrames();
-        const auto b = threaded.sampler->mergedFrames();
-        ASSERT_EQ(a.size(), b.size()) << archName(arch);
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i].begin, b[i].begin);
-            EXPECT_EQ(a[i].end, b[i].end);
-            EXPECT_EQ(a[i].instructions, b[i].instructions);
-            EXPECT_EQ(a[i].activeThreads, b[i].activeThreads);
-            EXPECT_EQ(a[i].raysCompleted, b[i].raysCompleted);
-            EXPECT_EQ(a[i].slots, b[i].slots) << archName(arch)
-                                              << " frame " << i;
-        }
+        const auto baseline = runBatch(arch, *prepared_->tracer,
+                                       bounceRays(2), makeConfig());
+        RunObservations observations;
+        const auto sampled = runBatch(arch, *prepared_->tracer,
+                                      bounceRays(2),
+                                      sampledConfig(&observations));
+        EXPECT_EQ(baseline, sampled)
+            << archName(arch) << ": sampling changed the simulation";
+        EXPECT_NE(observations.sampler, nullptr);
     }
 }
 
@@ -274,7 +241,7 @@ TEST_F(AttributionFixture, TimelineTilesTheRun)
     RunObservations observations;
     const auto stats =
         runBatch(Arch::Drs, *prepared_->tracer,
-                          bounceRays(1), sampledConfig(1, &observations));
+                          bounceRays(1), sampledConfig(&observations));
     ASSERT_NE(observations.sampler, nullptr);
 
     // The merged timeline accounts for every instruction and completed

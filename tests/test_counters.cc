@@ -2,10 +2,9 @@
  * @file
  * Counter-consistency tests for the observability layer: the per-SMX
  * counter registries must sum exactly to the aggregate SimStats snapshot
- * under every execution mode (sequential, concurrent SMX stepping,
- * concurrent sweep jobs), the snapshot must agree with the legacy scalar
- * SimStats fields it mirrors, and turning the cycle tracer on must not
- * change a single statistic.
+ * for a single run and under concurrent sweep jobs, the snapshot must
+ * agree with the legacy scalar SimStats fields it mirrors, and turning
+ * the cycle tracer on must not change a single statistic.
  */
 
 #include <cstdio>
@@ -61,11 +60,10 @@ class CountersFixture : public ::testing::Test
         prepared_ = nullptr;
     }
 
-    static RunConfig makeConfig(int smx_threads = 1)
+    static RunConfig makeConfig()
     {
         RunConfig config;
         config.gpu.numSmx = testScale().numSmx;
-        config.smxThreads = smx_threads;
         return config;
     }
 
@@ -117,25 +115,19 @@ expectPerSmxSumsMatchAggregate(const simt::SimStats &aggregate,
 TEST_F(CountersFixture, PerSmxCountersSumToAggregate)
 {
     for (const Arch &arch : kAllArchs) {
-        for (const int smx_threads : {1, 4}) {
-            RunConfig config = makeConfig(smx_threads);
-            std::vector<simt::SimStats> per_smx;
-            config.perSmxStats = [&](int smx_index,
-                                     const simt::SimStats &stats) {
-                EXPECT_EQ(smx_index, static_cast<int>(per_smx.size()))
-                    << "per-SMX hook out of SMX-index order";
-                per_smx.push_back(stats);
-            };
-            const auto aggregate =
-                runBatch(arch, *prepared_->tracer, rays(), config);
-            ASSERT_EQ(per_smx.size(),
-                      static_cast<std::size_t>(testScale().numSmx));
-            EXPECT_FALSE(aggregate.counters.empty());
-            expectPerSmxSumsMatchAggregate(
-                aggregate, per_smx,
-                archName(arch) + " smxThreads=" +
-                    std::to_string(smx_threads));
-        }
+        RunConfig config = makeConfig();
+        std::vector<simt::SimStats> per_smx;
+        config.perSmxStats = [&](int smx_index, const simt::SimStats &stats) {
+            EXPECT_EQ(smx_index, static_cast<int>(per_smx.size()))
+                << "per-SMX hook out of SMX-index order";
+            per_smx.push_back(stats);
+        };
+        const auto aggregate =
+            runBatch(arch, *prepared_->tracer, rays(), config);
+        ASSERT_EQ(per_smx.size(),
+                  static_cast<std::size_t>(testScale().numSmx));
+        EXPECT_FALSE(aggregate.counters.empty());
+        expectPerSmxSumsMatchAggregate(aggregate, per_smx, archName(arch));
     }
 }
 
@@ -246,26 +238,6 @@ TEST_F(CountersFixture, TracerDoesNotAlterStatistics)
         EXPECT_GT(events->size(), 0u)
             << archName(arch) << ": trace contains no events";
         std::remove(traced_config.trace.path.c_str());
-    }
-}
-
-TEST_F(CountersFixture, ParallelEnginesKeepCountersBitIdentical)
-{
-    // SimStats::operator== already covers the snapshot, but spell the
-    // counter comparison out so a failure names the counter, not just
-    // "stats differ".
-    for (const Arch &arch : kAllArchs) {
-        const auto sequential =
-            runBatch(arch, *prepared_->tracer, rays(), makeConfig(1));
-        const auto parallel =
-            runBatch(arch, *prepared_->tracer, rays(), makeConfig(4));
-        ASSERT_EQ(sequential.counters.entries().size(),
-                  parallel.counters.entries().size())
-            << archName(arch);
-        for (const auto &[name, value] : sequential.counters.entries())
-            EXPECT_EQ(parallel.counters.value(name), value)
-                << archName(arch) << ": counter \"" << name
-                << "\" depends on the thread count";
     }
 }
 

@@ -121,11 +121,10 @@ TEST_P(DifferentialTest, ReferenceFindsRealIntersections)
 TEST_P(DifferentialTest, CheckedRunsMatchUncheckedAtAllThreadCounts)
 {
     // Invariant checking (RunConfig::check / DRS_CHECK=1) must be a pure
-    // observer: for every architecture, checked runs at any combination
-    // of concurrent batch jobs and SMX worker threads produce SimStats
-    // bit-identical to the unchecked sequential run — and the checks
-    // themselves (cycle-level invariants + lockstep reference
-    // cross-check) must find nothing to throw about.
+    // observer: for every architecture, checked runs alone or as
+    // concurrent batch jobs produce SimStats bit-identical to the
+    // unchecked run — and the checks themselves (cycle-level invariants
+    // + lockstep reference cross-check) must find nothing to throw about.
     const PreparedScene prepared = prepareScene(GetParam(), testScale());
     const auto &bounce_rays = prepared.trace.bounce(2).rays;
     ASSERT_FALSE(bounce_rays.empty());
@@ -137,51 +136,44 @@ TEST_P(DifferentialTest, CheckedRunsMatchUncheckedAtAllThreadCounts)
         RunConfig config;
         config.gpu.numSmx = testScale().numSmx;
         config.check = 0;
-        config.smxThreads = 1;
         const simt::SimStats baseline =
             runBatch(arch, *prepared.tracer, rays, config);
 
         for (const int jobs : {1, 4}) {
-            for (const int smx_threads : {1, 4}) {
-                std::vector<simt::SimStats> results(
-                    static_cast<std::size_t>(jobs));
-                std::vector<std::string> errors(
-                    static_cast<std::size_t>(jobs));
-                auto run_one = [&](std::size_t slot) {
-                    try {
-                        RunConfig checked = config;
-                        checked.check = 1;
-                        checked.smxThreads = smx_threads;
-                        results[slot] = runBatch(arch, *prepared.tracer,
-                                                 rays, checked);
-                    } catch (const std::exception &e) {
-                        errors[slot] = e.what();
-                    }
-                };
-                if (jobs == 1) {
-                    run_one(0);
-                } else {
-                    std::vector<std::thread> workers;
-                    for (std::size_t j = 0;
-                         j < static_cast<std::size_t>(jobs); ++j)
-                        workers.emplace_back(run_one, j);
-                    for (auto &worker : workers)
-                        worker.join();
+            std::vector<simt::SimStats> results(
+                static_cast<std::size_t>(jobs));
+            std::vector<std::string> errors(static_cast<std::size_t>(jobs));
+            auto run_one = [&](std::size_t slot) {
+                try {
+                    RunConfig checked = config;
+                    checked.check = 1;
+                    results[slot] =
+                        runBatch(arch, *prepared.tracer, rays, checked);
+                } catch (const std::exception &e) {
+                    errors[slot] = e.what();
                 }
-                for (std::size_t j = 0;
-                     j < static_cast<std::size_t>(jobs); ++j) {
-                    EXPECT_TRUE(errors[j].empty())
-                        << archName(arch) << " jobs=" << jobs
-                        << " smxThreads=" << smx_threads
-                        << " job " << j << ": " << errors[j];
-                    if (errors[j].empty()) {
-                        EXPECT_TRUE(results[j] == baseline)
-                            << archName(arch) << " jobs=" << jobs
-                            << " smxThreads=" << smx_threads << " job "
-                            << j
-                            << ": checked SimStats differ from unchecked "
-                               "sequential run";
-                    }
+            };
+            if (jobs == 1) {
+                run_one(0);
+            } else {
+                std::vector<std::thread> workers;
+                for (std::size_t j = 0; j < static_cast<std::size_t>(jobs);
+                     ++j)
+                    workers.emplace_back(run_one, j);
+                for (auto &worker : workers)
+                    worker.join();
+            }
+            for (std::size_t j = 0; j < static_cast<std::size_t>(jobs);
+                 ++j) {
+                EXPECT_TRUE(errors[j].empty())
+                    << archName(arch) << " jobs=" << jobs << " job " << j
+                    << ": " << errors[j];
+                if (errors[j].empty()) {
+                    EXPECT_TRUE(results[j] == baseline)
+                        << archName(arch) << " jobs=" << jobs << " job "
+                        << j
+                        << ": checked SimStats differ from the unchecked "
+                           "run";
                 }
             }
         }

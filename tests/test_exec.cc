@@ -298,8 +298,6 @@ const KnobCase kKnobs[] = {
     // The bench binaries read DRS_FLEET and pass it to the fleet.
     {"DRS_FLEET", true, "1025", "5 ", 5, false,
      [](const char *) { return double(benchOptions().fleetWorkers); }},
-    {"DRS_SMX_THREADS", true, "1000001", "4 ", 4, false,
-     [](const char *) { return double(benchOptions().smxThreads); }},
     {"DRS_PROGRESS", true, "2", "1 ", 1, false,
      [](const char *) { return double(benchOptions().progress); }},
     {"--jobs", true, kPastInt, "3 ", 3, false,
@@ -309,10 +307,6 @@ const KnobCase kKnobs[] = {
     {"--fleet", true, "1025", "5 ", 5, false,
      [](const char *text) {
          return double(benchOptions("--fleet", text).fleetWorkers);
-     }},
-    {"--smx-threads", true, "1000001", "4 ", 4, false,
-     [](const char *text) {
-         return double(benchOptions("--smx-threads", text).smxThreads);
      }},
 };
 

@@ -5,7 +5,7 @@
  * (unit level and against a livelocked synthetic kernel), cooperative
  * cancellation through the cycle engine, and the end-to-end contracts —
  * faults disabled is a pure observer, the same seed reproduces the same
- * SimStats at any thread count.
+ * SimStats.
  */
 
 #include <gtest/gtest.h>
@@ -230,7 +230,7 @@ TEST(EngineWatchdog, LivelockBecomesWatchdogTimeout)
 
     fault::Watchdog watchdog(200);
     try {
-        simt::runEngine(smxs, 1'000'000, 1, &watchdog);
+        simt::runEngine(smxs, 1'000'000, &watchdog);
         FAIL() << "livelock must trip the watchdog";
     } catch (const fault::WatchdogTimeout &timeout) {
         EXPECT_GT(timeout.cycle(), 200u);
@@ -278,7 +278,7 @@ TEST(EngineWatchdog, LongBlocksFireAtThePerCycleCycle)
     std::vector<simt::Smx *> smxs{&smx_a, &smx_b};
     fault::Watchdog watchdog(200);
     try {
-        simt::runEngine(smxs, 1'000'000, 1, &watchdog);
+        simt::runEngine(smxs, 1'000'000, &watchdog);
         FAIL() << "livelock must trip the watchdog";
     } catch (const fault::WatchdogTimeout &timeout) {
         EXPECT_EQ(timeout.cycle(), reference_cycle);
@@ -292,21 +292,6 @@ TEST(EngineWatchdog, LongBlocksFireAtThePerCycleCycle)
     EXPECT_EQ(smx_b.cycle(), reference_cycle);
 }
 
-TEST(EngineWatchdog, ParallelDriverAlsoFires)
-{
-    simt::GpuConfig config;
-    simt::SharedMemorySide shared(config.memory);
-    LivelockKernel kernel_a;
-    LivelockKernel kernel_b;
-    simt::Smx smx_a(config, kernel_a, nullptr, 2, shared);
-    simt::Smx smx_b(config, kernel_b, nullptr, 2, shared);
-    std::vector<simt::Smx *> smxs{&smx_a, &smx_b};
-
-    fault::Watchdog watchdog(200);
-    EXPECT_THROW(simt::runEngine(smxs, 1'000'000, 2, &watchdog),
-                 fault::WatchdogTimeout);
-}
-
 TEST(EngineCancel, CancelledTokenStopsTheRun)
 {
     simt::GpuConfig config;
@@ -317,7 +302,7 @@ TEST(EngineCancel, CancelledTokenStopsTheRun)
 
     exec::CancelToken token;
     token.requestCancel();
-    EXPECT_THROW(simt::runEngine(smxs, 1'000'000, 1, nullptr, &token),
+    EXPECT_THROW(simt::runEngine(smxs, 1'000'000, nullptr, &token),
                  exec::Cancelled);
 }
 
@@ -334,7 +319,7 @@ TEST(EngineCancel, ExpiredDeadlineStopsLongBlocks)
     exec::CancelToken token;
     token.setDeadline(std::chrono::steady_clock::now() -
                       std::chrono::seconds(1));
-    EXPECT_THROW(simt::runEngine(smxs, 1'000'000, 1, nullptr, &token),
+    EXPECT_THROW(simt::runEngine(smxs, 1'000'000, nullptr, &token),
                  exec::DeadlineExceeded);
     EXPECT_LE(smx.cycle(), 1024u + 50u);
 }
@@ -350,7 +335,7 @@ TEST(EngineCancel, ExpiredDeadlineStopsTheRun)
     exec::CancelToken token;
     token.setDeadline(std::chrono::steady_clock::now() -
                       std::chrono::seconds(1));
-    EXPECT_THROW(simt::runEngine(smxs, 1'000'000, 1, nullptr, &token),
+    EXPECT_THROW(simt::runEngine(smxs, 1'000'000, nullptr, &token),
                  exec::DeadlineExceeded);
 }
 
@@ -460,19 +445,6 @@ TEST_F(FaultHarness, CheckedRunSkipsReferenceUnderFaultInjection)
         if (name.rfind("fault.", 0) == 0)
             injected += value;
     EXPECT_GT(injected, 0u) << "fault gating must not disable injection";
-}
-
-TEST_F(FaultHarness, FaultStreamIndependentOfSmxThreads)
-{
-    harness::RunConfig config = baseConfig();
-    config.fault.seed = 0xabcdULL;
-    config.smxThreads = 1;
-    const auto sequential =
-        runBatch(harness::Arch::Drs, *prepared_->tracer, rays(), config);
-    config.smxThreads = 3;
-    const auto parallel =
-        runBatch(harness::Arch::Drs, *prepared_->tracer, rays(), config);
-    EXPECT_TRUE(sequential == parallel);
 }
 
 TEST_F(FaultHarness, TbcBaselineHonoursFaultContracts)

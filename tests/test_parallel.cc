@@ -1,13 +1,12 @@
 /**
  * @file
- * Determinism regression tests for the execution engines: the
- * event-driven sequential engine must match stepping every SMX every
- * cycle by hand; for every architecture, running the simulator with
- * concurrent SMX stepping (RunConfig::smxThreads > 1) or running sweeps
- * on a thread pool (SweepRunner jobs > 1) must produce SimStats that are
- * field-for-field identical to the sequential engine. The guarantee
- * rests on the commit of shared-side memory requests in SMX-index order
- * (see DESIGN.md, "Parallel execution model").
+ * Determinism regression tests for the cycle engine and the sweep
+ * runner: the event-driven engine must match stepping every SMX every
+ * cycle by hand, and running sweeps on a thread pool (SweepRunner
+ * jobs > 1) must produce SimStats that are field-for-field identical to
+ * running the same jobs one at a time. The first guarantee rests on the
+ * commit of shared-side memory requests in SMX-index order (see
+ * DESIGN.md, "Parallel execution model").
  */
 
 #include <memory>
@@ -41,7 +40,7 @@ testScale()
     scale.height = 96;
     scale.samplesPerPixel = 1;
     scale.raysPerBounce = 4096;
-    scale.numSmx = 4; // > 1 so the parallel engine actually fans out
+    scale.numSmx = 4; // > 1 so SMXs share the L2
     return scale;
 }
 
@@ -64,11 +63,10 @@ class ParallelFixture : public ::testing::Test
         prepared_ = nullptr;
     }
 
-    static RunConfig makeConfig(int smx_threads)
+    static RunConfig makeConfig()
     {
         RunConfig config;
         config.gpu.numSmx = testScale().numSmx;
-        config.smxThreads = smx_threads;
         return config;
     }
 
@@ -81,26 +79,6 @@ class ParallelFixture : public ::testing::Test
 };
 
 PreparedScene *ParallelFixture::prepared_ = nullptr;
-
-TEST_F(ParallelFixture, SmxParallelismIsBitIdentical)
-{
-    // The incoherent second bounce exercises the memory system (and the
-    // DRS shuffle machinery) much harder than primaries do.
-    for (const Arch &arch : kAllArchs) {
-        for (const int bounce : {1, 2}) {
-            const auto sequential = runBatch(arch, *prepared_->tracer,
-                                             bounceRays(bounce),
-                                             makeConfig(1));
-            const auto parallel = runBatch(arch, *prepared_->tracer,
-                                           bounceRays(bounce),
-                                           makeConfig(4));
-            EXPECT_EQ(sequential, parallel)
-                << archName(arch) << " bounce " << bounce
-                << ": smxThreads=4 diverged from the sequential engine";
-            EXPECT_GT(parallel.raysTraced, 0u);
-        }
-    }
-}
 
 /**
  * One SMX's kernel and controller for @p arch over @p stripe, built as
@@ -204,7 +182,7 @@ runTwoSmx(const std::string &arch, const render::PathTracer &tracer,
                 smx->commitMemory();
         }
     } else {
-        simt::runEngine(smxs, config.maxCycles, 1);
+        simt::runEngine(smxs, config.maxCycles);
     }
 
     std::vector<simt::SimStats> stats;
@@ -240,16 +218,6 @@ TEST_F(ParallelFixture, EventEngineMatchesPerCycleStepping)
     }
 }
 
-TEST_F(ParallelFixture, SmxThreadsBeyondSmxCountStillIdentical)
-{
-    const auto sequential =
-        runBatch(Arch::Drs, *prepared_->tracer, bounceRays(1), makeConfig(1));
-    const auto oversubscribed =
-        runBatch(Arch::Drs, *prepared_->tracer, bounceRays(1),
-                 makeConfig(64));
-    EXPECT_EQ(sequential, oversubscribed);
-}
-
 TEST_F(ParallelFixture, SweepParallelismIsBitIdentical)
 {
     auto build_jobs = [](SweepRunner &runner) {
@@ -258,7 +226,7 @@ TEST_F(ParallelFixture, SweepParallelismIsBitIdentical)
                 SweepJob job;
                 job.scene = scene::SceneId::Conference;
                 job.arch = arch;
-                job.config = makeConfig(1);
+                job.config = makeConfig();
                 job.bounce = bounce;
                 runner.add(job);
             }
@@ -287,19 +255,18 @@ TEST_F(ParallelFixture, SweepParallelismIsBitIdentical)
     EXPECT_EQ(concurrent.cacheHits(), serial_results.size() - 1);
 }
 
-TEST_F(ParallelFixture, SweepAndSmxParallelismCompose)
+TEST_F(ParallelFixture, ConcurrentSweepJobsMatchDirectRun)
 {
-    // Both levels at once (jobs > 1 AND smxThreads > 1) against the
-    // fully sequential reference.
+    // Two identical jobs on a two-thread sweep against one direct
+    // runBatch of the same batch.
     const auto reference =
-        runBatch(Arch::Drs, *prepared_->tracer, bounceRays(2),
-                 makeConfig(1));
+        runBatch(Arch::Drs, *prepared_->tracer, bounceRays(2), makeConfig());
 
     SweepRunner runner(testScale(), 2);
     SweepJob job;
     job.scene = scene::SceneId::Conference;
     job.arch = Arch::Drs;
-    job.config = makeConfig(2);
+    job.config = makeConfig();
     job.bounce = 2;
     const std::size_t a = runner.add(job);
     const std::size_t b = runner.add(job);
@@ -312,11 +279,11 @@ TEST_F(ParallelFixture, SweepAndSmxParallelismCompose)
 TEST_F(ParallelFixture, CollectCaptureMatchesRunCapture)
 {
     const auto direct = runCapture(Arch::Aila, *prepared_->tracer,
-                                   prepared_->trace, makeConfig(1), 2);
+                                   prepared_->trace, makeConfig(), 2);
 
     SweepRunner runner(testScale(), 2);
     const auto indices = runner.addCapture(scene::SceneId::Conference,
-                                           Arch::Aila, makeConfig(1), 2);
+                                           Arch::Aila, makeConfig(), 2);
     const auto capture = collectCapture(runner.run(), indices);
 
     ASSERT_EQ(capture.perBounce.size(), direct.perBounce.size());

@@ -2,12 +2,12 @@
  * @file
  * Randomized cross-check fuzzer for the SIMT simulator.
  *
- * Generates random scenes × scales × architectures × configurations ×
- * thread counts, runs every one with full invariant checking (DRS_CHECK
- * machinery forced on) and asserts that SimStats are bit-identical across
- * smxThreads, that checking itself never alters a result, and that
+ * Generates random scenes × scales × architectures × configurations,
+ * runs every one with full invariant checking (DRS_CHECK machinery forced
+ * on) and asserts that checking itself never alters a result, and that
  * profiling (issue-slot attribution + windowed sampling at a randomized
  * interval/capacity) is a pure observer whose ledger conserves slots.
+ * Configurations run concurrently with --jobs N (exec::parallelFor).
  * Every configuration derives from one printed 64-bit seed: rerun a
  * failure with --replay <seed>.
  *
@@ -19,18 +19,17 @@
  * configuration passed, 1 = at least one violation, 2 = bad arguments.
  */
 
-#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "check/check.h"
 #include "exec/env.h"
+#include "exec/parallel_for.h"
 #include "geom/rng.h"
 #include "harness/arch_plugin.h"
 #include "harness/harness.h"
@@ -54,7 +53,6 @@ struct FuzzCase
     std::size_t bounceIndex = 0;
     std::size_t maxRays = 128;
     Arch arch = Arch::Aila;
-    int smxThreadsParallel = 2;
     std::uint64_t sampleInterval = 64;
     std::size_t sampleCapacity = 512;
     drs::harness::RunConfig run;
@@ -80,7 +78,7 @@ deriveCase(std::uint64_t seed)
     const auto &registry = drs::harness::ArchRegistry::instance();
     const auto archs = registry.archs();
     c.arch = archs[rng.nextUInt(static_cast<std::uint32_t>(archs.size()))];
-    c.smxThreadsParallel = 2 + static_cast<int>(rng.nextUInt(3)); // 2..4
+    rng.nextUInt(3); // the old SMX thread count, drawn so seeds keep cases
 
     c.run.gpu.numSmx = 1 + static_cast<int>(rng.nextUInt(2));
     c.run.check = 1;
@@ -121,12 +119,11 @@ describeCase(const FuzzCase &c)
     std::snprintf(buffer, sizeof(buffer),
                   "seed=0x%016" PRIx64
                   " scene=%s scale=%.2f bounce=%zu rays=%zu arch=%s "
-                  "smx=%d threads=%d sample=%" PRIu64 "/%zu",
+                  "smx=%d sample=%" PRIu64 "/%zu",
                   c.seed, drs::scene::sceneName(c.scene).c_str(),
                   static_cast<double>(c.sceneScale), c.bounceIndex,
                   c.maxRays, drs::harness::archName(c.arch).c_str(),
-                  c.run.gpu.numSmx, c.smxThreadsParallel,
-                  c.sampleInterval, c.sampleCapacity);
+                  c.run.gpu.numSmx, c.sampleInterval, c.sampleCapacity);
     return buffer;
 }
 
@@ -156,27 +153,13 @@ runCase(const FuzzCase &c, drs::harness::PreparedSceneCache &cache)
             rays = rays.first(c.maxRays);
 
         drs::harness::RunConfig config = c.run;
-        config.smxThreads = 1;
-        const drs::simt::SimStats sequential =
+        const drs::simt::SimStats checked =
             runBatch(c.arch, *prepared.tracer, rays, config);
 
-        config.smxThreads = c.smxThreadsParallel;
-        const drs::simt::SimStats parallel =
-            runBatch(c.arch, *prepared.tracer, rays, config);
-        if (!(sequential == parallel)) {
-            const std::lock_guard<std::mutex> lock(g_print_mutex);
-            std::fprintf(stderr,
-                         "FAIL %s: SimStats differ between smxThreads=1 "
-                         "and smxThreads=%d\n",
-                         describeCase(c).c_str(), c.smxThreadsParallel);
-            return false;
-        }
-
-        config.smxThreads = 1;
         config.check = 0;
         const drs::simt::SimStats unchecked =
             runBatch(c.arch, *prepared.tracer, rays, config);
-        if (!(sequential == unchecked)) {
+        if (!(checked == unchecked)) {
             const std::lock_guard<std::mutex> lock(g_print_mutex);
             std::fprintf(stderr,
                          "FAIL %s: DRS_CHECK=1 altered SimStats\n",
@@ -212,7 +195,7 @@ runCase(const FuzzCase &c, drs::harness::PreparedSceneCache &cache)
             const std::lock_guard<std::mutex> lock(g_print_mutex);
             std::printf("digest seed=0x%016" PRIx64 " stats=0x%016" PRIx64
                         "\n",
-                        c.seed, statsDigest(sequential));
+                        c.seed, statsDigest(checked));
             std::fflush(stdout);
         }
         return true;
@@ -290,30 +273,11 @@ main(int argc, char **argv)
     std::fflush(stdout);
 
     drs::harness::PreparedSceneCache cache;
-    std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> failures{0};
-
-    auto worker = [&] {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= seeds.size())
-                return;
-            if (!runCase(deriveCase(seeds[i]), cache))
-                failures.fetch_add(1);
-        }
-    };
-
-    const std::size_t threads_wanted =
-        std::min(static_cast<std::size_t>(jobs), seeds.size());
-    if (threads_wanted <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> threads;
-        for (std::size_t t = 0; t < threads_wanted; ++t)
-            threads.emplace_back(worker);
-        for (auto &thread : threads)
-            thread.join();
-    }
+    drs::exec::parallelFor(seeds.size(), jobs, [&](std::size_t i) {
+        if (!runCase(deriveCase(seeds[i]), cache))
+            failures.fetch_add(1);
+    });
 
     if (failures.load() != 0) {
         std::fprintf(stderr, "fuzz_sim: %zu of %zu configs FAILED\n",

@@ -125,23 +125,20 @@ DmkControl::verifyInvariants() const
 std::uint32_t
 DmkControl::conflictCost(const std::vector<int> &slots)
 {
-    // Each of the 17 ray variables is one warp-wide spawn-memory access;
-    // lanes touch bank (slot + variable) % banks. Extra cycles per access
-    // = (max per-bank population - 1), summed over the variables.
-    std::uint32_t total = 0;
+    // Each ray variable is one warp-wide spawn-memory access; lanes touch
+    // bank (slot + variable) % banks. Extra cycles per access = (max
+    // per-bank population - 1), summed over the variables. Every
+    // variable's bank populations are a rotation of variable 0's, so all
+    // share one worst bank.
     const int banks = config_.spawnBanks;
-    for (int var = 0; var < config_.cost.rayVariables; ++var) {
-        bankPopulation_.assign(static_cast<std::size_t>(banks), 0);
-        int worst = 0;
-        for (int slot : slots) {
-            auto &p = bankPopulation_[static_cast<std::size_t>(
-                (slot + var) % banks)];
-            ++p;
-            worst = std::max(worst, p);
-        }
-        total += static_cast<std::uint32_t>(worst - 1);
-    }
-    return total;
+    bankPopulation_.assign(static_cast<std::size_t>(banks), 0);
+    int worst = 0;
+    for (const int slot : slots)
+        worst = std::max(
+            worst, ++bankPopulation_[static_cast<std::size_t>(slot % banks)]);
+    const auto variables =
+        static_cast<std::uint32_t>(std::max(config_.cost.rayVariables, 0));
+    return variables * static_cast<std::uint32_t>(worst - 1);
 }
 
 RdctrlResult

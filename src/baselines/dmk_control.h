@@ -83,6 +83,13 @@ class DmkControl : public simt::WarpController
     std::size_t pooledRays(simt::TravState state) const;
 
     /**
+     * Bank-conflict cycles of reloading the rays parked in spawn-memory
+     * @p slots: one warp-wide access per ray variable, variable v of
+     * slot s in bank (s + v) % spawnBanks.
+     */
+    std::uint32_t conflictCost(const std::vector<int> &slots);
+
+    /**
      * Spawn-memory invariants: pooled payloads match their pool's state
      * and hold a real ray, spawn slots are unique across pools and the
      * free list (and account for every allocated slot), ray ids are
@@ -99,9 +106,6 @@ class DmkControl : public simt::WarpController
         kernels::RaySlot payload;
         int spawnSlot = 0; ///< spawn-memory slot (bank = slot % banks)
     };
-
-    /** Bank-conflict cycles of moving @p slots through spawn memory. */
-    std::uint32_t conflictCost(const std::vector<int> &slots);
 
     int allocSpawnSlot();
     void freeSpawnSlot(int slot);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <unordered_set>
@@ -21,9 +23,16 @@ TbcSmx::TbcSmx(const simt::GpuConfig &config, const TbcConfig &tbc,
                        -1),
       syncStallCycles_(counters_.get("tbc.sync_stall_cycles"))
 {
+    if (tbc.warpsPerBlock < 1)
+        throw std::invalid_argument("TBC: warpsPerBlock must be at least 1");
+    if (tbc.numWarps < 1)
+        throw std::invalid_argument("TBC: numWarps must be at least 1");
     if (tbc.numWarps % tbc.warpsPerBlock != 0)
         throw std::invalid_argument(
             "TBC: numWarps must be a multiple of warpsPerBlock");
+    if (kernel.program().blockCount() > 64)
+        throw std::invalid_argument(
+            "TBC: successor sets hold at most 64 program blocks");
 
     const int num_blocks = tbc.numWarps / tbc.warpsPerBlock;
     const int lanes = config.simdLanes;
@@ -125,6 +134,8 @@ TbcSmx::completeWarp(ThreadBlock &block, CompactedWarp &warp)
         const ThreadStep step = kernel_.execute(top.pc, t.row, t.lane);
         block.nextBlocks[static_cast<std::size_t>(threadSlotIndex(t))] =
             step.nextBlock;
+        assert(step.nextBlock >= 0 && step.nextBlock < 64);
+        block.successors |= std::uint64_t{1} << step.nextBlock;
         if (blk.memSpace != simt::MemSpace::None && step.memBytes > 0) {
             memAddresses_.push_back(step.memAddress);
             bytes = step.memBytes;
@@ -143,19 +154,8 @@ TbcSmx::finishEntry(ThreadBlock &block)
     BlockEntry &top = block.stack.back();
 
     // The entry's distinct buffered successors, in ascending block order.
-    targets_.clear();
-    for (const auto &warp : top.warps) {
-        for (const auto &t : warp.lanes) {
-            if (t.row < 0)
-                continue;
-            const int next = nextBlock(block, t);
-            const auto it =
-                std::lower_bound(targets_.begin(), targets_.end(), next);
-            if (it == targets_.end() || *it != next)
-                targets_.insert(it, next);
-        }
-    }
-    assert(!targets_.empty());
+    const std::uint64_t targets = block.successors;
+    assert(targets != 0);
 
     auto arm_top = [&](BlockEntry &entry) {
         const int count = prog.block(entry.pc).instructionCount;
@@ -165,10 +165,12 @@ TbcSmx::finishEntry(ThreadBlock &block)
             warp.readyCycle = cycle_;
         }
         block.runningWarps = entry.warps.size();
+        block.successors = 0;
+        block.finishCycle = kFinishUnknown;
     };
 
-    if (targets_.size() == 1) {
-        const int next = targets_.front();
+    if (std::has_single_bit(targets)) {
+        const int next = std::countr_zero(targets);
         if (next == top.rpc) {
             if (block.stack.size() > 1) {
                 popEntry(block);
@@ -189,7 +191,8 @@ TbcSmx::finishEntry(ThreadBlock &block)
         const int rpc = prog.immediatePostDominator(top.pc);
         top.pc = rpc;
         const std::size_t parent = block.stack.size() - 1;
-        for (const int next : targets_) {
+        for (std::uint64_t rest = targets; rest != 0; rest &= rest - 1) {
+            const int next = std::countr_zero(rest);
             if (next == rpc)
                 continue;
             BlockEntry entry;
@@ -218,36 +221,32 @@ TbcSmx::finishEntry(ThreadBlock &block)
 int
 TbcSmx::issueFromBlock(ThreadBlock &block, int max_issues)
 {
-    if (block.exited || block.barrierUntil > cycle_)
+    if (!canIssue(block, cycle_))
         return 0;
 
-    BlockEntry &top = block.stack.back();
-    const simt::Block &blk = kernel_.program().block(top.pc);
+    // The first running warp issues until it completes.
+    CompactedWarp &warp = issuingWarp(block);
+    const int issued = std::min(max_issues, warp.remainingInstructions);
+    creditIssue(warp, kernel_.program().block(block.stack.back().pc),
+                issued);
+    if (warp.remainingInstructions == 0)
+        completeWarp(block, warp);
+    return issued;
+}
 
-    // Issue from the first warp that still has instructions.
-    for (auto &warp : top.warps) {
-        if (warp.semanticsDone || warp.readyCycle > cycle_ ||
-            warp.remainingInstructions <= 0)
-            continue;
-        const int active = warp.activeThreads;
-        int issued = 0;
-        while (issued < max_issues && warp.remainingInstructions > 0) {
-            histogram_.recordInstruction(active, blk.spawnRelated);
-            normalRfAccesses_.add(kRfAccessesPerInstruction);
-            --warp.remainingInstructions;
-            ++issued;
-            if (attribution_)
-                attribution_->record(active == config_.simdLanes
-                                         ? obs::SlotBucket::IssuedFull
-                                         : obs::SlotBucket::IssuedPartial,
-                                     blk.phase);
-        }
-        if (warp.remainingInstructions == 0)
-            completeWarp(block, warp);
-        return issued;
-    }
-
-    return 0;
+void
+TbcSmx::creditIssue(CompactedWarp &warp, const simt::Block &blk, int n)
+{
+    const auto count = static_cast<std::uint64_t>(n);
+    histogram_.recordInstructions(warp.activeThreads, blk.spawnRelated,
+                                  count);
+    normalRfAccesses_.add(kRfAccessesPerInstruction * count);
+    warp.remainingInstructions -= n;
+    if (attribution_)
+        attribution_->record(warp.activeThreads == config_.simdLanes
+                                 ? obs::SlotBucket::IssuedFull
+                                 : obs::SlotBucket::IssuedPartial,
+                             blk.phase, count);
 }
 
 void
@@ -271,6 +270,20 @@ TbcSmx::verifyInvariants() const
                     [](const auto &warp) { return !warp.semanticsDone; })))
             throw std::logic_error(
                 "TBC: running-warp count disagrees with the top entry");
+        // issuingWarp() relies on in-order completion: the running warps
+        // are the last runningWarps ones, each ready with work left.
+        for (std::size_t w = 0; !block.exited && w < top_warps.size(); ++w) {
+            const CompactedWarp &warp = top_warps[w];
+            const bool running =
+                w >= top_warps.size() - block.runningWarps;
+            if (warp.semanticsDone == running)
+                throw std::logic_error(
+                    "TBC: top-entry warps completed out of order");
+            if (running && (warp.readyCycle > cycle_ ||
+                            warp.remainingInstructions <= 0))
+                throw std::logic_error(
+                    "TBC: a running warp is not ready to issue");
+        }
 
         const int first_row = static_cast<int>(b) * tbc_.warpsPerBlock;
         const int last_row = first_row + tbc_.warpsPerBlock;
@@ -362,15 +375,18 @@ TbcSmx::issue()
 
     // Barrier maintenance: an entry whose warps have all completed (and
     // waited out their memory latency) partitions and compacts, whether
-    // or not a scheduler visits the block this cycle.
+    // or not a scheduler visits the block this cycle. Its finish time is
+    // known once the last warp's access is committed, by this step.
     for (auto &block : blocks_) {
-        if (block.exited || block.barrierUntil > cycle_ ||
-            block.runningWarps != 0)
+        if (block.exited || block.runningWarps != 0)
             continue;
-        const auto &warps = block.stack.back().warps;
-        if (std::all_of(warps.begin(), warps.end(), [&](const auto &warp) {
-                return warp.readyCycle <= cycle_;
-            }))
+        if (block.finishCycle == kFinishUnknown) {
+            block.finishCycle = block.barrierUntil;
+            for (const auto &warp : block.stack.back().warps)
+                block.finishCycle =
+                    std::max(block.finishCycle, warp.readyCycle);
+        }
+        if (block.finishCycle <= cycle_)
             finishEntry(block);
     }
 
@@ -396,6 +412,77 @@ TbcSmx::issue()
         if (attribution_)
             attributeUnissued(s, per_scheduler - issued);
     }
+}
+
+std::uint64_t
+TbcSmx::eventHorizon() const
+{
+    const std::uint64_t next = cycle_ + 1;
+    std::uint64_t horizon = std::numeric_limits<std::uint64_t>::max();
+
+    // A top entry whose warps have all run finishes at its finish time.
+    // Until the step after its last warp's access was committed, that
+    // warp shows its old readyCycle, so it may finish next cycle.
+    for (const auto &block : blocks_) {
+        if (block.exited || block.runningWarps != 0)
+            continue;
+        if (block.finishCycle == kFinishUnknown)
+            return next;
+        horizon = std::min(horizon, block.finishCycle);
+    }
+
+    const int per_scheduler = config_.issuesPerScheduler();
+    const auto schedulers =
+        static_cast<std::size_t>(config_.schedulersPerSmx);
+    for (std::size_t s = 0; s < schedulers; ++s) {
+        // A scheduler whose greedy block can issue runs its current warp
+        // down until that warp's last instruction issues.
+        const int last = lastIssuedBlock_[s];
+        if (last >= 0) {
+            const ThreadBlock &block = blocks_[static_cast<std::size_t>(last)];
+            if (canIssue(block, next)) {
+                const auto remaining = static_cast<std::uint64_t>(
+                    issuingWarp(block).remainingInstructions);
+                const auto width = static_cast<std::uint64_t>(per_scheduler);
+                horizon = std::min(horizon,
+                                   cycle_ + (remaining + width - 1) / width);
+                continue;
+            }
+        }
+        // A free scheduler acts next cycle if a block of its partition
+        // can issue then; otherwise once the first barrier passes.
+        for (std::size_t b = s; b < blocks_.size(); b += schedulers) {
+            const ThreadBlock &block = blocks_[b];
+            if (block.exited || block.runningWarps == 0)
+                continue;
+            if (block.barrierUntil <= next)
+                return next;
+            horizon = std::min(horizon, block.barrierUntil);
+        }
+    }
+    return horizon;
+}
+
+void
+TbcSmx::creditCycles(std::uint64_t target)
+{
+    // Between events each busy scheduler issues its full width from its
+    // greedy block's current warp, and nothing else happens (see
+    // eventHorizon()).
+    const auto width =
+        static_cast<std::uint64_t>(config_.issuesPerScheduler());
+    for (const int last : lastIssuedBlock_) {
+        if (last < 0)
+            continue;
+        ThreadBlock &block = blocks_[static_cast<std::size_t>(last)];
+        if (!canIssue(block, cycle_))
+            continue;
+        // Fewer than the warp's remaining instructions, by the horizon.
+        creditIssue(issuingWarp(block),
+                    kernel_.program().block(block.stack.back().pc),
+                    static_cast<int>((target - cycle_) * width));
+    }
+    cycle_ = target;
 }
 
 void

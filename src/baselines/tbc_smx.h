@@ -40,6 +40,14 @@ struct TbcConfig
  * the rest of the simulator. simt::runGpu drives it through
  * simt::SmxSetup::executor.
  *
+ * Like Smx it steps only at its events. A scheduler whose greedy block
+ * can issue runs that block's current warp down; every warp of a top
+ * entry is armed and ready, so warps complete in order and the issuing
+ * one is the first whose semantics have not run. A block finishes its
+ * top entry once its barrier has passed and its last warp's access has
+ * returned, whichever scheduler owns it. The cycles between are credited
+ * in bulk.
+ *
  * Attribution charges the block-wide divergence barrier to the
  * stalled-scoreboard bucket. The TBC has no swap hardware, so of the
  * SMX's fault sites only L1 tag corruption applies — the same
@@ -53,6 +61,10 @@ class TbcSmx : public simt::SmxExecutor
      * @param tbc TBC parameters
      * @param kernel the Aila kernel instance bound to this SMX
      * @param shared GPU-wide L2/DRAM
+     * @throws std::invalid_argument when warpsPerBlock or numWarps is
+     *         below 1, numWarps is not a multiple of warpsPerBlock, or
+     *         the program has more than 64 blocks (successor sets are
+     *         64-bit masks)
      */
     TbcSmx(const simt::GpuConfig &config, const TbcConfig &tbc,
            kernels::AilaKernel &kernel, simt::SharedMemorySide &shared);
@@ -68,8 +80,9 @@ class TbcSmx : public simt::SmxExecutor
      * lane-preserving (a thread only ever occupies its home lane);
      * threads stay within their block's rows and appear at most once per
      * entry; child entries reconverge at their parent's pc and hold
-     * pairwise-disjoint subsets of the parent's threads. Throws
-     * std::logic_error.
+     * pairwise-disjoint subsets of the parent's threads; the top
+     * entry's warps complete in order, and those still running are
+     * ready with instructions left. Throws std::logic_error.
      */
     void verifyInvariants() const override;
 
@@ -81,6 +94,8 @@ class TbcSmx : public simt::SmxExecutor
 
   private:
     void issue() override;
+    std::uint64_t eventHorizon() const override;
+    void creditCycles(std::uint64_t target) override;
 
     /** A thread's permanent identity: its home (row, lane) slot. */
     struct ThreadRef
@@ -114,6 +129,9 @@ class TbcSmx : public simt::SmxExecutor
         std::vector<CompactedWarp> warps;
     };
 
+    /** finishCycle before the top entry's finish time is known. */
+    static constexpr std::uint64_t kFinishUnknown = ~std::uint64_t{0};
+
     /** One thread block: 6 warps sharing a stack. */
     struct ThreadBlock
     {
@@ -121,10 +139,36 @@ class TbcSmx : public simt::SmxExecutor
         bool exited = false;
         /** Buffered successor per thread slot, filled at warp completion. */
         std::vector<int> nextBlocks; // indexed row-major over block slots
+        /** The top entry's buffered successors, one bit per program block. */
+        std::uint64_t successors = 0;
         std::uint64_t barrierUntil = 0;
         /** Warps of the top entry whose semantics have not run yet. */
         std::size_t runningWarps = 0;
+        /**
+         * Once runningWarps is 0: the cycle the top entry finishes, set
+         * by the first step after its last warp's access was committed.
+         */
+        std::uint64_t finishCycle = kFinishUnknown;
     };
+
+    /** True when @p block can issue at @p cycle. */
+    static bool canIssue(const ThreadBlock &block, std::uint64_t cycle)
+    {
+        return !block.exited && block.barrierUntil <= cycle &&
+               block.runningWarps != 0;
+    }
+
+    /** The top entry's issuing warp: the first still running. */
+    static CompactedWarp &issuingWarp(ThreadBlock &block)
+    {
+        auto &warps = block.stack.back().warps;
+        return warps[warps.size() - block.runningWarps];
+    }
+    static const CompactedWarp &issuingWarp(const ThreadBlock &block)
+    {
+        const auto &warps = block.stack.back().warps;
+        return warps[warps.size() - block.runningWarps];
+    }
 
     /** Successor @p t buffered when its warp completed. */
     int nextBlock(const ThreadBlock &block, const ThreadRef &t) const;
@@ -143,6 +187,10 @@ class TbcSmx : public simt::SmxExecutor
     void finishEntry(ThreadBlock &block);
 
     int issueFromBlock(ThreadBlock &block, int max_issues);
+
+    /** Issue @p n of @p warp's remaining instructions of @p blk. */
+    void creditIssue(CompactedWarp &warp, const simt::Block &blk, int n);
+
     void completeWarp(ThreadBlock &block, CompactedWarp &warp);
 
     /** Charge scheduler @p scheduler's unissued slots (attribution). */
@@ -153,8 +201,6 @@ class TbcSmx : public simt::SmxExecutor
     TbcConfig tbc_;
     std::vector<ThreadBlock> blocks_;
     std::vector<int> lastIssuedBlock_; ///< per scheduler
-    /** finishEntry's successor list (scratch, ascending). */
-    std::vector<int> targets_;
     /** Warp lists of discarded stack entries, reused by compact(). */
     std::vector<std::vector<CompactedWarp>> spareWarps_;
 

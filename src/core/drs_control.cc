@@ -148,6 +148,7 @@ DrsControl::bindRow(int warp, int row)
     setUnbound(row, false);
     dirty_ = true;
     uniformCacheValid_ = false;
+    bumpStateVersion();
 }
 
 void
@@ -161,6 +162,7 @@ DrsControl::unbindWarpRow(int warp)
     setUnbound(old, true);
     dirty_ = true;
     uniformCacheValid_ = false;
+    bumpStateVersion();
 }
 
 int
@@ -486,6 +488,7 @@ DrsControl::startOperation(Operation &entry, const Operation &op)
     entry = op;
     ++lockCount_[static_cast<std::size_t>(op.rowA)];
     ++lockCount_[static_cast<std::size_t>(op.rowB)];
+    bumpStateVersion();
 }
 
 void
@@ -516,6 +519,7 @@ DrsControl::completeOperation(Operation &op)
     op = Operation{};
     dirty_ = true;
     uniformCacheValid_ = false;
+    bumpStateVersion();
 }
 
 void
@@ -641,6 +645,55 @@ DrsControl::cycle(int issued_instructions)
 
     if (!any_active)
         idleCycles_.add();
+}
+
+std::uint64_t
+DrsControl::callsUntilChange(int issued_instructions) const
+{
+    // A dirty engine scans for new operations (or consolidates) on the
+    // next call. A clean one changes nothing until an operation
+    // completes: replay cycle()'s advance on copies of the in-flight
+    // counters up to the first call that completes one.
+    if (dirty_)
+        return 1;
+    replay_.clear();
+    for (const Operation &op : ops_)
+        replay_.push_back(op.active ? std::pair{op.setupRemaining,
+                                                op.transfersRemaining}
+                                    : std::pair{0, 0});
+    const int ports_per_call =
+        std::max(config_.registerBanks - (issued_instructions + 1) / 2, 2);
+    const int per_op_rate = config_.buffersPerTask() >= 4 ? 2 : 1;
+    for (std::uint64_t call = 1;; ++call) {
+        int ports = ports_per_call;
+        bool progress = false;
+        for (int t = 0; t < 3; ++t) {
+            int task_budget = config_.buffersPerTask();
+            for (int k = 0; k < opsPerTask_; ++k) {
+                auto &[setup, transfers] =
+                    replay_[static_cast<std::size_t>(t * opsPerTask_ + k)];
+                if (transfers == 0)
+                    continue; // idle entry
+                if (setup > 0) {
+                    --setup;
+                    progress = true;
+                    continue;
+                }
+                const int grant = std::min(
+                    {per_op_rate, task_budget, ports, transfers});
+                if (grant <= 0)
+                    continue;
+                progress = true;
+                ports -= grant;
+                task_budget -= grant;
+                transfers -= grant;
+                if (transfers == 0)
+                    return call;
+            }
+        }
+        if (!progress)
+            return kNoChange;
+    }
 }
 
 void
@@ -783,6 +836,7 @@ DrsControl::idealConsolidate()
                   cursor % static_cast<std::size_t>(lanes_);
     place(leafRays_);
     uniformCacheValid_ = false;
+    bumpStateVersion();
 }
 
 } // namespace drs::core

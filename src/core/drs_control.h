@@ -79,6 +79,15 @@ class DrsControl : public simt::WarpController
     void attach(simt::Smx &smx) override { smx_ = &smx; }
     simt::RdctrlResult onRdctrl(int warp) override;
     void cycle(int issued_instructions) override;
+
+    /**
+     * 1 while the engine is dirty (the next call scans for operations);
+     * otherwise the call that completes the first in-flight operation,
+     * found by replaying the advance loop, or kNoChange when idle.
+     * stateVersion() grows at every bind, unbind, operation start and
+     * completion, and consolidation.
+     */
+    std::uint64_t callsUntilChange(int issued_instructions) const override;
     obs::CounterSnapshot countersSnapshot() const override
     {
         return counters_.snapshot();
@@ -164,7 +173,10 @@ class DrsControl : public simt::WarpController
     /** Find the best unbound, unlocked, dispatchable row (or -1). */
     int findUniformRow() const;
 
-    /** Memoized findUniformRow (stalled warps retry every cycle). */
+    /**
+     * Memoized findUniformRow: a stalled warp retries in every step its
+     * scheduler is free, and most such steps find the rows unchanged.
+     */
     int cachedUniformRow();
 
     bool rowLocked(int row) const
@@ -222,6 +234,9 @@ class DrsControl : public simt::WarpController
     // Memoized uniform-row search (see cachedUniformRow()).
     bool uniformCacheValid_ = false;
     int uniformCacheRow_ = -1;
+
+    /** callsUntilChange()'s {setup, transfers} per operation (scratch). */
+    mutable std::vector<std::pair<int, int>> replay_;
 
     // Scratch of idealConsolidate, reused across calls.
     std::vector<int> poolRows_;

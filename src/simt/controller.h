@@ -196,8 +196,10 @@ class WarpController
     virtual void attach(Smx &smx) { (void)smx; }
 
     /**
-     * A warp wants to issue rdctrl. Called once per issue attempt; a
-     * stalled warp retries every cycle.
+     * A warp wants to issue rdctrl. Called once per issue attempt. A
+     * stalled warp retries in every step in which its scheduler is free,
+     * and the SMX steps at least once the answer may have changed (see
+     * callsUntilChange()).
      */
     virtual RdctrlResult onRdctrl(int warp) = 0;
 
@@ -208,6 +210,31 @@ class WarpController
      *        collectors.
      */
     virtual void cycle(int issued_instructions) = 0;
+
+    /** callsUntilChange() when no cycle() call will change the state. */
+    static constexpr std::uint64_t kNoChange = ~std::uint64_t{0};
+
+    /**
+     * Grows with every change the controller makes to the state a
+     * stalled warp's retry reads. The retry also reads the kernel's rows
+     * and pool, which the SMX sees change when it runs semantics.
+     */
+    std::uint64_t stateVersion() const { return stateVersion_; }
+
+    /**
+     * The number of upcoming cycle() calls, each with
+     * @p issued_instructions, up to and including the first that may
+     * change the state a stalled warp's retry reads: 1 when the next
+     * call may, kNoChange when none will (then only onRdctrl or the
+     * kernel's semantics can). The default, 0, says the state may have
+     * changed already, so stalled warps retry every cycle: exact for a
+     * controller that does not keep stateVersion().
+     */
+    virtual std::uint64_t callsUntilChange(int issued_instructions) const
+    {
+        (void)issued_instructions;
+        return 0;
+    }
 
     /**
      * Snapshot of this controller's observability counters ("drs.*",
@@ -236,6 +263,13 @@ class WarpController
      * forward-progress watchdog's diagnostic report. Default: nothing.
      */
     virtual void describeState(std::ostream &out) const { (void)out; }
+
+  protected:
+    /** Record a change to the state stalled warps' retries read. */
+    void bumpStateVersion() { ++stateVersion_; }
+
+  private:
+    std::uint64_t stateVersion_ = 0;
 };
 
 } // namespace drs::simt

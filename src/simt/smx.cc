@@ -45,6 +45,18 @@ SmxExecutor::step()
 
     issue();
 
+    // The attribution ledger and the sampler observe every cycle; the
+    // periodic deep checks above run at every multiple of 1024.
+    const std::uint64_t next = cycle_ + 1;
+    if (attribution_ || sampler_) {
+        horizon_ = next;
+    } else {
+        horizon_ = eventHorizon();
+        if (check_)
+            horizon_ = std::min(horizon_,
+                                (next + 1023u) & ~std::uint64_t{1023u});
+    }
+
     // Close the attribution/sampling cycle last so the ledgers see the
     // whole cycle; endCycle enforces per-cycle slot conservation.
     if (attribution_)
@@ -85,8 +97,10 @@ SmxExecutor::run(std::uint64_t max_cycles)
 void
 SmxExecutor::skipTo(std::uint64_t target)
 {
-    if (target > nextEventCycle())
+    if (target > horizon_)
         throw std::logic_error("SmxExecutor: skipTo past the next event");
+    if (target > cycle_)
+        creditCycles(target);
 }
 
 void
@@ -167,6 +181,7 @@ Smx::Smx(const GpuConfig &config, Kernel &kernel, WarpController *controller,
 {
     if (num_warps < 1)
         throw std::invalid_argument("Smx: need at least one resident warp");
+    retryEpochs_.assign(static_cast<std::size_t>(num_warps), 0);
 
     const int entry = 0;
     warps_.reserve(static_cast<std::size_t>(num_warps));
@@ -196,6 +211,9 @@ Smx::resolveRdctrl(Warp &warp)
             rdctrlStalledIssues_.add();
             ++stalledWarps_;
         }
+        // The answer reflects the state as of this step's start at the
+        // latest (the controller samples the pool once per cycle).
+        retryEpochs_[static_cast<std::size_t>(warp.id())] = stepEpoch_;
         return false;
     }
     if (warp.stalledOnRdctrl) {
@@ -318,6 +336,7 @@ Smx::completeBlock(Warp &warp)
         return;
     }
 
+    ++semanticBlocks_;
     const std::uint32_t mask = warp.activeMask();
     memAddresses_.clear();
     std::uint32_t bytes = 0;
@@ -365,6 +384,8 @@ Smx::issue()
     const int per_scheduler = config_.issuesPerScheduler();
     const auto schedulers =
         static_cast<std::size_t>(config_.schedulersPerSmx);
+    if (controller_ != nullptr)
+        stepEpoch_ = stateEpoch();
 
     for (std::size_t s = 0; s < schedulers; ++s) {
         // Greedy-then-oldest: try the warp this scheduler issued from
@@ -403,22 +424,16 @@ Smx::issue()
 
     if (controller_ != nullptr)
         controller_->cycle(issued_total);
-
-    horizon_ = eventHorizon();
 }
 
 std::uint64_t
 Smx::eventHorizon() const
 {
-    // Called before cycle_ advances: the next step() would run at next.
     const std::uint64_t next = cycle_ + 1;
-    // The attribution ledger and the sampler observe every cycle.
-    if (attribution_ || sampler_)
-        return next;
     std::uint64_t horizon = std::numeric_limits<std::uint64_t>::max();
-    // The periodic deep checks run at every multiple of 1024.
-    if (check_)
-        horizon = (next + 1023u) & ~std::uint64_t{1023u};
+    const std::uint64_t epoch = stalledWarps_ != 0 ? stateEpoch() : 0;
+    bool sleeping = false;
+    int busy = 0;
 
     const int per_scheduler = config_.issuesPerScheduler();
     const auto schedulers =
@@ -436,34 +451,49 @@ Smx::eventHorizon() const
                 const auto width = static_cast<std::uint64_t>(per_scheduler);
                 horizon = std::min(horizon,
                                    cycle_ + (pending + width - 1) / width);
+                ++busy;
                 continue;
             }
         }
         // A free scheduler acts next cycle if a warp of its partition may
-        // issue (or retry rdctrl, as a stalled warp does every cycle);
-        // otherwise once the first waiting warp wakes. A warp whose
-        // access this cycle buffered still shows its old readyCycle,
-        // which only makes the horizon earlier.
+        // issue, or retry rdctrl with a state changed since its last
+        // attempt; otherwise once the first waiting warp wakes. A warp
+        // whose access this cycle buffered still shows its old
+        // readyCycle, which only makes the horizon earlier.
         for (std::size_t w = s; w < warps_.size(); w += schedulers) {
             const Warp &warp = warps_[w];
             if (warp.exited())
                 continue;
-            if (warp.stalledOnRdctrl || warp.readyCycle <= next)
+            if (warp.stalledOnRdctrl) {
+                if (retryEpochs_[w] != epoch)
+                    return next;
+                sleeping = true;
+                continue;
+            }
+            if (warp.readyCycle <= next)
                 return next;
             horizon = std::min(horizon, warp.readyCycle);
         }
     }
-    return horizon;
+    if (!sleeping)
+        return horizon;
+
+    // A stalled warp whose epoch has not moved stalls again until a
+    // controller cycle() call changes the state: the retry after that
+    // call is the first that may pass. Up to the horizon, every cycle
+    // issues the busy schedulers' full width.
+    const std::uint64_t calls =
+        controller_->callsUntilChange(busy * per_scheduler);
+    const std::uint64_t wake =
+        calls >= std::numeric_limits<std::uint64_t>::max() - next
+            ? std::numeric_limits<std::uint64_t>::max()
+            : next + calls;
+    return std::min(horizon, wake);
 }
 
 void
-Smx::skipTo(std::uint64_t target)
+Smx::creditCycles(std::uint64_t target)
 {
-    if (target > horizon_)
-        throw std::logic_error("Smx: skipTo past the next event");
-    if (target <= cycle_)
-        return;
-
     // Between events each busy scheduler issues its full width from its
     // greedy warp, every free one issues nothing, and no warp starts,
     // completes or retries anything (see eventHorizon()).

@@ -32,7 +32,8 @@ namespace drs::simt {
  * one kernel against the GPU-wide L2/DRAM side. Smx (per-warp stacks,
  * ray-management controllers) and baselines::TbcSmx (block-wide
  * compaction) are its two executors; what they share is written here
- * once: the per-cycle check and observer tail of step(), the
+ * once: the per-cycle check and observer tail of step(), the event
+ * horizon's observer and check stops and the skipTo() check, the
  * shared-side memory commit, the statistics tail and the observer,
  * checker and fault hooks.
  *
@@ -64,19 +65,19 @@ class SmxExecutor
 
     /**
      * The earliest cycle at which step() may do more than count down:
-     * start or complete a block, retry a stalled warp, run the periodic
-     * checks or feed an observer. runEngine's sequential loop credits
-     * the cycles before it with skipTo() instead of stepping them. The
-     * default, cycle(), steps every cycle.
+     * start or complete a block or an entry, retry a stalled warp whose
+     * answer may have changed, run the periodic checks or feed an
+     * observer. Every step() sets it; runEngine's loop credits the
+     * cycles before it with skipTo() instead of stepping them.
      */
-    virtual std::uint64_t nextEventCycle() const { return cycle_; }
+    std::uint64_t nextEventCycle() const { return horizon_; }
 
     /**
      * Credit the cycles [cycle(), @p target) in bulk, with exactly the
      * effects step() has in them; afterwards cycle() == @p target.
      * @throws std::logic_error when @p target lies past nextEventCycle()
      */
-    virtual void skipTo(std::uint64_t target);
+    void skipTo(std::uint64_t target);
 
     /**
      * Run this SMX alone to completion (runEngine with one SMX).
@@ -149,6 +150,20 @@ class SmxExecutor
     /** Issue this cycle's instructions (the executor's scheduling). */
     virtual void issue() = 0;
 
+    /**
+     * The executor's next event as of the end of this cycle's issue(),
+     * before cycle_ advances: at least cycle_ + 1. step() asks only
+     * while no observer is attached, and stops the horizon at the
+     * periodic checks itself.
+     */
+    virtual std::uint64_t eventHorizon() const = 0;
+
+    /**
+     * Credit the countdown cycles [cycle_, @p target), where cycle_ <
+     * @p target <= nextEventCycle(), and leave cycle_ at @p target.
+     */
+    virtual void creditCycles(std::uint64_t target) = 0;
+
     /** Executor-specific structural checks, run with the periodic ones. */
     virtual void verifyInvariants() const {}
 
@@ -193,6 +208,9 @@ class SmxExecutor
     fault::FaultInjector *fault_ = nullptr;
 
   private:
+    /** nextEventCycle(), set by every step(). */
+    std::uint64_t horizon_ = 0;
+
     /** One L1-resolved access awaiting its shared-side commit. */
     struct DeferredAccess
     {
@@ -224,9 +242,6 @@ class Smx : public SmxExecutor
         int num_warps, SharedMemorySide &shared);
 
     bool done() const override { return liveWarps_ == 0; }
-
-    std::uint64_t nextEventCycle() const override { return horizon_; }
-    void skipTo(std::uint64_t target) override;
 
     /** Shuffle-side RF access/swap counters, added by the controller. */
     void addShuffleRfAccesses(std::uint64_t n) { shuffleRfAccesses_.add(n); }
@@ -266,6 +281,8 @@ class Smx : public SmxExecutor
 
   private:
     void issue() override;
+    std::uint64_t eventHorizon() const override;
+    void creditCycles(std::uint64_t target) override;
     void verifyInvariants() const override;
     void addStats(SimStats &stats) const override;
 
@@ -288,8 +305,15 @@ class Smx : public SmxExecutor
                warp.overheadInstructions + warp.remainingInstructions > 0;
     }
 
-    /** nextEventCycle() as of the end of this cycle's issue. */
-    std::uint64_t eventHorizon() const;
+    /**
+     * The state a stalled warp's rdctrl retry reads, as a count that
+     * grows with every change: the controller's stateVersion() plus the
+     * blocks whose semantics ran (they change the rows and the pool).
+     */
+    std::uint64_t stateEpoch() const
+    {
+        return controller_->stateVersion() + semanticBlocks_;
+    }
 
     /** A block's instructions finished issuing: run semantics. */
     void completeBlock(Warp &warp);
@@ -316,8 +340,15 @@ class Smx : public SmxExecutor
     std::uint64_t stalledWarps_ = 0;
     /** Warps that have not exited. */
     std::size_t liveWarps_ = 0;
-    /** nextEventCycle(), set by every issue(). */
-    std::uint64_t horizon_ = 0;
+    /** Blocks whose semantics ran (see stateEpoch()). */
+    std::uint64_t semanticBlocks_ = 0;
+    /** stateEpoch() when this cycle's issue() began (with a controller). */
+    std::uint64_t stepEpoch_ = 0;
+    /**
+     * Per warp, stepEpoch_ of the step whose rdctrl attempt last stalled
+     * it: while stateEpoch() stays there, a retry stalls again.
+     */
+    std::vector<std::uint64_t> retryEpochs_;
 
     obs::Counter &rdctrlIssued_;
     obs::Counter &rdctrlStalledIssues_;

@@ -6,6 +6,9 @@
  * compaction) must be visible in the statistics.
  */
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/dmk_control.h"
@@ -148,6 +151,50 @@ TEST(Dmk, ConflictCostZeroForConflictFreeSlots)
     ASSERT_TRUE(smx.done());
 }
 
+TEST(Dmk, ConflictCostMatchesPerVariableReference)
+{
+    // The reference: one bank histogram per ray variable, variable v of
+    // slot s in bank (s + v) % banks, summing (worst - 1) over them.
+    const auto reference = [](const std::vector<int> &slots, int banks,
+                              int variables) {
+        std::uint32_t total = 0;
+        for (int var = 0; var < variables; ++var) {
+            std::vector<int> population(static_cast<std::size_t>(banks), 0);
+            int worst = 0;
+            for (const int slot : slots)
+                worst = std::max(worst, ++population[static_cast<std::size_t>(
+                                            (slot + var) % banks)]);
+            total += static_cast<std::uint32_t>(worst - 1);
+        }
+        return total;
+    };
+
+    TestSetup setup(32);
+    kernels::DrsKernelConfig kernel_config;
+    kernel_config.numWarps = 1;
+    kernel_config.backupRows = 0;
+    kernels::DrsKernel kernel(setup.bvh, setup.scene.triangles(), setup.rays,
+                              0, kernel_config);
+    geom::Pcg32 rng(97);
+    for (const int banks : {1, 2, 7, 16, 32, 33}) {
+        for (const int variables : {1, 5, 17}) {
+            DmkConfig config;
+            config.spawnBanks = banks;
+            config.cost.rayVariables = variables;
+            DmkControl control(config, kernel.travWorkspace());
+            for (int trial = 0; trial < 50; ++trial) {
+                std::vector<int> slots(1 + rng.nextUInt(32));
+                for (int &slot : slots)
+                    slot = static_cast<int>(rng.nextUInt(200));
+                EXPECT_EQ(control.conflictCost(slots),
+                          reference(slots, banks, variables))
+                    << banks << " banks, " << variables << " variables, "
+                    << slots.size() << " slots";
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------------ TBC
 
 TEST(Tbc, TracesAllRaysCorrectly)
@@ -186,6 +233,24 @@ TEST(Tbc, RejectsIndivisibleWarpCount)
     simt::GpuConfig gpu;
     simt::SharedMemorySide shared(gpu.memory);
     EXPECT_THROW(TbcSmx(gpu, config, kernel, shared),
+                 std::invalid_argument);
+}
+
+TEST(Tbc, RejectsZeroWarpCounts)
+{
+    TestSetup setup(32);
+    kernels::AilaConfig aila;
+    kernels::AilaKernel kernel(setup.bvh, setup.scene.triangles(),
+                               setup.rays, 0, aila);
+    simt::GpuConfig gpu;
+    simt::SharedMemorySide shared(gpu.memory);
+    TbcConfig no_block_warps;
+    no_block_warps.warpsPerBlock = 0; // used to divide by zero
+    EXPECT_THROW(TbcSmx(gpu, no_block_warps, kernel, shared),
+                 std::invalid_argument);
+    TbcConfig no_warps;
+    no_warps.numWarps = 0; // used to run no blocks and finish at cycle 0
+    EXPECT_THROW(TbcSmx(gpu, no_warps, kernel, shared),
                  std::invalid_argument);
 }
 

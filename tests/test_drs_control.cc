@@ -26,6 +26,7 @@ struct DrsControlTestPeer
         control.unbound_[static_cast<std::size_t>(row) / 64] ^=
             std::uint64_t{1} << (row % 64);
     }
+    static bool dirty(const DrsControl &control) { return control.dirty_; }
 };
 
 namespace {
@@ -329,6 +330,97 @@ TEST(DrsControl, VerifyInvariantsCatchesCorruptUnboundBit)
         // bit past the last row.
         DrsControlTestPeer::flipUnbound(control, row);
         EXPECT_THROW(control.verifyInvariants(), std::logic_error);
+    }
+}
+
+TEST(DrsControl, SwapEnginePredictsItsNextStateChange)
+{
+    // callsUntilChange() must name exactly the first cycle() call that
+    // changes the state stalled warps read, from every state the engine
+    // passes through (operations in setup, in transfer, idle). Only a
+    // dirty engine may answer early: its next call scans, and the scan
+    // may start nothing. Warps stall one by one to keep it working.
+    constexpr std::uint64_t kNoChange = simt::WarpController::kNoChange;
+    constexpr int kWarps = 8;
+    constexpr int kStallEvery = 150;
+    constexpr int kCalls = 4000;
+    DrsConfig buffers18 = strictConfig();
+    buffers18.swapBuffers = 18;
+    DrsConfig ideal = strictConfig();
+    ideal.idealized = true;
+    for (const DrsConfig &config : {strictConfig(), buffers18, ideal}) {
+        for (int issued = 0; issued <= 8; ++issued) {
+            SCOPED_TRACE(::testing::Message()
+                         << config.swapBuffers << " buffers"
+                         << (config.idealized ? ", idealized" : "")
+                         << ", issued " << issued);
+            // 8 warps + 1 backup + 2 empty rows; every row mixes inner and
+            // leaf rays around a few holes, so no row is dispatchable.
+            MockWorkspace ws(kWarps + 3, 32, true);
+            for (int row = 0; row < kWarps + 3; ++row) {
+                ws.fillRow(row, TravState::Inner);
+                for (int lane = 0; lane < 2 + 2 * row; ++lane)
+                    ws.setState(row, lane, TravState::Leaf);
+                for (int lane = 28 - row; lane < 32; ++lane)
+                    ws.setState(row, lane, TravState::Fetch);
+            }
+            DrsControl control(config, ws, kWarps);
+
+            std::vector<std::uint64_t> predicted;
+            std::vector<bool> dirty;
+            std::vector<bool> changed; // by call t
+            std::vector<int> segment;  // calls since the last rdctrl
+            int segment_id = 0;
+            for (int t = 0; t < kCalls; ++t) {
+                if (t % kStallEvery == 0 && t / kStallEvery < kWarps) {
+                    // The warp's own row is mixed: rdctrl unbinds it.
+                    (void)control.onRdctrl(t / kStallEvery);
+                    EXPECT_EQ(control.callsUntilChange(issued), 1u);
+                    ++segment_id;
+                }
+                predicted.push_back(control.callsUntilChange(issued));
+                dirty.push_back(DrsControlTestPeer::dirty(control));
+                segment.push_back(segment_id);
+                const std::uint64_t before = control.stateVersion();
+                control.cycle(issued);
+                changed.push_back(control.stateVersion() != before);
+            }
+
+            int exact = 0;
+            for (int t = 0; t < kCalls; ++t) {
+                std::uint64_t actual = kNoChange;
+                for (int u = t; u < kCalls && segment[u] == segment[t]; ++u) {
+                    if (changed[u]) {
+                        actual = static_cast<std::uint64_t>(u - t + 1);
+                        break;
+                    }
+                }
+                if (dirty[t]) {
+                    EXPECT_EQ(predicted[t], 1u) << "call " << t;
+                    continue;
+                }
+                if (actual == kNoChange) {
+                    // No change before the next rdctrl or the end.
+                    int calls = 0;
+                    for (int u = t; u < kCalls && segment[u] == segment[t];
+                         ++u)
+                        ++calls;
+                    EXPECT_GT(predicted[t], static_cast<std::uint64_t>(calls))
+                        << "call " << t;
+                } else {
+                    EXPECT_EQ(predicted[t], actual) << "call " << t;
+                    exact += predicted[t] > 1 ? 1 : 0;
+                }
+            }
+            // The engine moved rays (the replay was exercised), then
+            // settled: idle and clean, no call will change anything.
+            if (!config.idealized) {
+                EXPECT_GT(exact, 0);
+            }
+            EXPECT_GT(ws.moves + ws.swaps, 0);
+            EXPECT_EQ(control.activeOperations(), 0);
+            EXPECT_EQ(control.callsUntilChange(issued), kNoChange);
+        }
     }
 }
 

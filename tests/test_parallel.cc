@@ -18,6 +18,7 @@
 
 #include "baselines/dmk_control.h"
 #include "baselines/ser_control.h"
+#include "baselines/tbc_smx.h"
 #include "check/check.h"
 #include "core/drs_control.h"
 #include "harness/harness.h"
@@ -116,6 +117,18 @@ handBuiltSetup(const std::string &arch, const render::PathTracer &tracer,
             setup.controller = std::make_unique<baselines::DmkControl>(
                 config.dmk, kernel->travWorkspace());
         setup.kernel = std::move(kernel);
+    } else if (arch == "tbc") {
+        kernels::AilaConfig aila = config.aila;
+        aila.numWarps = config.tbc.numWarps;
+        auto kernel = std::make_unique<kernels::AilaKernel>(
+            tracer.bvh(), tracer.sceneTriangles(), stripe, first, aila);
+        setup.executor = [&tbc = config.tbc, &aila_kernel = *kernel](
+                             const simt::GpuConfig &gpu,
+                             simt::SharedMemorySide &shared) {
+            return std::make_unique<baselines::TbcSmx>(gpu, tbc, aila_kernel,
+                                                       shared);
+        };
+        setup.kernel = std::move(kernel);
     } else if (arch == "ser") {
         kernels::SerKernelConfig kernel_config;
         kernel_config.numWarps = config.ser.numWarps;
@@ -132,7 +145,7 @@ handBuiltSetup(const std::string &arch, const render::PathTracer &tracer,
 }
 
 /**
- * Run @p arch over @p rays on two Smx sharing one L2: through runEngine's
+ * Run @p arch over @p rays on two SMXs sharing one L2: through runEngine's
  * event-driven loop, or (@p per_cycle) by stepping every live SMX and
  * then committing all of them, every cycle. Returns each SMX's SimStats
  * and, last, the L2's.
@@ -147,8 +160,8 @@ runTwoSmx(const std::string &arch, const render::PathTracer &tracer,
     config.gpu.numSmx = kSmx;
     simt::SharedMemorySide shared(config.gpu.memory);
     std::vector<simt::SmxSetup> setups;
-    std::vector<std::unique_ptr<simt::Smx>> owned;
-    std::vector<simt::Smx *> smxs;
+    std::vector<std::unique_ptr<simt::SmxExecutor>> owned;
+    std::vector<simt::SmxExecutor *> smxs;
     for (int i = 0; i < kSmx; ++i) {
         const auto [first, count] =
             simt::rayStripe(rays.size(), kSmx, i, config.gpu.simdLanes);
@@ -156,11 +169,16 @@ runTwoSmx(const std::string &arch, const render::PathTracer &tracer,
                                         rays.subspan(first, count), first,
                                         config));
         simt::SmxSetup &setup = setups.back();
-        owned.push_back(std::make_unique<simt::Smx>(
-            config.gpu, *setup.kernel, setup.controller.get(),
-            setup.numWarps, shared));
-        if (setup.controller)
-            setup.controller->attach(*owned.back());
+        if (setup.executor) {
+            owned.push_back(setup.executor(config.gpu, shared));
+        } else {
+            auto smx = std::make_unique<simt::Smx>(
+                config.gpu, *setup.kernel, setup.controller.get(),
+                setup.numWarps, shared);
+            if (setup.controller)
+                setup.controller->attach(*smx);
+            owned.push_back(std::move(smx));
+        }
         owned.back()->setCheck(check);
         smxs.push_back(owned.back().get());
     }
@@ -170,7 +188,7 @@ runTwoSmx(const std::string &arch, const render::PathTracer &tracer,
             if (cycle >= config.maxCycles)
                 throw std::runtime_error("per-cycle reference ran away");
             bool live = false;
-            for (simt::Smx *smx : smxs) {
+            for (simt::SmxExecutor *smx : smxs) {
                 if (!smx->done()) {
                     smx->step();
                     live = true;
@@ -178,7 +196,7 @@ runTwoSmx(const std::string &arch, const render::PathTracer &tracer,
             }
             if (!live)
                 break;
-            for (simt::Smx *smx : smxs)
+            for (simt::SmxExecutor *smx : smxs)
                 smx->commitMemory();
         }
     } else {
@@ -186,7 +204,7 @@ runTwoSmx(const std::string &arch, const render::PathTracer &tracer,
     }
 
     std::vector<simt::SimStats> stats;
-    for (simt::Smx *smx : smxs)
+    for (simt::SmxExecutor *smx : smxs)
         stats.push_back(smx->collectStats());
     stats.emplace_back().l2 = shared.l2Stats();
     return stats;
@@ -198,7 +216,8 @@ TEST_F(ParallelFixture, EventEngineMatchesPerCycleStepping)
     // DRS shuffle machinery) much harder than primaries do.
     const auto rays = bounceRays(2);
     const check::Checker checker;
-    for (const std::string arch : {"aila", "dmk", "drs", "ser", "pathpred"}) {
+    for (const std::string arch :
+         {"aila", "dmk", "drs", "ser", "pathpred", "tbc"}) {
         for (const simt::CheckContext *check :
              {static_cast<const simt::CheckContext *>(nullptr),
               static_cast<const simt::CheckContext *>(&checker)}) {
@@ -214,6 +233,11 @@ TEST_F(ParallelFixture, EventEngineMatchesPerCycleStepping)
                        "stepping";
             EXPECT_GT(reference[0].raysTraced, 0u) << arch;
             EXPECT_GT(reference[0].cycles, 0u) << arch;
+            // Stalled warps sleep until the swap engine or the rows may
+            // have changed: the drs leg must exercise that rule.
+            if (arch == "drs") {
+                EXPECT_GT(reference[0].rdctrlStallCycles, 0u);
+            }
         }
     }
 }

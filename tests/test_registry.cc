@@ -8,7 +8,8 @@
  *   - the issue-slot attribution ledger conserves (every slot of every
  *     cycle is attributed exactly once) and profiling never alters
  *     SimStats — the sampled run steps every cycle, so this also pins
- *     the event-driven engine against per-cycle stepping;
+ *     the event-driven engine against per-cycle stepping, for `tbc`
+ *     TbcSmx's horizon as well as Smx's;
  *   - after a run, the plugin's counter namespace is non-empty — the
  *     architecture cannot silently lose its observability wiring;
  *   - a DRS_CHECK=1 run (lockstep reference interpreter + cycle-level

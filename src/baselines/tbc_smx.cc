@@ -123,7 +123,7 @@ TbcSmx::popEntry(ThreadBlock &block)
 void
 TbcSmx::completeWarp(ThreadBlock &block, CompactedWarp &warp)
 {
-    BlockEntry &top = block.stack.back();
+    const BlockEntry &top = block.stack.back();
     const simt::Block &blk = kernel_.program().block(top.pc);
 
     memAddresses_.clear();
@@ -142,9 +142,16 @@ TbcSmx::completeWarp(ThreadBlock &block, CompactedWarp &warp)
         }
     }
     if (!memAddresses_.empty())
-        deferAccess(warp.readyCycle, blk.memSpace, memAddresses_, bytes);
+        warp.readyCycle =
+            cycle_ + memory_.warpAccess(blk.memSpace, memAddresses_, bytes);
     warp.semanticsDone = true;
-    --block.runningWarps;
+    if (--block.runningWarps != 0)
+        return;
+    // The last warp: the entry finishes once its barrier has passed and
+    // every warp's access has returned.
+    block.finishCycle = block.barrierUntil;
+    for (const auto &peer : top.warps)
+        block.finishCycle = std::max(block.finishCycle, peer.readyCycle);
 }
 
 void
@@ -166,7 +173,6 @@ TbcSmx::finishEntry(ThreadBlock &block)
         }
         block.runningWarps = entry.warps.size();
         block.successors = 0;
-        block.finishCycle = kFinishUnknown;
     };
 
     if (std::has_single_bit(targets)) {
@@ -375,20 +381,11 @@ TbcSmx::issue()
 
     // Barrier maintenance: an entry whose warps have all completed (and
     // waited out their memory latency) partitions and compacts, whether
-    // or not a scheduler visits the block this cycle. Its finish time is
-    // known once the last warp's access is committed, by this step.
-    for (auto &block : blocks_) {
-        if (block.exited || block.runningWarps != 0)
-            continue;
-        if (block.finishCycle == kFinishUnknown) {
-            block.finishCycle = block.barrierUntil;
-            for (const auto &warp : block.stack.back().warps)
-                block.finishCycle =
-                    std::max(block.finishCycle, warp.readyCycle);
-        }
-        if (block.finishCycle <= cycle_)
+    // or not a scheduler visits the block this cycle.
+    for (auto &block : blocks_)
+        if (!block.exited && block.runningWarps == 0 &&
+            block.finishCycle <= cycle_)
             finishEntry(block);
-    }
 
     for (int s = 0; s < schedulers; ++s) {
         // Greedy-then-oldest over this scheduler's block partition.
@@ -420,16 +417,11 @@ TbcSmx::eventHorizon() const
     const std::uint64_t next = cycle_ + 1;
     std::uint64_t horizon = std::numeric_limits<std::uint64_t>::max();
 
-    // A top entry whose warps have all run finishes at its finish time.
-    // Until the step after its last warp's access was committed, that
-    // warp shows its old readyCycle, so it may finish next cycle.
-    for (const auto &block : blocks_) {
-        if (block.exited || block.runningWarps != 0)
-            continue;
-        if (block.finishCycle == kFinishUnknown)
-            return next;
-        horizon = std::min(horizon, block.finishCycle);
-    }
+    // A top entry whose warps have all run finishes at its finish time,
+    // or next cycle when that time has already come.
+    for (const auto &block : blocks_)
+        if (!block.exited && block.runningWarps == 0)
+            horizon = std::min(horizon, std::max(block.finishCycle, next));
 
     const int per_scheduler = config_.issuesPerScheduler();
     const auto schedulers =

@@ -106,9 +106,9 @@ class TbcSmx : public simt::SmxExecutor
 
     /**
      * A compacted warp: per lane, one thread or none. A warp waiting on
-     * memory stays where it is until commitMemory() sets its readyCycle:
-     * block stacks are only restructured by finishEntry, which runs at
-     * the start of the next step — after the commit.
+     * memory stays in its entry: block stacks are only restructured by
+     * finishEntry, once every warp of the top entry has completed and
+     * its access has returned.
      */
     struct CompactedWarp
     {
@@ -129,9 +129,6 @@ class TbcSmx : public simt::SmxExecutor
         std::vector<CompactedWarp> warps;
     };
 
-    /** finishCycle before the top entry's finish time is known. */
-    static constexpr std::uint64_t kFinishUnknown = ~std::uint64_t{0};
-
     /** One thread block: 6 warps sharing a stack. */
     struct ThreadBlock
     {
@@ -146,9 +143,9 @@ class TbcSmx : public simt::SmxExecutor
         std::size_t runningWarps = 0;
         /**
          * Once runningWarps is 0: the cycle the top entry finishes, set
-         * by the first step after its last warp's access was committed.
+         * when its last warp completes.
          */
-        std::uint64_t finishCycle = kFinishUnknown;
+        std::uint64_t finishCycle = 0;
     };
 
     /** True when @p block can issue at @p cycle. */

@@ -15,9 +15,9 @@
  *    injector per simulated unit (SMX or the shared L2/DRAM side),
  *    seeded from (master seed, unit id), so the injected fault sequence
  *    is a pure function of the seed — independent of host thread count
- *    or scheduling (each simulation runs on one host thread and the
- *    shared side is only touched when the engine commits the SMXs in
- *    index order; see DESIGN.md, "Parallel execution model").
+ *    or scheduling (each simulation runs on one host thread, and the
+ *    SMXs touch the shared side as they issue while the engine steps
+ *    them in index order; see DESIGN.md, "Parallel execution model").
  *  - Watchdog: forward-progress monitor for the cycle engines. When no
  *    unit makes progress (no ray completes, no warp retires) within a
  *    cycle budget, the engine aborts with a WatchdogTimeout carrying a

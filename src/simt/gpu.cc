@@ -32,8 +32,9 @@ runGpu(const GpuConfig &config, const SmxFactory &factory,
 
     // One private injector per SMX plus one for the shared side. The
     // shared injector's RNG only advances from accessLine calls, which
-    // the engine issues when it commits the SMXs in index order, so its
-    // fault sequence does not depend on which cycles an SMX skips.
+    // the SMXs make as they issue while the engine steps them in index
+    // order, so its fault sequence does not depend on which cycles an
+    // SMX skips.
     std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
     std::unique_ptr<fault::FaultInjector> sharedInjector;
     if (options.fault.enabled()) {

@@ -100,9 +100,9 @@ struct GpuRunOptions
      * When enabled, every SMX gets a private deterministic injector
      * (stream derived from seed and SMX index) arming L1 tag corruption
      * and swap-boundary ray bit flips, and the shared L2/DRAM side gets
-     * its own injector whose RNG only advances when buffered requests
-     * commit in SMX-index order — so fault sequences do not depend on
-     * which cycles an SMX skips. Disabled, no injector exists and
+     * its own injector whose RNG advances at each L2 access, in the
+     * engine's SMX-index step order — so fault sequences do not depend
+     * on which cycles an SMX skips. Disabled, no injector exists and
      * execution is bit-identical to a build without the fault layer.
      */
     fault::FaultConfig fault{};

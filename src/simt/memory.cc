@@ -40,21 +40,8 @@ SmxMemory::warpAccess(MemSpace space,
                       const std::vector<std::uint64_t> &addresses,
                       std::uint32_t bytes)
 {
-    const PendingWarpAccess pending = resolveL1(space, addresses, bytes);
-    const std::uint32_t latency = commitAccess(pending);
-    pendingLines_.resize(pending.firstMiss);
-    return latency;
-}
-
-PendingWarpAccess
-SmxMemory::resolveL1(MemSpace space,
-                     const std::vector<std::uint64_t> &addresses,
-                     std::uint32_t bytes)
-{
-    PendingWarpAccess pending;
-    pending.firstMiss = static_cast<std::uint32_t>(pendingLines_.size());
     if (space == MemSpace::None || addresses.empty())
-        return pending;
+        return 0;
 
     Cache &l1 = (space == MemSpace::Texture) ? l1Texture_ : l1Data_;
     const std::uint32_t line = l1.lineBytes();
@@ -74,41 +61,23 @@ SmxMemory::resolveL1(MemSpace space,
         }
     }
 
-    pending.l1Latency = (space == MemSpace::Texture)
-                            ? config_.l1Texture.hitLatency
-                            : config_.l1Data.hitLatency;
+    // The warp waits for the slowest line: an L1 hit, or an L1 miss the
+    // shared side serves.
+    const std::uint32_t l1_latency = (space == MemSpace::Texture)
+                                         ? config_.l1Texture.hitLatency
+                                         : config_.l1Data.hitLatency;
+    std::uint32_t worst = 0;
     for (std::uint64_t l : lines_) {
         const std::uint64_t byte_addr = l * line;
-        if (l1.access(byte_addr))
-            pending.baseLatency =
-                std::max(pending.baseLatency, pending.l1Latency);
-        else
-            pendingLines_.push_back(byte_addr);
+        const std::uint32_t latency =
+            l1.access(byte_addr) ? l1_latency
+                                 : l1_latency + shared_.accessLine(byte_addr);
+        worst = std::max(worst, latency);
     }
-    pending.missCount =
-        static_cast<std::uint32_t>(pendingLines_.size()) - pending.firstMiss;
     // Additional lines serialize at the L1 port, adding a small per-line
     // charge (memory divergence).
-    pending.extraLatency = static_cast<std::uint32_t>(lines_.size() - 1) *
-                           config_.perLineSerialization;
-    return pending;
-}
-
-std::uint32_t
-SmxMemory::commitAccess(const PendingWarpAccess &pending)
-{
-    if (pending.missCount == 0 && pending.baseLatency == 0 &&
-        pending.extraLatency == 0)
-        return 0;
-
-    // The warp waits for the slowest line.
-    std::uint32_t worst = pending.baseLatency;
-    for (std::uint32_t i = 0; i < pending.missCount; ++i)
-        worst = std::max(worst,
-                         pending.l1Latency +
-                             shared_.accessLine(
-                                 pendingLines_[pending.firstMiss + i]));
-    return worst + pending.extraLatency;
+    return worst + static_cast<std::uint32_t>(lines_.size() - 1) *
+                       config_.perLineSerialization;
 }
 
 void

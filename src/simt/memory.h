@@ -38,8 +38,9 @@ class SharedMemorySide
      * Attach a fault injector (nullptr detaches). Arms L2 tag corruption
      * plus delayed/dropped DRAM responses: a delayed response adds extra
      * cycles to the line latency, a dropped one charges a full retry
-     * penalty. Only the engine's commit, in SMX-index order, reaches this
-     * object, so the injector's RNG stream stays deterministic.
+     * penalty. The SMXs reach this object as they issue, and the engine
+     * steps them in index order, so the injector's RNG stream stays
+     * deterministic.
      */
     void setFault(fault::FaultInjector *fault)
     {
@@ -53,28 +54,6 @@ class SharedMemorySide
     fault::FaultInjector *fault_ = nullptr;
 };
 
-/**
- * One warp access with its private (L1) half resolved and its shared (L2)
- * half still pending. Every SMX buffers these while it steps and commits
- * them to the SharedMemorySide after the cycle in SMX-index order, so the
- * L2 sees one access interleaving whichever cycles an SMX skips.
- */
-struct PendingWarpAccess
-{
-    /** Worst latency among lines already satisfied by the L1. */
-    std::uint32_t baseLatency = 0;
-    /** Per-line serialization charge (fixed at resolve time). */
-    std::uint32_t extraLatency = 0;
-    /** L1 hit latency added in front of each pending L2 line. */
-    std::uint32_t l1Latency = 0;
-    /**
-     * The lines that missed the L1: entries [firstMiss, firstMiss +
-     * missCount) of the resolving SmxMemory's pending-line buffer.
-     */
-    std::uint32_t firstMiss = 0;
-    std::uint32_t missCount = 0;
-};
-
 /** The per-SMX memory path (both L1s), backed by a SharedMemorySide. */
 class SmxMemory
 {
@@ -82,7 +61,9 @@ class SmxMemory
     SmxMemory(const MemoryConfig &config, SharedMemorySide &shared);
 
     /**
-     * Perform a coalesced warp access.
+     * Perform a coalesced warp access: look its lines up in the private
+     * L1 and play the misses, in ascending line order, against the
+     * shared side.
      *
      * @param space Global (L1D) or Texture (L1T)
      * @param addresses per-active-lane byte addresses
@@ -92,28 +73,6 @@ class SmxMemory
     std::uint32_t warpAccess(MemSpace space,
                              const std::vector<std::uint64_t> &addresses,
                              std::uint32_t bytes);
-
-    /**
-     * Phase 1 of a warp access: coalesce lanes into lines and look them up
-     * in the private L1 (which this call updates). Lines that miss are
-     * kept for a later commitAccess() against the shared side; the L2 is
-     * NOT touched. warpAccess() == resolveL1() + commitAccess().
-     */
-    PendingWarpAccess resolveL1(MemSpace space,
-                                const std::vector<std::uint64_t> &addresses,
-                                std::uint32_t bytes);
-
-    /**
-     * Phase 2: play the pending L2 lines against the shared side (in the
-     * order resolveL1 produced them) and return the final warp latency.
-     */
-    std::uint32_t commitAccess(const PendingWarpAccess &pending);
-
-    /**
-     * Forget the miss lines of every resolved access; call once all of
-     * them are committed. The buffers keep their storage.
-     */
-    void releasePending() { pendingLines_.clear(); }
 
     const CacheStats &l1DataStats() const { return l1Data_.stats(); }
     const CacheStats &l1TextureStats() const { return l1Texture_.stats(); }
@@ -141,8 +100,6 @@ class SmxMemory
     Cache l1Texture_;
     /** Coalescing scratch: the distinct lines of one access. */
     std::vector<std::uint64_t> lines_;
-    /** Miss lines of the resolved, not yet released accesses. */
-    std::vector<std::uint64_t> pendingLines_;
 };
 
 } // namespace drs::simt

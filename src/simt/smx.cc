@@ -7,6 +7,7 @@
 #include <cassert>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 namespace drs::simt {
@@ -69,29 +70,109 @@ SmxExecutor::step()
 }
 
 void
-SmxExecutor::deferAccess(std::uint64_t &ready_cycle, MemSpace space,
-                         const std::vector<std::uint64_t> &addresses,
-                         std::uint32_t bytes)
-{
-    deferredAccesses_.push_back(
-        {&ready_cycle, cycle_, memory_.resolveL1(space, addresses, bytes)});
-}
-
-void
-SmxExecutor::commitMemory()
-{
-    // FIFO order: the L2 sees this SMX's accesses in exactly the order
-    // the schedulers produced them within the cycle.
-    for (const DeferredAccess &d : deferredAccesses_)
-        *d.readyCycle = d.issueCycle + memory_.commitAccess(d.pending);
-    deferredAccesses_.clear();
-    memory_.releasePending();
-}
-
-void
 SmxExecutor::run(std::uint64_t max_cycles)
 {
     runEngine(std::vector<SmxExecutor *>{this}, max_cycles);
+}
+
+std::string
+describeEngineState(const std::vector<SmxExecutor *> &smxs)
+{
+    std::ostringstream out;
+    for (std::size_t i = 0; i < smxs.size(); ++i) {
+        out << "SMX " << i << (smxs[i]->done() ? " (done)" : "") << ":\n";
+        smxs[i]->describeState(out);
+    }
+    return out.str();
+}
+
+namespace {
+
+/**
+ * Engine policing after the clock advanced from @p from to @p cycle:
+ * forward-progress watchdog and cooperative cancellation, called after
+ * every event. Throws fault::WatchdogTimeout / exec::Cancelled /
+ * exec::DeadlineExceeded. The deadline check reads the clock, so it is
+ * amortized: it runs when the advance crosses a multiple of 1024;
+ * cancellation is a plain atomic load checked every time. Before the
+ * watchdog's dump, every live SMX is brought up to @p cycle.
+ */
+void
+policeCycle(const std::vector<SmxExecutor *> &smxs, std::uint64_t from,
+            std::uint64_t cycle, fault::Watchdog *watchdog,
+            const exec::CancelToken *cancel)
+{
+    if (watchdog != nullptr && watchdog->enabled()) {
+        std::uint64_t progress = 0;
+        for (SmxExecutor *smx : smxs)
+            progress += smx->progressCount();
+        if (watchdog->observe(cycle, progress)) {
+            for (SmxExecutor *smx : smxs)
+                if (!smx->done())
+                    smx->skipTo(cycle);
+            throw fault::WatchdogTimeout(cycle, watchdog->budgetCycles(),
+                                         describeEngineState(smxs));
+        }
+    }
+    if (cancel != nullptr) {
+        if (cancel->cancelled())
+            throw exec::Cancelled("simulation cancelled");
+        if ((from >> 10) != (cycle >> 10) && cancel->deadlineExpired())
+            throw exec::DeadlineExceeded("simulation deadline exceeded");
+    }
+}
+
+} // namespace
+
+void
+runEngine(const std::vector<SmxExecutor *> &smxs, std::uint64_t max_cycles,
+          fault::Watchdog *watchdog, const exec::CancelToken *cancel)
+{
+    bool all_done = true;
+    for (SmxExecutor *smx : smxs)
+        all_done = all_done && smx->done();
+    if (all_done)
+        return;
+    if (max_cycles == 0)
+        throw std::runtime_error("GPU simulation exceeded max_cycles");
+
+    // Cycles completed: every SMX is stepped or skipped up to here.
+    std::uint64_t cycle = 0;
+    for (;;) {
+        std::uint64_t target = std::numeric_limits<std::uint64_t>::max();
+        bool live = false;
+        for (SmxExecutor *smx : smxs) {
+            if (!smx->done()) {
+                live = true;
+                target = std::min(target, smx->nextEventCycle());
+            }
+        }
+        if (!live)
+            return;
+        // The per-cycle loop gives up after stepping cycle max_cycles - 1,
+        // and observes the watchdog after every cycle.
+        target = std::min(target, max_cycles - 1);
+        if (watchdog != nullptr && watchdog->enabled()) {
+            const std::uint64_t last = watchdog->lastProgressCycle();
+            const std::uint64_t budget = watchdog->budgetCycles();
+            if (budget <= std::numeric_limits<std::uint64_t>::max() - last)
+                target = std::min(target, last + budget);
+        }
+
+        // Index order: the L2 sees the due SMXs' accesses in it.
+        for (SmxExecutor *smx : smxs) {
+            if (!smx->done() && smx->nextEventCycle() <= target) {
+                smx->skipTo(target);
+                smx->step();
+            }
+        }
+
+        const std::uint64_t from = cycle;
+        cycle = target + 1;
+        policeCycle(smxs, from, cycle, watchdog, cancel);
+        if (cycle >= max_cycles)
+            throw std::runtime_error("GPU simulation exceeded max_cycles");
+    }
 }
 
 void
@@ -352,7 +433,8 @@ Smx::completeBlock(Warp &warp)
     }
 
     if (!memAddresses_.empty())
-        deferAccess(warp.readyCycle, block.memSpace, memAddresses_, bytes);
+        warp.readyCycle =
+            cycle_ + memory_.warpAccess(block.memSpace, memAddresses_, bytes);
 
     warp.applySuccessors(nextBlocks_, program_);
     if (check_)
@@ -457,9 +539,7 @@ Smx::eventHorizon() const
         }
         // A free scheduler acts next cycle if a warp of its partition may
         // issue, or retry rdctrl with a state changed since its last
-        // attempt; otherwise once the first waiting warp wakes. A warp
-        // whose access this cycle buffered still shows its old
-        // readyCycle, which only makes the horizon earlier.
+        // attempt; otherwise once the first waiting warp wakes.
         for (std::size_t w = s; w < warps_.size(); w += schedulers) {
             const Warp &warp = warps_[w];
             if (warp.exited())

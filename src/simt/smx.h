@@ -34,15 +34,13 @@ namespace drs::simt {
  * compaction) are its two executors; what they share is written here
  * once: the per-cycle check and observer tail of step(), the event
  * horizon's observer and check stops and the skipTo() check, the
- * shared-side memory commit, the statistics tail and the observer,
- * checker and fault hooks.
+ * statistics tail and the observer, checker and fault hooks.
  *
- * step() buffers shared-side (L2/DRAM) requests; commitMemory() must be
- * called after every step() — serially, in SMX-index order across the
- * GPU — to play them against the L2 and release the waiting warps. A
- * warp never observes its own memory latency within the cycle that
- * issued the access, so the commit order alone fixes the L2's access
- * interleaving, whichever cycles an SMX skips.
+ * A warp's memory access reaches the L1 and the GPU-wide L2 as it
+ * issues, within step(). An SMX makes no access in the cycles it skips,
+ * and runEngine steps the SMXs due in a cycle in index order, so the L2
+ * sees one (cycle, SMX, issue order) interleaving whichever cycles an
+ * SMX skips.
  */
 class SmxExecutor
 {
@@ -56,9 +54,6 @@ class SmxExecutor
 
     /** Advance one core cycle. */
     void step();
-
-    /** Resolve this cycle's buffered shared-side requests. */
-    void commitMemory();
 
     /** Current cycle count. */
     std::uint64_t cycle() const { return cycle_; }
@@ -124,8 +119,8 @@ class SmxExecutor
      * Attach a fault injector (nullptr = off, the default). Arms this
      * SMX's private fault sites (L1 tag corruption; Smx also forwards it
      * to its controller for swap-boundary ray bit flips). Shared-side
-     * (L2/DRAM) faults are armed separately on the SharedMemorySide so
-     * their RNG stream is only advanced by the in-order commit.
+     * (L2/DRAM) faults are armed separately on the SharedMemorySide,
+     * whose RNG stream advances in the engine's SMX step order.
      */
     virtual void setFault(fault::FaultInjector *fault);
 
@@ -171,17 +166,8 @@ class SmxExecutor
     virtual void addStats(SimStats &stats) const { (void)stats; }
 
     /**
-     * Resolve a warp access in the L1 and buffer its shared-side half;
-     * commitMemory() sets @p ready_cycle, which must stay valid until
-     * then.
-     */
-    void deferAccess(std::uint64_t &ready_cycle, MemSpace space,
-                     const std::vector<std::uint64_t> &addresses,
-                     std::uint32_t bytes);
-
-    /**
      * Scratch for the lane addresses of one warp instruction, filled by
-     * the executor and passed to deferAccess().
+     * the executor and passed to memory_.warpAccess().
      */
     std::vector<std::uint64_t> memAddresses_;
 
@@ -210,17 +196,6 @@ class SmxExecutor
   private:
     /** nextEventCycle(), set by every step(). */
     std::uint64_t horizon_ = 0;
-
-    /** One L1-resolved access awaiting its shared-side commit. */
-    struct DeferredAccess
-    {
-        std::uint64_t *readyCycle = nullptr;
-        std::uint64_t issueCycle = 0;
-        PendingWarpAccess pending;
-    };
-
-    /** This cycle's accesses, in issue order (cleared, never freed). */
-    std::vector<DeferredAccess> deferredAccesses_;
 };
 
 /**

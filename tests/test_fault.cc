@@ -226,7 +226,7 @@ TEST(EngineWatchdog, LivelockBecomesWatchdogTimeout)
     simt::SharedMemorySide shared(config.memory);
     LivelockKernel kernel;
     simt::Smx smx(config, kernel, nullptr, 2, shared);
-    std::vector<simt::Smx *> smxs{&smx};
+    std::vector<simt::SmxExecutor *> smxs{&smx};
 
     fault::Watchdog watchdog(200);
     try {
@@ -248,19 +248,17 @@ TEST(EngineWatchdog, LongBlocksFireAtThePerCycleCycle)
     std::uint64_t reference_cycle = 0;
     std::string reference_dump;
     {
-        // The per-cycle reference: step, commit and observe every cycle.
+        // The per-cycle reference: step and observe every cycle.
         simt::SharedMemorySide shared(config.memory);
         LivelockKernel kernel_a(100);
         LivelockKernel kernel_b(100);
         simt::Smx smx_a(config, kernel_a, nullptr, 2, shared);
         simt::Smx smx_b(config, kernel_b, nullptr, 3, shared);
-        std::vector<simt::Smx *> smxs{&smx_a, &smx_b};
+        std::vector<simt::SmxExecutor *> smxs{&smx_a, &smx_b};
         for (std::uint64_t cycle = 1; reference_cycle == 0; ++cycle) {
             ASSERT_LT(cycle, 10'000u);
-            for (simt::Smx *smx : smxs)
+            for (simt::SmxExecutor *smx : smxs)
                 smx->step();
-            for (simt::Smx *smx : smxs)
-                smx->commitMemory();
             if (reference_watchdog.observe(
                     cycle, smx_a.progressCount() + smx_b.progressCount())) {
                 reference_cycle = cycle;
@@ -275,7 +273,7 @@ TEST(EngineWatchdog, LongBlocksFireAtThePerCycleCycle)
     LivelockKernel kernel_b(100);
     simt::Smx smx_a(config, kernel_a, nullptr, 2, shared);
     simt::Smx smx_b(config, kernel_b, nullptr, 3, shared);
-    std::vector<simt::Smx *> smxs{&smx_a, &smx_b};
+    std::vector<simt::SmxExecutor *> smxs{&smx_a, &smx_b};
     fault::Watchdog watchdog(200);
     try {
         simt::runEngine(smxs, 1'000'000, &watchdog);
@@ -298,7 +296,7 @@ TEST(EngineCancel, CancelledTokenStopsTheRun)
     simt::SharedMemorySide shared(config.memory);
     LivelockKernel kernel;
     simt::Smx smx(config, kernel, nullptr, 2, shared);
-    std::vector<simt::Smx *> smxs{&smx};
+    std::vector<simt::SmxExecutor *> smxs{&smx};
 
     exec::CancelToken token;
     token.requestCancel();
@@ -314,7 +312,7 @@ TEST(EngineCancel, ExpiredDeadlineStopsLongBlocks)
     simt::SharedMemorySide shared(config.memory);
     LivelockKernel kernel(100);
     simt::Smx smx(config, kernel, nullptr, 2, shared);
-    std::vector<simt::Smx *> smxs{&smx};
+    std::vector<simt::SmxExecutor *> smxs{&smx};
 
     exec::CancelToken token;
     token.setDeadline(std::chrono::steady_clock::now() -
@@ -330,7 +328,7 @@ TEST(EngineCancel, ExpiredDeadlineStopsTheRun)
     simt::SharedMemorySide shared(config.memory);
     LivelockKernel kernel;
     simt::Smx smx(config, kernel, nullptr, 2, shared);
-    std::vector<simt::Smx *> smxs{&smx};
+    std::vector<simt::SmxExecutor *> smxs{&smx};
 
     exec::CancelToken token;
     token.setDeadline(std::chrono::steady_clock::now() -

@@ -5,8 +5,8 @@
  * cycle by hand, and running sweeps on a thread pool (SweepRunner
  * jobs > 1) must produce SimStats that are field-for-field identical to
  * running the same jobs one at a time. The first guarantee rests on the
- * commit of shared-side memory requests in SMX-index order (see
- * DESIGN.md, "Parallel execution model").
+ * engine stepping the SMXs due in a cycle in index order, which orders
+ * their L2 accesses (see DESIGN.md, "Parallel execution model").
  */
 
 #include <memory>
@@ -146,9 +146,9 @@ handBuiltSetup(const std::string &arch, const render::PathTracer &tracer,
 
 /**
  * Run @p arch over @p rays on two SMXs sharing one L2: through runEngine's
- * event-driven loop, or (@p per_cycle) by stepping every live SMX and
- * then committing all of them, every cycle. Returns each SMX's SimStats
- * and, last, the L2's.
+ * event-driven loop, or (@p per_cycle) by stepping every live SMX in
+ * index order every cycle. Returns each SMX's SimStats and, last, the
+ * L2's.
  */
 std::vector<simt::SimStats>
 runTwoSmx(const std::string &arch, const render::PathTracer &tracer,
@@ -196,8 +196,6 @@ runTwoSmx(const std::string &arch, const render::PathTracer &tracer,
             }
             if (!live)
                 break;
-            for (simt::SmxExecutor *smx : smxs)
-                smx->commitMemory();
         }
     } else {
         simt::runEngine(smxs, config.maxCycles);

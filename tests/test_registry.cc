@@ -17,8 +17,10 @@
  *   - runGpu's wiring holds: a GPU without SMXs is rejected, a
  *     cancelled token stops the run, and a 1-cycle watchdog aborts it
  *     with a per-SMX dump;
- *   - SimStats match digests recorded from a known-good build, bit for
- *     bit (plus three DRS configurations that stress the row census).
+ *   - SimStats, and the attribution and timeline of a sampled run, match
+ *     digests recorded from a known-good build, bit for bit (plus three
+ *     DRS configurations that stress the row census, and a fault-injected
+ *     run of drs and of tbc).
  *
  * Plus the registry mechanics themselves: the built-in lineup, loud
  * failure for unknown architectures, duplicate rejection, and runtime
@@ -357,16 +359,37 @@ TEST_P(RegistryConformance, TightWatchdogAbortsWithDiagnostics)
     }
 }
 
-/** FNV-1a over the lossless JSON form: equal digests, equal SimStats. */
+/** FNV-1a over a JSON document's text. */
 std::uint64_t
-statsDigest(const simt::SimStats &stats)
+jsonDigest(const obs::Json &json)
 {
     std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char ch : statsJsonFull(stats).dump()) {
+    for (const char ch : json.dump()) {
         hash ^= static_cast<unsigned char>(ch);
         hash *= 0x100000001b3ULL;
     }
     return hash;
+}
+
+/** Over the lossless JSON form: equal digests, equal SimStats. */
+std::uint64_t
+statsDigest(const simt::SimStats &stats)
+{
+    return jsonDigest(statsJsonFull(stats));
+}
+
+/**
+ * Over the "attribution" and "timeline" sections a bench row carries
+ * for a sampled run: equal digests, equal issue-slot ledgers and
+ * windowed frames.
+ */
+std::uint64_t
+observationsDigest(const RunObservations &observations,
+                   const simt::SimStats &stats)
+{
+    obs::Json row = obs::Json::object();
+    addObservationsJson(row, observations, stats);
+    return jsonDigest(row);
 }
 
 /** The golden batch: conference at scale 0.05, 2048 rays of B2, 2 SMX. */
@@ -384,41 +407,72 @@ goldenScene()
 
 TEST_P(RegistryConformance, SimStatsMatchGoldenDigests)
 {
-    // Exact SimStats of every built-in architecture on one small batch.
-    // The DRS variants reach the row-census corners: 70 rows (past a
-    // 64-bit row set), idealized consolidation, and a strict dispatch
-    // rule with every swap buffer in use. A change that alters the model
-    // on purpose re-records the digests printed on failure.
+    // Exact SimStats of every built-in architecture on one small batch,
+    // and the exact attribution ledger and timeline of a sampled run of
+    // it: the stall classifiers read the warps' ready cycles, so the
+    // second digest pins when each access sets them. The DRS variants
+    // reach the row-census corners: 70 rows (past a 64-bit row set),
+    // idealized consolidation, and a strict dispatch rule with every
+    // swap buffer in use. The fault variants pin each injector's stream:
+    // for drs the swap bit flips, L1 tags and the shared L2/DRAM side,
+    // for tbc the L1 tags and the shared side. A change that alters the
+    // model on purpose re-records the digests printed on failure.
     struct Golden
     {
         const char *arch;
         const char *variant;
         std::function<void(RunConfig &)> configure;
         std::uint64_t digest;
+        std::uint64_t observationsDigest;
+        /** Fault counters the run must advance. */
+        std::vector<const char *> fired = {};
+    };
+    // Rates raised over the defaults so every site fires on this batch.
+    const auto faulted = [](RunConfig &c) {
+        c.fault.seed = 0xfa117;
+        c.fault.cacheTagFlipRate = 1e-2;
+        c.fault.dramDelayRate = 1e-2;
+        c.fault.dramDropRate = 1e-2;
     };
     const std::vector<Golden> goldens = {
-        {"aila", "default", [](RunConfig &) {}, 0x28672e6781d82280ULL},
-        {"drs", "default", [](RunConfig &) {}, 0xc29e64bfbf6e6e0cULL},
+        {"aila", "default", [](RunConfig &) {}, 0x28672e6781d82280ULL,
+         0x7f90f09ebfbc222eULL},
+        {"drs", "default", [](RunConfig &) {}, 0xc29e64bfbf6e6e0cULL,
+         0x9981394085c0ac22ULL},
         {"drs", "extra bank, 8 backup rows",
          [](RunConfig &c) {
              c.drs.useExtraRegisterBank = true;
              c.drs.backupRows = 8;
          },
-         0x2a78ec4fa9050a6aULL},
+         0x2a78ec4fa9050a6aULL, 0x288eaf5c1dc7feaaULL},
         {"drs", "idealized", [](RunConfig &c) { c.drs.idealized = true; },
-         0x6c68e9c6a936a3a8ULL},
+         0x6c68e9c6a936a3a8ULL, 0x24e19d79198e7832ULL},
         {"drs", "strict dispatch, 18 buffers",
          [](RunConfig &c) {
              c.drs.dispatchMinorityTolerance = 0;
              c.drs.swapBuffers = 18;
          },
-         0xe9481c3d38188817ULL},
-        {"dmk", "default", [](RunConfig &) {}, 0x738e6a897df60c49ULL},
-        {"tbc", "default", [](RunConfig &) {}, 0xe29c075ce2fdcaf3ULL},
-        {"sort", "default", [](RunConfig &) {}, 0x6ed9475e0917c08aULL},
-        {"cutcode", "default", [](RunConfig &) {}, 0x7157fe627674cca9ULL},
-        {"ser", "default", [](RunConfig &) {}, 0x15a7b19397693282ULL},
-        {"pathpred", "default", [](RunConfig &) {}, 0x89e9fae1bb08bdd5ULL},
+         0xe9481c3d38188817ULL, 0x57bdf4830e2e868bULL},
+        {"drs", "fault seed 0xfa117", faulted, 0x49e0f777f74556a3ULL,
+         0x578a27e1e5dc10beULL,
+         {"fault.swap_bit_flips", "fault.cache_tag_flips",
+          "fault.dram_delayed", "fault.dram_dropped"}},
+        {"dmk", "default", [](RunConfig &) {}, 0x738e6a897df60c49ULL,
+         0xc2f9d207bcfe55d7ULL},
+        {"tbc", "default", [](RunConfig &) {}, 0xe29c075ce2fdcaf3ULL,
+         0x4cfeddf6a097bc7dULL},
+        {"tbc", "fault seed 0xfa117", faulted, 0x16fd1c52e1db7c94ULL,
+         0xaefee7ce09746329ULL,
+         {"fault.cache_tag_flips", "fault.dram_delayed",
+          "fault.dram_dropped"}},
+        {"sort", "default", [](RunConfig &) {}, 0x6ed9475e0917c08aULL,
+         0xd1fd464d71d4ced5ULL},
+        {"cutcode", "default", [](RunConfig &) {}, 0x7157fe627674cca9ULL,
+         0x20fc6105832bbe04ULL},
+        {"ser", "default", [](RunConfig &) {}, 0x15a7b19397693282ULL,
+         0x57012a641954b80aULL},
+        {"pathpred", "default", [](RunConfig &) {}, 0x89e9fae1bb08bdd5ULL,
+         0x1d38beb9cb0f5d2eULL},
     };
 
     const auto &rays = goldenScene().trace.bounce(2).rays;
@@ -437,6 +491,20 @@ TEST_P(RegistryConformance, SimStatsMatchGoldenDigests)
         EXPECT_EQ(stats.raysTraced, batch.size());
         EXPECT_EQ(statsDigest(stats), golden.digest)
             << "actual digest 0x" << std::hex << statsDigest(stats);
+        for (const char *counter : golden.fired)
+            EXPECT_GT(stats.counters.value(counter), 0u) << counter;
+
+        config.sample.enabled = true;
+        config.sample.interval = 16;
+        RunObservations observations;
+        config.observationsOut = &observations;
+        const auto sampled =
+            runBatch(arch(), *goldenScene().tracer, batch, config);
+        EXPECT_TRUE(sampled == stats) << "sampling altered SimStats";
+        EXPECT_EQ(observationsDigest(observations, sampled),
+                  golden.observationsDigest)
+            << "actual observations digest 0x" << std::hex
+            << observationsDigest(observations, sampled);
         ++checked;
     }
     EXPECT_GT(checked, 0) << "no golden digest for " << GetParam();

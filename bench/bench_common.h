@@ -122,6 +122,24 @@ parseOptions(int argc, char **argv)
     return options;
 }
 
+/**
+ * @p options with sampling off, for the benches that merge each row from
+ * a capture's bounces (collectCapture): their rows carry no attribution
+ * or timeline, so DRS_SAMPLE would only make every SMX step every cycle.
+ * Under DRS_SAMPLE it prints one notice to stderr.
+ */
+inline Options
+withoutSampling(Options options)
+{
+    if (options.sample.enabled)
+        std::fprintf(stderr,
+                     "note: DRS_SAMPLE ignored: this bench merges each row "
+                     "from a capture's bounces and reports no attribution "
+                     "or timeline\n");
+    options.sample = {};
+    return options;
+}
+
 /** Wall-clock stopwatch for whole-bench timing. */
 class WallTimer
 {

@@ -16,7 +16,8 @@ int
 main(int argc, char **argv)
 {
     using namespace drs;
-    const auto options = bench::parseOptions(argc, argv);
+    const auto options =
+        bench::withoutSampling(bench::parseOptions(argc, argv));
     const auto scale = harness::ExperimentScale::fromEnvironment();
     bench::printBanner("Figure 11: performance and speedups", scale,
                        options);

@@ -19,7 +19,8 @@ int
 main(int argc, char **argv)
 {
     using namespace drs;
-    const auto options = bench::parseOptions(argc, argv);
+    const auto options =
+        bench::withoutSampling(bench::parseOptions(argc, argv));
     const auto scale = harness::ExperimentScale::fromEnvironment();
     bench::printBanner("Reordering survey: hardware vs software ray "
                        "reordering",

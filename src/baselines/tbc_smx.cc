@@ -86,31 +86,51 @@ TbcSmx::nextBlock(const ThreadBlock &block, const ThreadRef &t) const
 }
 
 std::vector<TbcSmx::CompactedWarp>
-TbcSmx::compact(const ThreadBlock &block, const BlockEntry &entry,
-                int target)
+TbcSmx::spareWarpList()
 {
-    // Per-lane compaction: the k-th thread (in warp order) of home lane
-    // L bound for target goes to lane L of the k-th new warp.
     std::vector<CompactedWarp> warps;
     if (!spareWarps_.empty()) {
         warps = std::move(spareWarps_.back());
         spareWarps_.pop_back();
         warps.clear();
     }
-    std::array<std::size_t, 32> depth{};
+    return warps;
+}
+
+void
+TbcSmx::compact(const ThreadBlock &block, const BlockEntry &entry,
+                std::uint64_t targets,
+                std::span<std::vector<CompactedWarp> *const> into)
+{
+    // Per-lane compaction: the k-th thread (in warp order) of home lane
+    // L bound for the i-th target goes to lane L of into[i]'s k-th warp.
+    std::array<int, 64> target_index;
+    target_index.fill(-1);
+    int index = 0;
+    for (std::uint64_t rest = targets; rest != 0; rest &= rest - 1)
+        target_index[static_cast<std::size_t>(std::countr_zero(rest))] =
+            index++;
+    laneDepth_.assign(into.size(), {});
     for (const auto &warp : entry.warps) {
         for (const ThreadRef &t : warp.lanes) {
-            if (t.row < 0 || nextBlock(block, t) != target)
+            if (t.row < 0)
                 continue;
-            std::size_t &k = depth[static_cast<std::size_t>(t.lane)];
+            const int next = nextBlock(block, t);
+            assert(next >= 0 && next < 64);
+            const int i = target_index[static_cast<std::size_t>(next)];
+            if (i < 0)
+                continue;
+            const auto lane = static_cast<std::size_t>(t.lane);
+            std::vector<CompactedWarp> &warps =
+                *into[static_cast<std::size_t>(i)];
+            std::uint32_t &k = laneDepth_[static_cast<std::size_t>(i)][lane];
             if (k == warps.size())
                 warps.emplace_back();
-            CompactedWarp &into = warps[k++];
-            into.lanes[static_cast<std::size_t>(t.lane)] = t;
-            ++into.activeThreads;
+            CompactedWarp &slot = warps[k++];
+            slot.lanes[lane] = t;
+            ++slot.activeThreads;
         }
     }
-    return warps;
 }
 
 void
@@ -187,26 +207,28 @@ TbcSmx::finishEntry(ThreadBlock &block)
             top.pc = next;
             // Straight-line continuation: recompact anyway, which merges
             // holes left by threads that reached the reconvergence point.
-            std::vector<CompactedWarp> warps = compact(block, top, next);
+            std::vector<CompactedWarp> warps = spareWarpList();
+            std::vector<CompactedWarp> *const into[] = {&warps};
+            compact(block, top, targets, into);
             spareWarps_.push_back(std::exchange(top.warps, std::move(warps)));
         }
     } else {
-        // Block-wide divergence: barrier + compaction. Each child entry
-        // is compacted from the parent's warps (pushes move the parent,
-        // so it is addressed by index).
+        // Block-wide divergence: barrier + compaction. A child entry per
+        // successor but the reconvergence point, pushed in ascending
+        // block order, then filled in one pass over the parent's warps
+        // (pushes move the parent, so it is addressed by index).
         const int rpc = prog.immediatePostDominator(top.pc);
         top.pc = rpc;
         const std::size_t parent = block.stack.size() - 1;
-        for (std::uint64_t rest = targets; rest != 0; rest &= rest - 1) {
-            const int next = std::countr_zero(rest);
-            if (next == rpc)
-                continue;
-            BlockEntry entry;
-            entry.pc = next;
-            entry.rpc = rpc;
-            entry.warps = compact(block, block.stack[parent], next);
-            block.stack.push_back(std::move(entry));
-        }
+        const std::uint64_t children = targets & ~(std::uint64_t{1} << rpc);
+        for (std::uint64_t rest = children; rest != 0; rest &= rest - 1)
+            block.stack.push_back(
+                BlockEntry{std::countr_zero(rest), rpc, spareWarpList()});
+        std::array<std::vector<CompactedWarp> *, 64> into{};
+        const std::size_t count = block.stack.size() - parent - 1;
+        for (std::size_t i = 0; i < count; ++i)
+            into[i] = &block.stack[parent + 1 + i].warps;
+        compact(block, block.stack[parent], children, {into.data(), count});
         block.barrierUntil = cycle_ + static_cast<std::uint64_t>(
                                           tbc_.syncLatency);
         syncStallCycles_.add(static_cast<std::uint64_t>(tbc_.syncLatency));

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "kernels/aila_kernel.h"
@@ -170,14 +171,20 @@ class TbcSmx : public simt::SmxExecutor
     /** Successor @p t buffered when its warp completed. */
     int nextBlock(const ThreadBlock &block, const ThreadRef &t) const;
 
-    /**
-     * Compact the threads of @p entry whose successor is @p target into
-     * new warps, lane-preserving.
-     */
-    std::vector<CompactedWarp> compact(const ThreadBlock &block,
-                                       const BlockEntry &entry, int target);
+    /** An empty warp list, reusing a discarded entry's when there is one. */
+    std::vector<CompactedWarp> spareWarpList();
 
-    /** Pop the block's top entry, keeping its warp list for compact(). */
+    /**
+     * Compact the threads of @p entry, lane-preserving and in one pass:
+     * those whose successor is the i-th lowest block of @p targets go to
+     * the new warps appended to the empty list @p into[i]; the others
+     * are left out.
+     */
+    void compact(const ThreadBlock &block, const BlockEntry &entry,
+                 std::uint64_t targets,
+                 std::span<std::vector<CompactedWarp> *const> into);
+
+    /** Pop the block's top entry, keeping its warp list for reuse. */
     void popEntry(ThreadBlock &block);
 
     /** All warps of the top entry finished: partition and push. */
@@ -198,8 +205,10 @@ class TbcSmx : public simt::SmxExecutor
     TbcConfig tbc_;
     std::vector<ThreadBlock> blocks_;
     std::vector<int> lastIssuedBlock_; ///< per scheduler
-    /** Warp lists of discarded stack entries, reused by compact(). */
+    /** Warp lists of discarded stack entries, reused by spareWarpList(). */
     std::vector<std::vector<CompactedWarp>> spareWarps_;
+    /** compact()'s per-target, per-lane count of warps filled. */
+    std::vector<std::array<std::uint32_t, 32>> laneDepth_;
 
     obs::Counter &syncStallCycles_;
 };

@@ -13,10 +13,10 @@
 namespace drs::exec {
 
 int
-defaultConcurrency()
+defaultConcurrency(std::atomic<bool> *warnedOnce)
 {
     int jobs = 0;
-    if (envKnob("DRS_JOBS", 1, INT_MAX, jobs))
+    if (envKnob("DRS_JOBS", 1, INT_MAX, jobs, 10, warnedOnce))
         return jobs;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;

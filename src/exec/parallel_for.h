@@ -7,6 +7,7 @@
  * rendering or simulation.
  */
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 
@@ -14,9 +15,10 @@ namespace drs::exec {
 
 /**
  * Worker count for this process: DRS_JOBS when set to a positive
- * integer (malformed values warn), else the hardware thread count, else 1.
+ * integer (malformed values warn, only once per @p warnedOnce when
+ * given), else the hardware thread count, else 1.
  */
-int defaultConcurrency();
+int defaultConcurrency(std::atomic<bool> *warnedOnce = nullptr);
 
 /**
  * Run @p body(i) for every i in [0, count) on up to @p workers threads,

@@ -1,10 +1,15 @@
 #include "render/path_tracer.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 
 #include "bvh/builder.h"
 #include "bvh/traverse.h"
+#include "exec/parallel_for.h"
 #include "geom/sampler.h"
 
 namespace drs::render {
@@ -131,10 +136,96 @@ PathTracer::capture(std::size_t max_rays_per_bounce) const
     const auto film_done = [&] {
         return trace.bounces.empty() || trace.bounces.back().size() >= cap;
     };
-    for (int y = 0; y < config_.height && !film_done(); ++y)
-        for (int x = 0; x < config_.width && !film_done(); ++x)
-            for (int s = 0; s < config_.samplesPerPixel && !film_done(); ++s)
-                walk(x, y, s, &trace.bounces, cap);
+
+    // Path p is sample p % spp of pixel p / spp in scan order. Chunk c
+    // holds paths [c * kCaptureChunkPaths, (c + 1) * kCaptureChunkPaths).
+    const auto width = static_cast<std::size_t>(std::max(config_.width, 0));
+    const auto height = static_cast<std::size_t>(std::max(config_.height, 0));
+    const auto spp =
+        static_cast<std::size_t>(std::max(config_.samplesPerPixel, 0));
+    const std::size_t paths = width * height * spp;
+    const std::size_t chunks =
+        (paths + kCaptureChunkPaths - 1) / kCaptureChunkPaths;
+    static std::atomic<bool> warned{false};
+    const std::size_t threads = std::clamp<std::size_t>(
+        static_cast<std::size_t>(exec::defaultConcurrency(&warned)), 1,
+        std::max<std::size_t>(chunks, 1));
+
+    // Chunk c is walked into slot c % window, which is free again once
+    // chunk c - window is merged. A path adds at most one ray to each
+    // bounce, so the slots reserved here are never grown by a worker.
+    const std::size_t window = 2 * threads;
+    std::vector<std::vector<BounceRays>> slots(window, trace.bounces);
+    for (auto &slot : slots)
+        for (auto &b : slot)
+            b.rays.reserve(std::min(kCaptureChunkPaths, cap));
+    std::vector<char> walked(window, 0);
+
+    std::mutex mutex; // guards everything below and the trace
+    std::condition_variable freed;
+    std::size_t next = 0;   // the next chunk to claim
+    std::size_t merged = 0; // chunks appended to the trace
+    bool stop = film_done();
+
+    const auto walk_chunk = [&](std::size_t chunk) {
+        std::vector<BounceRays> &bounces = slots[chunk % window];
+        for (auto &b : bounces)
+            b.rays.clear();
+        const std::size_t end =
+            std::min(paths, (chunk + 1) * kCaptureChunkPaths);
+        for (std::size_t p = chunk * kCaptureChunkPaths; p < end; ++p) {
+            const std::size_t pixel = p / spp;
+            walk(static_cast<int>(pixel % width),
+                 static_cast<int>(pixel / width), static_cast<int>(p % spp),
+                 &bounces, cap);
+        }
+    };
+    // Append the walked chunks that extend the merged prefix, in chunk
+    // order and under the cap: the trace the serial scan would build.
+    const auto merge_walked = [&] {
+        while (merged < next && walked[merged % window]) {
+            const std::vector<BounceRays> &slot = slots[merged % window];
+            for (std::size_t k = 0; k < trace.bounces.size(); ++k) {
+                std::vector<geom::Ray> &to = trace.bounces[k].rays;
+                const std::vector<geom::Ray> &from = slot[k].rays;
+                const std::size_t take =
+                    std::min(from.size(), cap - to.size());
+                to.insert(to.end(), from.begin(), from.begin() + take);
+            }
+            walked[merged % window] = 0;
+            ++merged;
+            stop = stop || film_done();
+        }
+    };
+
+    // Claims go in ascending order and end once the merged prefix fills
+    // the film. The chunks walked for nothing are those claimed after the
+    // one that filled it: fewer than the window, and threads - 1 when
+    // chunks take alike.
+    exec::parallelFor(threads, static_cast<int>(threads), [&](std::size_t) {
+        std::unique_lock lock(mutex);
+        for (;;) {
+            freed.wait(lock, [&] {
+                return stop || next == chunks || next < merged + window;
+            });
+            if (stop || next == chunks)
+                return;
+            const std::size_t chunk = next++;
+            lock.unlock();
+            try {
+                walk_chunk(chunk);
+            } catch (...) {
+                lock.lock(); // wake the others, or they wait for this chunk
+                stop = true;
+                freed.notify_all();
+                throw;
+            }
+            lock.lock();
+            walked[chunk % window] = 1;
+            merge_walked();
+            freed.notify_all();
+        }
+    });
 
     while (!trace.bounces.empty() && trace.bounces.back().empty())
         trace.bounces.pop_back();

@@ -2,10 +2,12 @@
 
 /**
  * @file
- * Path tracer. Walks the paths of an image one at a time, in scan order,
- * from the camera ray to the last bounce. A capture appends each ray to
- * the BounceRays batch of its bounce, which yields the per-bounce ray
- * streams the paper's experiments consume.
+ * Path tracer. Walks each path of an image from the camera ray to the
+ * last bounce. A capture appends each ray to the BounceRays batch of its
+ * bounce, in scan order, which yields the per-bounce ray streams the
+ * paper's experiments consume; it walks the film in chunks on several
+ * threads and merges them in order, so the trace is the same on any
+ * thread count.
  *
  * The light-transport model is intentionally simple (Lambertian BSDF with
  * a small specular mixture, emissive area lights, no next-event
@@ -13,6 +15,7 @@
  * box" and only consumes the ray streams.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -56,6 +59,13 @@ struct CoherenceStats
 class PathTracer
 {
   public:
+    /**
+     * Paths a capture walks as one unit of parallel work: few enough that
+     * the chunks walked past the one that fills the film cost little,
+     * enough that the lock each chunk takes once is noise beside it.
+     */
+    static constexpr std::size_t kCaptureChunkPaths = 256;
+
     PathTracer(const scene::Scene &scene, const RenderConfig &config = {});
 
     /** The acceleration structure built over the scene. */
@@ -78,6 +88,11 @@ class PathTracer
 
     /**
      * Capture the per-bounce ray streams of a full render.
+     *
+     * The paths, in scan order (y * width + x) * spp + s, are cut into
+     * chunks of kCaptureChunkPaths. Up to exec::defaultConcurrency()
+     * threads walk them and append them to the trace in chunk order, so
+     * the result is the serial scan's, byte for byte, on any DRS_JOBS.
      *
      * @param max_rays_per_bounce optional cap: each bounce keeps the
      *        rays of the first this-many paths, in scan order, that reach

@@ -158,7 +158,15 @@ runTwoSmx(const std::string &arch, const render::PathTracer &tracer,
     constexpr int kSmx = 2;
     RunConfig config;
     config.gpu.numSmx = kSmx;
-    simt::SharedMemorySide shared(config.gpu.memory);
+    // Caches far smaller than the BVH: most accesses reach the L2, and
+    // the two SMXs evict each other's lines there, so the order of their
+    // same-cycle accesses shows in every architecture's stats. With the
+    // Table 1 caches the L1s absorb almost all of TBC's.
+    simt::MemoryConfig &memory = config.gpu.memory;
+    memory.l1Data.sizeBytes = 3 * 1024;
+    memory.l1Texture.sizeBytes = 3 * 1024;
+    memory.l2.sizeBytes = 24 * 1024;
+    simt::SharedMemorySide shared(memory);
     std::vector<simt::SmxSetup> setups;
     std::vector<std::unique_ptr<simt::SmxExecutor>> owned;
     std::vector<simt::SmxExecutor *> smxs;

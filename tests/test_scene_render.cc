@@ -5,6 +5,7 @@
  */
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -182,6 +183,74 @@ TEST(PathTracer, CaptureRespectsRayCap)
                 << "capture(" << cap << ") is not capture(0) truncated";
         }
     }
+}
+
+TEST(PathTracer, CaptureIsTheSameOnAnyThreadCount)
+{
+    // capture() walks chunks of paths on DRS_JOBS threads and merges
+    // them in order: every cap, film and sample count must give the
+    // DRS_JOBS=1 bytes on 2, 3 and 8 threads. A run of the suite under
+    // DRS_JOBS keeps it afterwards.
+    const char *outer = std::getenv("DRS_JOBS");
+    const std::string saved = outer != nullptr ? outer : "";
+    const auto capture_on = [](const render::PathTracer &tracer,
+                               const char *jobs, std::size_t cap) {
+        setenv("DRS_JOBS", jobs, 1);
+        return traceBytes(tracer.capture(cap));
+    };
+
+    constexpr std::size_t kChunk = render::PathTracer::kCaptureChunkPaths;
+    struct Film
+    {
+        int width, height, spp;
+    };
+    // 64x48 is whole chunks; 61x47 ends in a partial one.
+    static_assert(64 * 48 % kChunk == 0 && 61 * 47 % kChunk != 0);
+    const Film films[] = {{64, 48, 1}, {64, 48, 2}, {61, 47, 1}};
+    for (scene::SceneId id : scene::allSceneIds()) {
+        const scene::Scene s = scene::makeScene(id, 0.05f);
+        for (const Film &film : films) {
+            SCOPED_TRACE(std::string(scene::sceneName(id)) + " " +
+                         std::to_string(film.width) + "x" +
+                         std::to_string(film.height) + " spp " +
+                         std::to_string(film.spp));
+            render::RenderConfig config;
+            config.width = film.width;
+            config.height = film.height;
+            config.samplesPerPixel = film.spp;
+            const render::PathTracer tracer(s, config);
+            const std::size_t paths =
+                std::size_t(film.width) * film.height * film.spp;
+            ASSERT_GT(paths, 5 * kChunk);
+            for (const std::size_t cap :
+                 {std::size_t{0}, std::size_t{1}, std::size_t{100},
+                  2 * kChunk + kChunk / 2, paths + 1}) {
+                const std::string serial = capture_on(tracer, "1", cap);
+                for (const char *jobs : {"2", "3", "8"})
+                    EXPECT_TRUE(capture_on(tracer, jobs, cap) == serial)
+                        << "capture(" << cap << ") on DRS_JOBS=" << jobs;
+            }
+        }
+    }
+
+    // Every capture reads DRS_JOBS; a malformed value warns at most once.
+    const scene::Scene test_scene = scene::makeTestScene();
+    const render::PathTracer tracer(test_scene, smallConfig());
+    const std::string serial = capture_on(tracer, "1", 0);
+    testing::internal::CaptureStderr();
+    for (int i = 0; i < 3; ++i)
+        EXPECT_TRUE(capture_on(tracer, "banana", 0) == serial);
+    const std::string printed = testing::internal::GetCapturedStderr();
+    const std::string warning = "malformed DRS_JOBS='banana'";
+    const std::size_t first = printed.find(warning);
+    EXPECT_TRUE(first == std::string::npos ||
+                printed.find(warning, first + 1) == std::string::npos)
+        << printed;
+
+    if (outer != nullptr)
+        setenv("DRS_JOBS", saved.c_str(), 1);
+    else
+        unsetenv("DRS_JOBS");
 }
 
 TEST(PathTracer, CaptureAndRenderMatchGoldenDigests)

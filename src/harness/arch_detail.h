@@ -71,14 +71,12 @@ using StripeSetup = std::function<simt::SmxSetup(
  * simt::runGpu with @p config's engine options, @p observers and
  * @p checker. One retire hook serves every plugin, since each ray
  * kernel's workspace() is a kernels::TravWorkspace: under a checker it
- * verifies the workspace, with hitsOut it harvests the hits, and
- * @p onKernel (optional) sees every SMX's kernel, in SMX-index order.
+ * verifies the workspace, and with hitsOut it harvests the hits.
  */
 inline simt::SimStats
 runStriped(std::span<const geom::Ray> rays, const RunConfig &config,
            const ArchObservers &observers, const check::Checker *checker,
-           const StripeSetup &setup,
-           const std::function<void(simt::Kernel &)> &onKernel = {})
+           const StripeSetup &setup)
 {
     simt::GpuRunOptions options;
     options.maxCycles = config.maxCycles;
@@ -90,7 +88,7 @@ runStriped(std::span<const geom::Ray> rays, const RunConfig &config,
     options.fault = config.fault;
     options.watchdogCycles = config.watchdogCycles;
     options.cancel = config.cancel;
-    if (config.hitsOut != nullptr || checker != nullptr || onKernel)
+    if (config.hitsOut != nullptr || checker != nullptr)
         options.onSmxRetire = [&](int, simt::Kernel &kernel) {
             const auto &workspace =
                 static_cast<kernels::TravWorkspace &>(kernel.workspace());
@@ -98,8 +96,6 @@ runStriped(std::span<const geom::Ray> rays, const RunConfig &config,
                 check::verifyWorkspace(workspace, /*strict=*/true);
             if (config.hitsOut != nullptr)
                 harvestHits(workspace, *config.hitsOut);
-            if (onKernel)
-                onKernel(kernel);
         };
     return simt::runGpu(
         config.gpu,

@@ -93,12 +93,7 @@ class PathPredArch : public ArchPlugin
                        const ArchObservers &observers,
                        const check::Checker *checker) const override
     {
-        // The predictor tallies are collected on every run (not only
-        // under hitsOut/checker): the pure-observer contract requires
-        // identical counters with checking on or off. Kernels are seen
-        // serially in SMX-index order, so the sums are deterministic.
-        kernels::PathPredKernel::Counts totals;
-        simt::SimStats stats = detail::runStriped(
+        return detail::runStriped(
             rays, config, observers, checker,
             [&](std::span<const geom::Ray> stripe, std::size_t first) {
                 simt::SmxSetup setup;
@@ -107,22 +102,7 @@ class PathPredArch : public ArchPlugin
                     config.pathpred);
                 setup.numWarps = config.pathpred.numWarps;
                 return setup;
-            },
-            [&totals](simt::Kernel &kernel) {
-                const auto &counts =
-                    static_cast<kernels::PathPredKernel &>(kernel).counts();
-                totals.lookups += counts.lookups;
-                totals.tableHits += counts.tableHits;
-                totals.mispredicts += counts.mispredicts;
-                totals.correct += counts.correct;
-                totals.inserts += counts.inserts;
             });
-        stats.counters.add("pathpred.lookups", totals.lookups);
-        stats.counters.add("pathpred.table_hits", totals.tableHits);
-        stats.counters.add("pathpred.mispredicts", totals.mispredicts);
-        stats.counters.add("pathpred.correct", totals.correct);
-        stats.counters.add("pathpred.inserts", totals.inserts);
-        return stats;
     }
 
     check::BatchCheckInputs

@@ -1,6 +1,5 @@
 #include "kernels/aila_kernel.h"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace drs::kernels {
@@ -75,8 +74,7 @@ AilaKernel::AilaKernel(const bvh::Bvh &bvh,
     : config_(config),
       program_(makeAilaProgram(config.cost)),
       workspace_(bvh, triangles, rays, first_ray, config.numWarps,
-                 32, config.anyHit),
-      postponedLeaf_(static_cast<std::size_t>(config.numWarps) * 32, -1)
+                 32, config.anyHit)
 {
 }
 
@@ -84,19 +82,12 @@ ThreadStep
 AilaKernel::execute(int block, int row, int lane)
 {
     ThreadStep step;
-    RaySlot &slot = workspace_.slot(row, lane);
+    const RaySlot &slot = workspace_.slot(row, lane);
 
     switch (block) {
       case AilaBlocks::kFetch: {
-        const bool got = workspace_.fetchStep(row, lane);
-        if (got) {
-            step.nextBlock = AilaBlocks::kInnerHead;
-            step.memAddress = workspace_.rayAddress(
-                workspace_.slot(row, lane).rayId);
-            step.memBytes = workspace_.addressMap().rayBytes;
-        } else {
-            step.nextBlock = AilaBlocks::kExit;
-        }
+        const bool got = workspace_.fetchBody(row, lane, step);
+        step.nextBlock = got ? AilaBlocks::kInnerHead : AilaBlocks::kExit;
         return step;
       }
       case AilaBlocks::kInnerHead: {
@@ -113,43 +104,29 @@ AilaKernel::execute(int block, int row, int lane)
         }
         return step;
       }
-      case AilaBlocks::kInnerTest: {
-        const std::int32_t node = slot.nodeIndex;
-        // The child-select / push / pop tails are predicated in the
-        // block's instruction count; the outcome only drives semantics.
-        (void)workspace_.innerStep(row, lane);
+      case AilaBlocks::kInnerTest:
+        workspace_.innerBody(row, lane, step);
         step.nextBlock = AilaBlocks::kInnerHead;
-        step.memAddress = workspace_.nodeAddress(node);
-        step.memBytes = workspace_.addressMap().nodeBytes;
         return step;
-      }
       case AilaBlocks::kLeafHead:
         step.nextBlock = workspace_.leafHasWork(row, lane)
                              ? AilaBlocks::kLeafTest
                              : AilaBlocks::kDoneCheck;
         return step;
-      case AilaBlocks::kLeafTest: {
-        const std::int32_t cursor = slot.leafCursor;
-        (void)workspace_.leafStep(row, lane); // hit update is predicated
+      case AilaBlocks::kLeafTest:
+        (void)workspace_.leafBody(row, lane, step);
         step.nextBlock = AilaBlocks::kLeafHead;
-        step.memAddress = workspace_.triangleAddress(cursor);
-        step.memBytes = workspace_.addressMap().triangleBytes;
         return step;
-      }
       case AilaBlocks::kDoneCheck:
         // A terminated slot is back in the Fetch state.
         step.nextBlock = slot.state == TravState::Fetch
                              ? AilaBlocks::kStore
                              : AilaBlocks::kInnerHead;
         return step;
-      case AilaBlocks::kStore: {
+      case AilaBlocks::kStore:
+        workspace_.storeBody(row, lane, step);
         step.nextBlock = AilaBlocks::kFetch;
-        if (slot.lastRayId >= 0) {
-            step.memAddress = workspace_.resultAddress(slot.lastRayId);
-            step.memBytes = workspace_.addressMap().resultBytes;
-        }
         return step;
-      }
       default:
         throw std::logic_error("AilaKernel: unexpected block");
     }

@@ -13,8 +13,6 @@
  * nodes speculatively instead of idling, postponing one found leaf.
  */
 
-#include <memory>
-
 #include "kernels/cost_model.h"
 #include "kernels/trav_workspace.h"
 #include "simt/kernel.h"
@@ -86,13 +84,9 @@ class AilaKernel : public simt::Kernel
     TravWorkspace &travWorkspace() { return workspace_; }
 
   private:
-    simt::ThreadStep executeSpeculative(int block, int row, int lane);
-
     AilaConfig config_;
     simt::Program program_;
     TravWorkspace workspace_;
-    /** Per-slot postponed leaf for speculative traversal (node index). */
-    std::vector<std::int32_t> postponedLeaf_;
 };
 
 } // namespace drs::kernels

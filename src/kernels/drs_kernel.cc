@@ -80,7 +80,7 @@ DrsKernel::DrsKernel(const bvh::Bvh &bvh,
 }
 
 int
-DrsKernel::blockForState(TravState state) const
+DrsKernel::bodyBlock(TravState state)
 {
     switch (state) {
       case TravState::Fetch: return DrsBlocks::kFetchBody;
@@ -94,29 +94,17 @@ ThreadStep
 DrsKernel::execute(int block, int row, int lane)
 {
     ThreadStep step;
-    RaySlot &slot = workspace_.slot(row, lane);
 
     switch (block) {
-      case DrsBlocks::kFetchBody: {
-        const bool got = workspace_.fetchStep(row, lane);
+      case DrsBlocks::kFetchBody:
+        // reg_ray_state <- INNER happens inside the fetch.
+        (void)workspace_.fetchBody(row, lane, step);
         step.nextBlock = DrsBlocks::kRdctrl;
-        if (got) {
-            // reg_ray_state <- INNER happened inside fetchStep.
-            step.memAddress = workspace_.rayAddress(
-                workspace_.slot(row, lane).rayId);
-            step.memBytes = workspace_.addressMap().rayBytes;
-        }
         return step;
-      }
-      case DrsBlocks::kInnerTest: {
-        const std::int32_t node = slot.nodeIndex;
-        // Child-select / push / pop tails are predicated in the count.
-        (void)workspace_.innerStep(row, lane);
+      case DrsBlocks::kInnerTest:
+        workspace_.innerBody(row, lane, step);
         step.nextBlock = DrsBlocks::kSetStateInner;
-        step.memAddress = workspace_.nodeAddress(node);
-        step.memBytes = workspace_.addressMap().nodeBytes;
         return step;
-      }
       case DrsBlocks::kSetStateInner:
       case DrsBlocks::kSetStateLeaf:
         // reg_ray_state was updated by the step functions; this block
@@ -128,14 +116,10 @@ DrsKernel::execute(int block, int row, int lane)
                              ? DrsBlocks::kLeafTest
                              : DrsBlocks::kSetStateLeaf;
         return step;
-      case DrsBlocks::kLeafTest: {
-        const std::int32_t cursor = slot.leafCursor;
-        (void)workspace_.leafStep(row, lane); // hit update is predicated
+      case DrsBlocks::kLeafTest:
+        (void)workspace_.leafBody(row, lane, step);
         step.nextBlock = DrsBlocks::kLeafHead;
-        step.memAddress = workspace_.triangleAddress(cursor);
-        step.memBytes = workspace_.addressMap().triangleBytes;
         return step;
-      }
       default:
         throw std::logic_error("DrsKernel: unexpected block");
     }

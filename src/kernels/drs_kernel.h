@@ -67,7 +67,10 @@ class DrsKernel : public simt::Kernel
 
     const simt::Program &program() const override { return program_; }
     simt::ThreadStep execute(int block, int row, int lane) override;
-    int blockForState(simt::TravState state) const override;
+    int blockForState(simt::TravState state) const override
+    {
+        return bodyBlock(state);
+    }
     simt::RowWorkspace &workspace() override { return workspace_; }
     std::uint64_t raysCompleted() const override
     {
@@ -76,6 +79,12 @@ class DrsKernel : public simt::Kernel
 
     TravWorkspace &travWorkspace() { return workspace_; }
     const DrsKernelConfig &config() const { return config_; }
+
+    /**
+     * Body entry block of Kernel 1 for traversal state @p state: the
+     * rdctrl dispatch of this kernel and of the SER kernel extending it.
+     */
+    static int bodyBlock(simt::TravState state);
 
   private:
     DrsKernelConfig config_;

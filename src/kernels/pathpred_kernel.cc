@@ -14,14 +14,17 @@ using simt::TravState;
 simt::Program
 makePathPredProgram(const CostModel &cost)
 {
-    std::vector<Block> blocks(PathPredBlocks::kCount);
-
-    auto &fetch = blocks[PathPredBlocks::kFetch];
-    fetch.name = "FETCH";
-    fetch.instructionCount = cost.fetchRay;
-    fetch.successors = {PathPredBlocks::kPredict, PathPredBlocks::kExit};
-    fetch.memSpace = MemSpace::Global;
-    fetch.phase = obs::TravPhase::Fetch;
+    // Aila's blocks, every successor after FETCH moved past the probe
+    // blocks, which then go in after FETCH.
+    std::vector<Block> blocks = makeAilaProgram(cost).blocks();
+    for (Block &block : blocks)
+        for (int &successor : block.successors)
+            if (successor > AilaBlocks::kFetch)
+                successor += PathPredBlocks::kProbeBlocks;
+    blocks[PathPredBlocks::kFetch].successors = {PathPredBlocks::kPredict,
+                                                 PathPredBlocks::kExit};
+    blocks.insert(blocks.begin() + PathPredBlocks::kPredict,
+                  PathPredBlocks::kProbeBlocks, Block{});
 
     auto &predict = blocks[PathPredBlocks::kPredict];
     predict.name = "PREDICT";
@@ -44,50 +47,6 @@ makePathPredProgram(const CostModel &cost)
     ptest.memSpace = MemSpace::Texture;
     ptest.phase = obs::TravPhase::Leaf;
 
-    auto &ihead = blocks[PathPredBlocks::kInnerHead];
-    ihead.name = "INNER_HEAD";
-    ihead.instructionCount = cost.innerLoopHead;
-    ihead.successors = {PathPredBlocks::kInnerTest,
-                        PathPredBlocks::kLeafHead};
-    ihead.phase = obs::TravPhase::Inner;
-
-    auto &itest = blocks[PathPredBlocks::kInnerTest];
-    itest.name = "INNER_TEST";
-    itest.instructionCount = cost.innerTest;
-    itest.successors = {PathPredBlocks::kInnerHead};
-    itest.memSpace = MemSpace::Texture;
-    itest.phase = obs::TravPhase::Inner;
-
-    auto &lhead = blocks[PathPredBlocks::kLeafHead];
-    lhead.name = "LEAF_HEAD";
-    lhead.instructionCount = cost.leafLoopHead;
-    lhead.successors = {PathPredBlocks::kLeafTest,
-                        PathPredBlocks::kDoneCheck};
-    lhead.phase = obs::TravPhase::Leaf;
-
-    auto &ltest = blocks[PathPredBlocks::kLeafTest];
-    ltest.name = "LEAF_TEST";
-    ltest.instructionCount = cost.leafTest;
-    ltest.successors = {PathPredBlocks::kLeafHead};
-    ltest.memSpace = MemSpace::Texture;
-    ltest.phase = obs::TravPhase::Leaf;
-
-    auto &done = blocks[PathPredBlocks::kDoneCheck];
-    done.name = "DONE_CHECK";
-    done.instructionCount = cost.doneCheck;
-    done.successors = {PathPredBlocks::kInnerHead, PathPredBlocks::kStore};
-    done.phase = obs::TravPhase::Fetch;
-
-    auto &store = blocks[PathPredBlocks::kStore];
-    store.name = "STORE";
-    store.instructionCount = cost.storeResult;
-    store.successors = {PathPredBlocks::kFetch};
-    store.memSpace = MemSpace::Global;
-    store.phase = obs::TravPhase::Fetch;
-
-    blocks[PathPredBlocks::kExit].name = "EXIT";
-    blocks[PathPredBlocks::kExit].instructionCount = 1;
-
     return Program(std::move(blocks), PathPredBlocks::kExit);
 }
 
@@ -104,7 +63,12 @@ PathPredKernel::PathPredKernel(const bvh::Bvh &bvh,
       triangles_(triangles),
       bounds_(bvh.bounds()),
       table_(config.predictor),
-      side_(static_cast<std::size_t>(config.numWarps) * 32)
+      side_(static_cast<std::size_t>(config.numWarps) * 32),
+      lookups_(counters_.get("pathpred.lookups")),
+      tableHits_(counters_.get("pathpred.table_hits")),
+      mispredicts_(counters_.get("pathpred.mispredicts")),
+      correct_(counters_.get("pathpred.correct")),
+      inserts_(counters_.get("pathpred.inserts"))
 {
 }
 
@@ -117,14 +81,14 @@ PathPredKernel::onRayTerminated(SideState &side, std::int64_t ray_id)
     if (side.predicted) {
         if (side.probeTriangle != geom::kNoHit &&
             result.triangle == side.probeTriangle)
-            ++counts_.correct;
+            correct_.add();
         else
-            ++counts_.mispredicts;
+            mispredicts_.add();
     }
     if (!config_.anyHit && result.triangle != geom::kNoHit &&
         side.lastHitLeaf >= 0) {
         table_.insert(side.key, side.lastHitLeaf);
-        ++counts_.inserts;
+        inserts_.add();
     }
     side = SideState{};
 }
@@ -138,27 +102,21 @@ PathPredKernel::execute(int block, int row, int lane)
 
     switch (block) {
       case PathPredBlocks::kFetch: {
-        const bool got = workspace_.fetchStep(row, lane);
-        if (got) {
-            step.nextBlock = PathPredBlocks::kPredict;
-            step.memAddress = workspace_.rayAddress(
-                workspace_.slot(row, lane).rayId);
-            step.memBytes = workspace_.addressMap().rayBytes;
-        } else {
-            step.nextBlock = PathPredBlocks::kExit;
-        }
+        const bool got = workspace_.fetchBody(row, lane, step);
+        step.nextBlock =
+            got ? PathPredBlocks::kPredict : PathPredBlocks::kExit;
         return step;
       }
       case PathPredBlocks::kPredict: {
         step.nextBlock = PathPredBlocks::kInnerHead;
         if (config_.anyHit)
             return step; // prediction disabled for shadow rays
-        ++counts_.lookups;
+        lookups_.add();
         s = SideState{};
         s.key = reorder::pathPredKey(slot.ray, bounds_, config_.predictor);
         const std::int32_t leaf = table_.lookup(s.key);
         if (leaf >= 0) {
-            ++counts_.tableHits;
+            tableHits_.add();
             const bvh::Node &node = bvh_.node(leaf);
             s.predicted = true;
             s.probeCursor = node.firstTriangle;
@@ -207,34 +165,26 @@ PathPredKernel::execute(int block, int row, int lane)
                              ? PathPredBlocks::kInnerTest
                              : PathPredBlocks::kLeafHead;
         return step;
-      case PathPredBlocks::kInnerTest: {
-        const std::int32_t node = slot.nodeIndex;
-        const std::int64_t ray = slot.rayId;
-        (void)workspace_.innerStep(row, lane);
-        if (ray >= 0 && slot.state == TravState::Fetch)
-            onRayTerminated(s, ray);
+      case PathPredBlocks::kInnerTest:
+        workspace_.innerBody(row, lane, step);
+        // A ray that ended in this step left its slot empty, with its
+        // id in lastRayId.
+        if (slot.state == TravState::Fetch)
+            onRayTerminated(s, slot.lastRayId);
         step.nextBlock = PathPredBlocks::kInnerHead;
-        step.memAddress = workspace_.nodeAddress(node);
-        step.memBytes = workspace_.addressMap().nodeBytes;
         return step;
-      }
       case PathPredBlocks::kLeafHead:
         step.nextBlock = workspace_.leafHasWork(row, lane)
                              ? PathPredBlocks::kLeafTest
                              : PathPredBlocks::kDoneCheck;
         return step;
       case PathPredBlocks::kLeafTest: {
-        const std::int32_t cursor = slot.leafCursor;
         const std::int32_t leaf_node = slot.nodeIndex;
-        const std::int64_t ray = slot.rayId;
-        const bool hit = workspace_.leafStep(row, lane);
-        if (hit)
+        if (workspace_.leafBody(row, lane, step))
             s.lastHitLeaf = leaf_node; // training: remember the hit's leaf
-        if (ray >= 0 && slot.state == TravState::Fetch)
-            onRayTerminated(s, ray);
+        if (slot.state == TravState::Fetch)
+            onRayTerminated(s, slot.lastRayId);
         step.nextBlock = PathPredBlocks::kLeafHead;
-        step.memAddress = workspace_.triangleAddress(cursor);
-        step.memBytes = workspace_.addressMap().triangleBytes;
         return step;
       }
       case PathPredBlocks::kDoneCheck:
@@ -242,14 +192,10 @@ PathPredKernel::execute(int block, int row, int lane)
                              ? PathPredBlocks::kStore
                              : PathPredBlocks::kInnerHead;
         return step;
-      case PathPredBlocks::kStore: {
+      case PathPredBlocks::kStore:
+        workspace_.storeBody(row, lane, step);
         step.nextBlock = PathPredBlocks::kFetch;
-        if (slot.lastRayId >= 0) {
-            step.memAddress = workspace_.resultAddress(slot.lastRayId);
-            step.memBytes = workspace_.addressMap().resultBytes;
-        }
         return step;
-      }
       default:
         throw std::logic_error("PathPredKernel: unexpected block");
     }

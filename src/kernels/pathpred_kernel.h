@@ -3,7 +3,11 @@
 /**
  * @file
  * Path-predicting "while-while" traversal kernel (Demoullin et al.'s
- * hash-based ray-path prediction, PAPERS.md): after fetching a ray, a
+ * hash-based ray-path prediction, PAPERS.md): Aila's while-while kernel
+ * (makeAilaProgram's blocks and bodies) plus a leaf probe after FETCH.
+ * It adds three blocks — PREDICT, PROBE_HEAD and PROBE_TEST, inserted
+ * after FETCH, which moves every later Aila block up by three ids — and
+ * one training hook where a ray terminates. After fetching a ray, a
  * per-SMX predictor table maps a hash of the quantized origin/direction
  * to the leaf node a previous similar ray terminated in. On a table hit
  * the kernel probes that leaf's triangles directly; a valid probe hit
@@ -30,6 +34,7 @@
  * first-hit answer is visit-order dependent).
  */
 
+#include "kernels/aila_kernel.h"
 #include "kernels/cost_model.h"
 #include "kernels/trav_workspace.h"
 #include "reorder/predictor.h"
@@ -37,21 +42,27 @@
 
 namespace drs::kernels {
 
-/** Block ids of the predicting while-while CFG (exposed for tests). */
+/**
+ * Block ids of the predicting while-while CFG (exposed for tests):
+ * FETCH, the three probe blocks, then Aila's other blocks in Aila's
+ * order, each kProbeBlocks ids later.
+ */
 struct PathPredBlocks
 {
-    static constexpr int kFetch = 0;
+    static constexpr int kFetch = AilaBlocks::kFetch;
     static constexpr int kPredict = 1;
     static constexpr int kProbeHead = 2;
     static constexpr int kProbeTest = 3;
-    static constexpr int kInnerHead = 4;
-    static constexpr int kInnerTest = 5;
-    static constexpr int kLeafHead = 6;
-    static constexpr int kLeafTest = 7;
-    static constexpr int kDoneCheck = 8;
-    static constexpr int kStore = 9;
-    static constexpr int kExit = 10;
-    static constexpr int kCount = 11;
+    /** Blocks inserted after FETCH. */
+    static constexpr int kProbeBlocks = 3;
+    static constexpr int kInnerHead = AilaBlocks::kInnerHead + kProbeBlocks;
+    static constexpr int kInnerTest = AilaBlocks::kInnerTest + kProbeBlocks;
+    static constexpr int kLeafHead = AilaBlocks::kLeafHead + kProbeBlocks;
+    static constexpr int kLeafTest = AilaBlocks::kLeafTest + kProbeBlocks;
+    static constexpr int kDoneCheck = AilaBlocks::kDoneCheck + kProbeBlocks;
+    static constexpr int kStore = AilaBlocks::kStore + kProbeBlocks;
+    static constexpr int kExit = AilaBlocks::kExit + kProbeBlocks;
+    static constexpr int kCount = AilaBlocks::kCount + kProbeBlocks;
 };
 
 /** Configuration of the path-prediction kernel (RunConfig::pathpred). */
@@ -70,7 +81,10 @@ struct PathPredConfig
     CostModel cost = defaultCostModel();
 };
 
-/** Build the predicting while-while Program. */
+/**
+ * Build the predicting while-while Program: makeAilaProgram's blocks
+ * with PREDICT, PROBE_HEAD and PROBE_TEST inserted after FETCH.
+ */
 simt::Program makePathPredProgram(const CostModel &cost);
 
 /**
@@ -81,16 +95,6 @@ simt::Program makePathPredProgram(const CostModel &cost);
 class PathPredKernel : public simt::Kernel
 {
   public:
-    /** Observability tallies, harvested by the plugin ("pathpred.*"). */
-    struct Counts
-    {
-        std::uint64_t lookups = 0;    ///< predictor probes issued
-        std::uint64_t tableHits = 0;  ///< tag matches (probe attempted)
-        std::uint64_t mispredicts = 0; ///< probe missed the final hit
-        std::uint64_t correct = 0;    ///< probe found the final triangle
-        std::uint64_t inserts = 0;    ///< terminal-leaf table updates
-    };
-
     PathPredKernel(const bvh::Bvh &bvh,
                    const std::vector<geom::Triangle> &triangles,
                    std::span<const geom::Ray> rays, std::size_t first_ray,
@@ -104,10 +108,14 @@ class PathPredKernel : public simt::Kernel
         return workspace_.raysCompleted();
     }
 
+    /** The predictor's counters ("pathpred.*"). */
+    obs::CounterSnapshot countersSnapshot() const override
+    {
+        return counters_.snapshot();
+    }
+
     /** Direct workspace access for tests and the hit harvest. */
     TravWorkspace &travWorkspace() { return workspace_; }
-
-    const Counts &counts() const { return counts_; }
 
   private:
     /** Per-slot prediction side state (not part of the 17 ray registers). */
@@ -138,7 +146,14 @@ class PathPredKernel : public simt::Kernel
     geom::Aabb bounds_;
     reorder::PredictorTable table_;
     std::vector<SideState> side_;
-    Counts counts_;
+
+    /** Observability counters ("pathpred.*"). */
+    obs::Counters counters_;
+    obs::Counter &lookups_;     ///< predictor probes issued
+    obs::Counter &tableHits_;   ///< tag matches (probe attempted)
+    obs::Counter &mispredicts_; ///< probe missed the final hit
+    obs::Counter &correct_;     ///< probe found the final triangle
+    obs::Counter &inserts_;     ///< terminal-leaf table updates
 };
 
 } // namespace drs::kernels

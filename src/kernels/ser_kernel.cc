@@ -13,62 +13,10 @@ using simt::TravState;
 simt::Program
 makeSerProgram(const CostModel &cost)
 {
-    // Blocks 0-7 are the while-if CFG with the exact names and
-    // instruction counts of makeDrsProgram, so the lockstep check's
-    // per-block visit comparison (blocks 2 and 5) applies unchanged.
-    std::vector<Block> blocks(SerBlocks::kSerCount);
+    std::vector<Block> blocks = makeDrsProgram(cost).blocks();
+    blocks[SerBlocks::kRdctrl].successors.push_back(SerBlocks::kShade);
 
-    auto &rdctrl = blocks[SerBlocks::kRdctrl];
-    rdctrl.name = "RDCTRL";
-    rdctrl.instructionCount = cost.rdctrl;
-    rdctrl.specialOp = simt::SpecialOp::Rdctrl;
-    rdctrl.successors = {SerBlocks::kFetchBody, SerBlocks::kInnerTest,
-                         SerBlocks::kLeafHead, SerBlocks::kExit,
-                         SerBlocks::kShade};
-
-    auto &fetch = blocks[SerBlocks::kFetchBody];
-    fetch.name = "IF_FETCH";
-    fetch.instructionCount = cost.fetchRay;
-    fetch.successors = {SerBlocks::kRdctrl};
-    fetch.memSpace = MemSpace::Global;
-    fetch.phase = obs::TravPhase::Fetch;
-
-    auto &itest = blocks[SerBlocks::kInnerTest];
-    itest.name = "IF_INNER_TEST";
-    itest.instructionCount = cost.innerTest;
-    itest.successors = {SerBlocks::kSetStateInner};
-    itest.memSpace = MemSpace::Texture;
-    itest.phase = obs::TravPhase::Inner;
-
-    auto &seti = blocks[SerBlocks::kSetStateInner];
-    seti.name = "SET_STATE_I";
-    seti.instructionCount = cost.setRayState;
-    seti.successors = {SerBlocks::kRdctrl};
-    seti.phase = obs::TravPhase::Inner;
-
-    auto &lhead = blocks[SerBlocks::kLeafHead];
-    lhead.name = "IF_LEAF_HEAD";
-    lhead.instructionCount = cost.leafBodyHead;
-    lhead.successors = {SerBlocks::kLeafTest, SerBlocks::kSetStateLeaf};
-    lhead.phase = obs::TravPhase::Leaf;
-
-    auto &ltest = blocks[SerBlocks::kLeafTest];
-    ltest.name = "LEAF_TEST";
-    ltest.instructionCount = cost.leafTest;
-    ltest.successors = {SerBlocks::kLeafHead};
-    ltest.memSpace = MemSpace::Texture;
-    ltest.phase = obs::TravPhase::Leaf;
-
-    auto &setl = blocks[SerBlocks::kSetStateLeaf];
-    setl.name = "SET_STATE_L";
-    setl.instructionCount = cost.setRayState;
-    setl.successors = {SerBlocks::kRdctrl};
-    setl.phase = obs::TravPhase::Leaf;
-
-    blocks[SerBlocks::kExit].name = "EXIT";
-    blocks[SerBlocks::kExit].instructionCount = 1;
-
-    auto &shade = blocks[SerBlocks::kShade];
+    auto &shade = blocks.emplace_back();
     shade.name = "SHADE";
     shade.instructionCount = cost.shade;
     shade.successors = {SerBlocks::kRdctrl};
@@ -91,17 +39,6 @@ SerKernel::SerKernel(const bvh::Bvh &bvh,
       cut_(bvh, config.cutSize),
       shadeGroups_(static_cast<std::size_t>(config.numWarps))
 {
-}
-
-int
-SerKernel::blockForState(TravState state) const
-{
-    switch (state) {
-      case TravState::Fetch: return SerBlocks::kFetchBody;
-      case TravState::Inner: return SerBlocks::kInnerTest;
-      case TravState::Leaf: return SerBlocks::kLeafHead;
-    }
-    throw std::logic_error("SerKernel: bad traversal state");
 }
 
 void
@@ -140,30 +77,21 @@ ThreadStep
 SerKernel::execute(int block, int row, int lane)
 {
     ThreadStep step;
-    RaySlot &slot = workspace_.slot(row, lane);
+    const RaySlot &slot = workspace_.slot(row, lane);
 
     switch (block) {
-      case SerBlocks::kFetchBody: {
-        const bool got = workspace_.fetchStep(row, lane);
+      case SerBlocks::kFetchBody:
+        (void)workspace_.fetchBody(row, lane, step);
         step.nextBlock = SerBlocks::kRdctrl;
-        if (got) {
-            step.memAddress = workspace_.rayAddress(
-                workspace_.slot(row, lane).rayId);
-            step.memBytes = workspace_.addressMap().rayBytes;
-        }
         return step;
-      }
-      case SerBlocks::kInnerTest: {
-        const std::int32_t node = slot.nodeIndex;
-        const std::int64_t ray = slot.rayId;
-        (void)workspace_.innerStep(row, lane);
-        if (ray >= 0 && slot.state == TravState::Fetch)
-            deposit(ray); // the ray reached the shading boundary
+      case SerBlocks::kInnerTest:
+        workspace_.innerBody(row, lane, step);
+        // A ray that ended in this step left its slot empty, with its
+        // id in lastRayId: it has reached the shading boundary.
+        if (slot.state == TravState::Fetch)
+            deposit(slot.lastRayId);
         step.nextBlock = SerBlocks::kSetStateInner;
-        step.memAddress = workspace_.nodeAddress(node);
-        step.memBytes = workspace_.addressMap().nodeBytes;
         return step;
-      }
       case SerBlocks::kSetStateInner:
       case SerBlocks::kSetStateLeaf:
         step.nextBlock = SerBlocks::kRdctrl;
@@ -173,17 +101,12 @@ SerKernel::execute(int block, int row, int lane)
                              ? SerBlocks::kLeafTest
                              : SerBlocks::kSetStateLeaf;
         return step;
-      case SerBlocks::kLeafTest: {
-        const std::int32_t cursor = slot.leafCursor;
-        const std::int64_t ray = slot.rayId;
-        (void)workspace_.leafStep(row, lane);
-        if (ray >= 0 && slot.state == TravState::Fetch)
-            deposit(ray);
+      case SerBlocks::kLeafTest:
+        (void)workspace_.leafBody(row, lane, step);
+        if (slot.state == TravState::Fetch)
+            deposit(slot.lastRayId);
         step.nextBlock = SerBlocks::kLeafHead;
-        step.memAddress = workspace_.triangleAddress(cursor);
-        step.memBytes = workspace_.addressMap().triangleBytes;
         return step;
-      }
       case SerBlocks::kShade: {
         const auto &group =
             shadeGroups_.at(static_cast<std::size_t>(row));

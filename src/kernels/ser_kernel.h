@@ -2,21 +2,24 @@
 
 /**
  * @file
- * SER-style traversal kernel: the while-if CFG (identical traversal
- * blocks to Kernel 1) extended with a hit-shading block behind a reorder
+ * SER-style traversal kernel: Kernel 1 (makeDrsProgram's while-if
+ * blocks, ids and bodies) plus a hit-shading block behind a reorder
  * point at the traversal->shading boundary, modeling NVIDIA's Shader
- * Execution Reordering in this simulator's terms. When a ray terminates,
- * the kernel deposits it into a shared per-SMX sort buffer keyed by hit
- * material + the BVH-cut code of the hit point; the SER control unit
- * (src/baselines/ser_control.h) later refills a warp with a group of
- * key-adjacent rays and dispatches the shade block for them, so shading
- * executes with coherent neighbors regardless of which warp traced each
- * ray. This is not a launch-order permutation: rays are regrouped *inside*
- * the kernel, between traversal and shading.
+ * Execution Reordering in this simulator's terms. It adds three things
+ * to the kernel it extends: the SHADE block (block 8, RDCTRL's last
+ * successor); a deposit of every terminated ray into a shared per-SMX
+ * sort buffer keyed by hit material + the BVH-cut code of the hit
+ * point; and the shade groups the SER control unit
+ * (src/baselines/ser_control.h) fills with key-adjacent rays before it
+ * dispatches SHADE for them, so shading executes with coherent
+ * neighbors regardless of which warp traced each ray. This is not a
+ * launch-order permutation: rays are regrouped *inside* the kernel,
+ * between traversal and shading.
  *
- * Traversal semantics are untouched — hits are bitwise identical to the
- * Aila/DRS kernels and the while-if lockstep check applies unchanged; the
- * shade block only adds issue slots and (coherent) material fetches.
+ * Traversal semantics are Kernel 1's — hits are bitwise identical to the
+ * Aila/DRS kernels and the while-if lockstep check applies by
+ * construction; the shade block only adds issue slots and (coherent)
+ * material fetches.
  */
 
 #include "kernels/cost_model.h"
@@ -31,8 +34,8 @@ namespace drs::kernels {
 /** Block ids of the SER CFG: DrsBlocks plus the shade body. */
 struct SerBlocks : DrsBlocks
 {
-    static constexpr int kShade = 8;
-    static constexpr int kSerCount = 9;
+    static constexpr int kShade = DrsBlocks::kCount;
+    static constexpr int kCount = kShade + 1;
 };
 
 /** Configuration of the SER kernel (RunConfig::ser feeds this). */
@@ -45,7 +48,7 @@ struct SerKernelConfig
     CostModel cost = defaultCostModel();
 };
 
-/** Build the while-if-plus-shade Program. */
+/** Build the SER Program: makeDrsProgram's blocks plus SHADE. */
 simt::Program makeSerProgram(const CostModel &cost);
 
 /**
@@ -66,7 +69,10 @@ class SerKernel : public simt::Kernel
 
     const simt::Program &program() const override { return program_; }
     simt::ThreadStep execute(int block, int row, int lane) override;
-    int blockForState(simt::TravState state) const override;
+    int blockForState(simt::TravState state) const override
+    {
+        return DrsKernel::bodyBlock(state);
+    }
     simt::RowWorkspace &workspace() override { return workspace_; }
     std::uint64_t raysCompleted() const override
     {

@@ -304,11 +304,45 @@ TravWorkspace::storeResult(int row, int lane)
     setLaneState(row, lane, TravState::Fetch);
 }
 
-std::uint64_t
-TravWorkspace::nodeAddress(std::int32_t node) const
+bool
+TravWorkspace::fetchBody(int row, int lane, simt::ThreadStep &step)
 {
-    return addressMap_.nodeBase +
-           static_cast<std::uint64_t>(node) * addressMap_.nodeBytes;
+    if (!fetchStep(row, lane))
+        return false;
+    step.memAddress = addressMap_.rayBase +
+                      static_cast<std::uint64_t>(slot(row, lane).rayId) *
+                          addressMap_.rayBytes;
+    step.memBytes = addressMap_.rayBytes;
+    return true;
+}
+
+void
+TravWorkspace::innerBody(int row, int lane, simt::ThreadStep &step)
+{
+    step.memAddress = addressMap_.nodeBase +
+                      static_cast<std::uint64_t>(slot(row, lane).nodeIndex) *
+                          addressMap_.nodeBytes;
+    step.memBytes = addressMap_.nodeBytes;
+    (void)innerStep(row, lane);
+}
+
+bool
+TravWorkspace::leafBody(int row, int lane, simt::ThreadStep &step)
+{
+    step.memAddress = triangleAddress(slot(row, lane).leafCursor);
+    step.memBytes = addressMap_.triangleBytes;
+    return leafStep(row, lane);
+}
+
+void
+TravWorkspace::storeBody(int row, int lane, simt::ThreadStep &step) const
+{
+    const std::int64_t ray = slot(row, lane).lastRayId;
+    if (ray < 0)
+        return;
+    step.memAddress = addressMap_.resultBase +
+                      static_cast<std::uint64_t>(ray) * addressMap_.resultBytes;
+    step.memBytes = addressMap_.resultBytes;
 }
 
 std::uint64_t
@@ -316,20 +350,6 @@ TravWorkspace::triangleAddress(std::int32_t slot_index) const
 {
     return addressMap_.triangleBase +
            static_cast<std::uint64_t>(slot_index) * addressMap_.triangleBytes;
-}
-
-std::uint64_t
-TravWorkspace::rayAddress(std::int64_t ray_id) const
-{
-    return addressMap_.rayBase +
-           static_cast<std::uint64_t>(ray_id) * addressMap_.rayBytes;
-}
-
-std::uint64_t
-TravWorkspace::resultAddress(std::int64_t ray_id) const
-{
-    return addressMap_.resultBase +
-           static_cast<std::uint64_t>(ray_id) * addressMap_.resultBytes;
 }
 
 } // namespace drs::kernels

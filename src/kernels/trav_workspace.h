@@ -4,7 +4,8 @@
  * @file
  * Row-addressed traversal state: the "live ray variables in registers"
  * of the paper, organized into rows of 32 slots, plus the shared per-SMX
- * ray pool and the traversal step semantics both kernels reuse.
+ * ray pool and the traversal step semantics and block bodies every ray
+ * kernel reuses.
  *
  * Cost-model note: the paper states a ray's live state is 17 registers and
  * the shuffle hardware moves exactly those. Functionally this workspace
@@ -21,6 +22,7 @@
 #include "geom/ray.h"
 #include "geom/triangle.h"
 #include "simt/controller.h"
+#include "simt/kernel.h"
 
 namespace drs::kernels {
 
@@ -133,7 +135,7 @@ class TravWorkspace : public simt::RowWorkspace
      */
     void putRay(int row, int lane, RaySlot &&ray);
 
-    // --- traversal semantics (shared by both kernel flavours) ---
+    // --- traversal semantics (shared by every ray kernel) ---
 
     /**
      * Fetch the next pool ray into (row, lane).
@@ -166,12 +168,38 @@ class TravWorkspace : public simt::RowWorkspace
     /** Terminate the ray in (row, lane): record the result, mark Fetch. */
     void storeResult(int row, int lane);
 
-    /** Simulated address helpers (for the kernels' memory instructions). */
+    // --- traversal bodies (each kernel's FETCH / INNER_TEST / LEAF_TEST
+    // / STORE block): the step plus the memory access it issues ---
+
+    /**
+     * Fetch the next pool ray and load it (@p step's access).
+     * @return false when the pool is empty (no access)
+     */
+    bool fetchBody(int row, int lane, simt::ThreadStep &step);
+
+    /**
+     * One inner-node step and its node load. The child-select / push /
+     * pop tails are predicated in the block's instruction count, so the
+     * outcome only drives semantics.
+     */
+    void innerBody(int row, int lane, simt::ThreadStep &step);
+
+    /**
+     * One triangle test and its triangle load (the hit update is
+     * predicated).
+     * @return true when the triangle was hit
+     */
+    bool leafBody(int row, int lane, simt::ThreadStep &step);
+
+    /** Store the hit record of the slot's last completed ray, if any. */
+    void storeBody(int row, int lane, simt::ThreadStep &step) const;
+
+    /**
+     * Simulated memory layout, and the address of a triangle slot (for
+     * triangle loads outside leafBody, such as a leaf probe).
+     */
     const AddressMap &addressMap() const { return addressMap_; }
-    std::uint64_t nodeAddress(std::int32_t node) const;
     std::uint64_t triangleAddress(std::int32_t slot_index) const;
-    std::uint64_t rayAddress(std::int64_t ray_id) const;
-    std::uint64_t resultAddress(std::int64_t ray_id) const;
 
     /** Completed rays (traced to termination). */
     std::uint64_t raysCompleted() const { return raysCompleted_; }

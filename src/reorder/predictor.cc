@@ -1,42 +1,12 @@
 #include "reorder/predictor.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "reorder/reorder.h"
 
 namespace drs::reorder {
 
 namespace {
-
-/** Quantize @p value in [lo, hi] to [0, 2^bits); non-finite -> 0. */
-std::uint32_t
-quantizeCell(float value, float lo, float hi, int bits)
-{
-    if (!std::isfinite(value))
-        return 0;
-    const float extent = hi - lo;
-    if (!(extent > 0.0f))
-        return 0;
-    const auto cells = static_cast<float>(1u << bits);
-    float cell = std::floor((value - lo) / extent * cells);
-    if (cell < 0.0f)
-        cell = 0.0f;
-    const float last = cells - 1.0f;
-    if (cell > last)
-        cell = last;
-    return static_cast<std::uint32_t>(cell);
-}
-
-/** Spread the low 10 bits of @p v with two zero bits between each. */
-std::uint64_t
-spreadBits10(std::uint64_t v)
-{
-    v &= 0x3ffu;
-    v = (v | (v << 16)) & 0x030000ffull;
-    v = (v | (v << 8)) & 0x0300f00full;
-    v = (v | (v << 4)) & 0x030c30c3ull;
-    v = (v | (v << 2)) & 0x09249249ull;
-    return v;
-}
 
 /** 64-bit finalizer (splitmix64) — spreads the key over the table. */
 std::uint64_t
@@ -54,21 +24,10 @@ std::uint64_t
 pathPredKey(const geom::Ray &ray, const geom::Aabb &bounds,
             const PredictorConfig &config)
 {
-    const int origin_bits = std::clamp(config.originBits, 1, 10);
-    const std::uint64_t morton =
-        (spreadBits10(quantizeCell(ray.origin.x, bounds.lo.x, bounds.hi.x,
-                                   origin_bits))
-         << 2) |
-        (spreadBits10(quantizeCell(ray.origin.y, bounds.lo.y, bounds.hi.y,
-                                   origin_bits))
-         << 1) |
-        spreadBits10(quantizeCell(ray.origin.z, bounds.lo.z, bounds.hi.z,
-                                  origin_bits));
-
-    const std::uint32_t octant = (ray.direction.x < 0.0f ? 1u : 0u) |
-                                 (ray.direction.y < 0.0f ? 2u : 0u) |
-                                 (ray.direction.z < 0.0f ? 4u : 0u);
-    std::uint64_t key = (morton << 3) | octant;
+    ReorderConfig grid;
+    grid.originBits = config.originBits;
+    grid.directionOctant = true;
+    std::uint64_t key = hashGridKey(ray, bounds, grid);
 
     const int dir_bits = std::clamp(config.directionBits, 0, 8);
     if (dir_bits > 0) {
@@ -78,7 +37,7 @@ pathPredKey(const geom::Ray &ray, const geom::Aabb &bounds,
         for (const float component :
              {ray.direction.x, ray.direction.y, ray.direction.z})
             key = (key << dir_bits) |
-                  quantizeCell(component, -1.0f, 1.0f, dir_bits);
+                  quantize(component, -1.0f, 1.0f, dir_bits);
     }
     return key;
 }

@@ -41,9 +41,11 @@ struct PredictorConfig
 };
 
 /**
- * Prediction key of @p ray: Morton-interleaved quantized origin over
- * @p bounds combined with the quantized direction. Non-finite
- * coordinates quantize to cell 0 (same policy as the reorder keys).
+ * Prediction key of @p ray: its hash-grid key over @p bounds
+ * (reorder::hashGridKey at config.originBits, with the direction
+ * octant), then each direction component quantized over [-1, 1] at
+ * config.directionBits. Non-finite coordinates quantize to cell 0, as
+ * in every reorder key.
  */
 std::uint64_t pathPredKey(const geom::Ray &ray, const geom::Aabb &bounds,
                           const PredictorConfig &config);

@@ -26,7 +26,8 @@ clampedOriginBits(const ReorderConfig &config)
     return std::clamp(config.originBits, 1, 10);
 }
 
-/** Quantize @p value in [lo, hi] to [0, 2^bits). Degenerate axes map to 0. */
+} // namespace
+
 std::uint32_t
 quantize(float value, float lo, float hi, int bits)
 {
@@ -47,8 +48,6 @@ quantize(float value, float lo, float hi, int bits)
         cell = last;
     return static_cast<std::uint32_t>(cell);
 }
-
-} // namespace
 
 std::uint32_t
 directionOctant(const geom::Vec3 &direction)

@@ -56,6 +56,12 @@ struct ReorderConfig
     bool operator==(const ReorderConfig &) const = default;
 };
 
+/**
+ * Quantize @p value in [lo, hi] to a cell in [0, 2^bits). Degenerate
+ * intervals and non-finite values map to cell 0.
+ */
+std::uint32_t quantize(float value, float lo, float hi, int bits);
+
 /** 3-bit octant of @p direction (sign bits of x/y/z). */
 std::uint32_t directionOctant(const geom::Vec3 &direction);
 

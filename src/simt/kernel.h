@@ -55,6 +55,12 @@ class Kernel
 
     /** Rays fully traced so far on this SMX. */
     virtual std::uint64_t raysCompleted() const = 0;
+
+    /**
+     * Snapshot of the kernel's own observability counters (e.g.
+     * "pathpred.*"); merged into the owning SMX's SimStats::counters.
+     */
+    virtual obs::CounterSnapshot countersSnapshot() const { return {}; }
 };
 
 } // namespace drs::simt

@@ -82,6 +82,8 @@ class Program
     Program(std::vector<Block> blocks, int exit_block);
 
     const Block &block(int id) const { return blocks_.at(id); }
+    /** Every block, by id (a kernel extending this CFG copies them). */
+    const std::vector<Block> &blocks() const { return blocks_; }
     int blockCount() const { return static_cast<int>(blocks_.size()); }
     int exitBlock() const { return exitBlock_; }
 

@@ -202,10 +202,11 @@ SmxExecutor::collectStats() const
     s.l1Data = memory_.l1DataStats();
     s.l1Texture = memory_.l1TextureStats();
 
-    // The exported counter snapshot: the SMX registry, the executor's
-    // own additions, and the cache models bridged under their
-    // hierarchical names.
+    // The exported counter snapshot: the SMX registry, the kernel's and
+    // the executor's own additions, and the cache models bridged under
+    // their hierarchical names.
     s.counters = counters_.snapshot();
+    s.counters.merge(kernel_.countersSnapshot());
     addStats(s);
     s.counters.add("l1d.access", s.l1Data.accesses);
     s.counters.add("l1d.miss", s.l1Data.misses);

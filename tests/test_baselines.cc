@@ -284,12 +284,13 @@ TEST(Tbc, GpuDriverAggregatesAcrossSmxs)
     auto stats = simt::runGpu(gpu, [&](int smx) {
         auto [first, count] =
             simt::rayStripe(setup.rays.size(), gpu.numSmx, smx);
-        std::vector<Ray> stripe(setup.rays.begin() + first,
-                                setup.rays.begin() + first + count);
         kernels::AilaConfig aila;
         aila.numWarps = config.numWarps;
+        // The kernel keeps a view of its stripe, so it must be a view of
+        // rays that outlive the run.
         auto kernel = std::make_unique<kernels::AilaKernel>(
-            setup.bvh, setup.scene.triangles(), std::move(stripe), first,
+            setup.bvh, setup.scene.triangles(),
+            std::span<const Ray>(setup.rays).subspan(first, count), first,
             aila);
         simt::SmxSetup unit;
         unit.executor = [&config, &aila_kernel = *kernel](

@@ -44,6 +44,7 @@
 #include "harness/arch_plugin.h"
 #include "harness/harness.h"
 #include "harness/report.h"
+#include "reorder/predictor.h"
 #include "reorder/reorder.h"
 
 namespace drs::harness {
@@ -537,6 +538,37 @@ TEST(ReorderKeys, NonFiniteOriginsQuantizeToCellZero)
         mixed_lo.origin.y = 0.0f;
         EXPECT_EQ(reorder::hashGridKey(mixed, bounds, config),
                   reorder::hashGridKey(mixed_lo, bounds, config));
+    }
+
+    // The path-prediction key is the hash-grid key with the octant,
+    // then directionBits per direction component: a non-finite origin
+    // or direction component lands in cell 0 there too.
+    const reorder::PredictorConfig predictor;
+    const int bits = predictor.directionBits;
+    const std::uint64_t cell_mask = (std::uint64_t{1} << bits) - 1;
+    reorder::ReorderConfig grid;
+    grid.originBits = predictor.originBits;
+    grid.directionOctant = true;
+    const std::uint64_t lo_key =
+        reorder::pathPredKey(at_lo, bounds, predictor);
+    EXPECT_EQ(lo_key >> (3 * bits), reorder::hashGridKey(at_lo, bounds, grid));
+    for (const float bad : {nan, inf, -inf}) {
+        geom::Ray ray = at_lo;
+        ray.origin = {bad, bad, bad};
+        EXPECT_EQ(reorder::pathPredKey(ray, bounds, predictor), lo_key)
+            << "non-finite origin must land in cell 0";
+
+        geom::Ray turned = at_lo;
+        turned.direction.x = bad;
+        const std::uint64_t key =
+            reorder::pathPredKey(turned, bounds, predictor);
+        EXPECT_EQ(key >> (3 * bits),
+                  reorder::hashGridKey(turned, bounds, grid));
+        EXPECT_EQ((key >> (2 * bits)) & cell_mask, 0u)
+            << "non-finite direction component must land in cell 0";
+        // y and z still quantize as before.
+        EXPECT_EQ(key & ((cell_mask << bits) | cell_mask),
+                  lo_key & ((cell_mask << bits) | cell_mask));
     }
 }
 
